@@ -61,6 +61,6 @@ from .reweight_opt import (
     resampling_weights,
     table_to_csv,
 )
-from .synth_data import Dataset, FeatureConfig, Sample, make_splits, read_dataset_csv, sample_dataset, write_dataset_csv
+from .synth_data import Dataset, FeatureConfig, make_splits, read_dataset_csv, sample_dataset, write_dataset_csv
 
 __version__ = "0.1.0"

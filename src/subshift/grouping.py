@@ -158,12 +158,12 @@ def _hard_grouping(kind: str) -> SoftGrouping:
     return SoftGrouping(assign, names, _KIND_TO_NAME[kind])
 
 
-def refine(grouping: SoftGrouping, split_seed: int = 0) -> SoftGrouping:
+def refine(grouping: SoftGrouping) -> SoftGrouping:
     """Split every group into two equal-mass children (k doubles).
 
     The conditional mass is divided exactly 0.5/0.5 at the distribution
-    level, so split_seed does not influence the matrix; sample-level coin
-    flips happen in annotate_samples, which seeds them independently.
+    level; sample-level coin flips happen in annotate_samples, which seeds
+    them independently.
     """
     a = grouping.assign
     out = np.zeros((a.shape[0], 2 * a.shape[1]))

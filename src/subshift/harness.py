@@ -20,11 +20,9 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -137,13 +135,6 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _pool_size() -> int:
-    env = os.environ.get("SSL_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
@@ -161,7 +152,9 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     """Train and evaluate every (method, scheme, seed) cell.
 
     ERM ignores the grouping, so it trains once per seed and its row is
-    replicated across schemes. Failed cells are recorded and skipped.
+    replicated across schemes. Cells run one after another: the work is
+    Python and numpy dispatch that holds the interpreter lock, so threads
+    would not overlap it. Failed cells are recorded and skipped.
     """
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
@@ -236,10 +229,9 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
 
     rows = []
     errors = []
-    with ThreadPoolExecutor(max_workers=_pool_size()) as pool:
-        outcomes = list(pool.map(lambda c: _guarded(run_cell, c), cells))
-    for cell, (ok, payload) in zip(cells, outcomes):
+    for cell in cells:
         method, name, seed = cell
+        ok, payload = _guarded(run_cell, cell)
         if not ok:
             errors.append({"method": method, "grouping": name or "-", "seed": seed, "error": payload})
             continue

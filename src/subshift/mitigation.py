@@ -10,6 +10,13 @@ differences are attributable to the grouping signal alone:
 * cfair        -- per-class group adversaries with gradient reversal
 * jtt          -- two-stage error upweighting, tuned on validation data
 
+All of them train through one loop, ``_fit``. A method differs from another
+only in three things it hands that loop: how an epoch's batches are drawn
+(``batches(rng)``), what one step computes from a batch (``step(params,
+batch)``, which weights samples, routes heads or trains adversaries), and
+the model's shape (``n_heads``, ``adv_groups``). JTT runs ``_fit`` once for
+stage one and once per upweighting candidate.
+
 domain_ind and cfair refuse groupings that depend on the label, since their
 mechanisms would leak y into inference; the check uses the scheme name when
 the dataset carries one and falls back to a structural test.
@@ -20,6 +27,7 @@ from __future__ import annotations
 import io
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -132,28 +140,55 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _run_plain(dataset, cfg: TrainConfig, sample_weights=None, seed=None):
-    """Shared ERM loop; JTT stage 2 passes per-sample weights."""
-    x = dataset.features
-    y = dataset.y.astype(float)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    params = nnet.init_params(x.shape[1], cfg.hidden, seed=cfg.seed if seed is None else seed)
+def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape):
+    """The one training loop every method runs; returns (params, history).
+
+    batches(rng) yields one epoch of row indices (default: a fresh
+    permutation cut into cfg.batch_size slices). step(params, batch) returns
+    (loss, grads), or ((bce, adversary_loss), grads) for cfair; Adam then
+    applies grads. model_shape (n_heads, adv_groups) goes to init_params. q
+    is the group-weight array gDRO's step updates in place; each epoch's
+    history row records a copy of it.
+    """
+    if batches is None:
+        batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
+    rng = np.random.default_rng(cfg.seed)
+    params = nnet.init_params(dataset.features.shape[1], cfg.hidden, seed=cfg.seed, **model_shape)
     state = nnet.adam_init(params)
     history = []
     for epoch in range(cfg.epochs):
         lr = _lr_at(cfg, epoch)
         losses = []
-        for batch in _epoch_batches(len(y), cfg.batch_size, rng):
-            w = None if sample_weights is None else sample_weights[batch]
-            loss, grads = nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w)
+        for batch in batches(rng):
+            loss, grads = step(params, batch)
             params, state = nnet.sgd_adam_step(params, grads, state, lr, cfg.weight_decay)
             losses.append(loss)
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "group_weights": None})
+        adv = None
+        if losses and isinstance(losses[0], tuple):
+            losses, adv = zip(*losses)
+        row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
+        row["group_weights"] = None if q is None else q.copy()
+        if adv is not None:
+            row["adversary_loss"] = float(np.mean(adv))
+        history.append(row)
     return params, tuple(history)
 
 
+def _bce_step(dataset, sample_weights=None, head_ids=None):
+    """step() for the plain weighted BCE; head_ids routes per-group heads."""
+    x = dataset.features
+    y = dataset.y.astype(float)
+
+    def step(params, batch):
+        w = None if sample_weights is None else sample_weights[batch]
+        h = None if head_ids is None else head_ids[batch]
+        return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w, head_ids=h)
+
+    return step
+
+
 def train_erm(dataset, cfg: TrainConfig) -> TrainedModel:
-    params, history = _run_plain(dataset, cfg)
+    params, history = _fit(dataset, cfg, _bce_step(dataset))
     return TrainedModel(params=params, method="erm", config=cfg, history=history)
 
 
@@ -173,31 +208,20 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
     groups = dataset.group
     n_g = np.array([(groups == g).sum() for g in range(k)], dtype=float)
     adjust = cfg.gdro_size_adjust / np.sqrt(n_g)
-
-    rng = np.random.default_rng(cfg.seed)
-    params = nnet.init_params(x.shape[1], cfg.hidden, seed=cfg.seed)
-    state = nnet.adam_init(params)
     q = np.full(k, 1.0 / k)
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        losses = []
-        for batch in _epoch_batches(len(y), cfg.batch_size, rng):
-            g_b = groups[batch]
-            sample_loss = nnet.per_sample_losses(params, x[batch], y[batch])
-            present = np.unique(g_b)
-            for g in present:
-                mean_loss = float(sample_loss[g_b == g].mean())
-                q[g] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[g]))
-            q /= q.sum()
-            counts = np.bincount(g_b, minlength=k).astype(float)
-            w = len(batch) * q[g_b] / counts[g_b]
-            loss, grads = nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w)
-            params, state = nnet.sgd_adam_step(params, grads, state, lr, cfg.weight_decay)
-            losses.append(loss)
-        history.append(
-            {"epoch": epoch, "train_loss": float(np.mean(losses)), "group_weights": q.copy()}
-        )
+
+    def step(params, batch):
+        g_b = groups[batch]
+        sample_loss = nnet.per_sample_losses(params, x[batch], y[batch])
+        for g in np.unique(g_b):
+            mean_loss = float(sample_loss[g_b == g].mean())
+            q[g] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[g]))
+        q[:] /= q.sum()
+        counts = np.bincount(g_b, minlength=k).astype(float)
+        w = len(batch) * q[g_b] / counts[g_b]
+        return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w)
+
+    params, history = _fit(dataset, cfg, step, q=q)
     return TrainedModel(
         params=params, method="gdro", config=cfg, history=history, scheme=dataset.group_scheme
     )
@@ -208,16 +232,9 @@ def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
     uniformly, then a sample uniformly inside it."""
     k = _group_count(dataset)
     by_group = _indices_by_group(dataset, k)
-    x = dataset.features
-    y = dataset.y.astype(float)
-    rng = np.random.default_rng(cfg.seed)
-    params = nnet.init_params(x.shape[1], cfg.hidden, seed=cfg.seed)
-    state = nnet.adam_init(params)
-    steps_per_epoch = max(1, int(np.ceil(len(y) / cfg.batch_size)))
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        losses = []
+    steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
+
+    def batches(rng):
         for _ in range(steps_per_epoch):
             picks = rng.integers(0, k, size=cfg.batch_size)
             batch = np.empty(cfg.batch_size, dtype=int)
@@ -226,10 +243,9 @@ def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
                 m = int(mask.sum())
                 if m:
                     batch[mask] = by_group[g][rng.integers(0, len(by_group[g]), size=m)]
-            loss, grads = nnet.bce_loss_and_grad(params, x[batch], y[batch])
-            params, state = nnet.sgd_adam_step(params, grads, state, lr, cfg.weight_decay)
-            losses.append(loss)
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "group_weights": None})
+            yield batch
+
+    params, history = _fit(dataset, cfg, _bce_step(dataset), batches=batches)
     return TrainedModel(
         params=params, method="resampling", config=cfg, history=history, scheme=dataset.group_scheme
     )
@@ -246,23 +262,7 @@ def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
     _check_y_free(dataset, k)
     if cfg.domain_ind_rule not in ("max_abs", "sum"):
         raise InvalidScheme(f"unknown inference rule {cfg.domain_ind_rule!r}")
-    x = dataset.features
-    y = dataset.y.astype(float)
-    groups = dataset.group
-    rng = np.random.default_rng(cfg.seed)
-    params = nnet.init_params(x.shape[1], cfg.hidden, n_heads=k, seed=cfg.seed)
-    state = nnet.adam_init(params)
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        losses = []
-        for batch in _epoch_batches(len(y), cfg.batch_size, rng):
-            loss, grads = nnet.bce_loss_and_grad(
-                params, x[batch], y[batch], head_ids=groups[batch]
-            )
-            params, state = nnet.sgd_adam_step(params, grads, state, lr, cfg.weight_decay)
-            losses.append(loss)
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses)), "group_weights": None})
+    params, history = _fit(dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
     return TrainedModel(
         params=params, method="domain_ind", config=cfg, history=history, scheme=dataset.group_scheme
     )
@@ -280,29 +280,14 @@ def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
     x = dataset.features
     y = dataset.y
     groups = dataset.group
-    rng = np.random.default_rng(cfg.seed)
-    params = nnet.init_params(x.shape[1], cfg.hidden, adv_groups=k, seed=cfg.seed)
-    state = nnet.adam_init(params)
-    history = []
-    for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
-        losses = []
-        adv_losses = []
-        for batch in _epoch_batches(len(y), cfg.batch_size, rng):
-            bce, adv, grads = nnet.cfair_loss_and_grad(
-                params, x[batch], y[batch], groups[batch], cfg.cfair_mu
-            )
-            params, state = nnet.sgd_adam_step(params, grads, state, lr, cfg.weight_decay)
-            losses.append(bce)
-            adv_losses.append(adv)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": float(np.mean(losses)),
-                "group_weights": None,
-                "adversary_loss": float(np.mean(adv_losses)),
-            }
+
+    def step(params, batch):
+        bce, adv, grads = nnet.cfair_loss_and_grad(
+            params, x[batch], y[batch], groups[batch], cfg.cfair_mu
         )
+        return (bce, adv), grads
+
+    params, history = _fit(dataset, cfg, step, adv_groups=k)
     return TrainedModel(
         params=params, method="cfair", config=cfg, history=history, scheme=dataset.group_scheme
     )
@@ -341,14 +326,14 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
     best = None
     for s1 in s1_grid:
         stage1_cfg = replace(cfg, epochs=int(s1))
-        stage1_params, _ = _run_plain(dataset, stage1_cfg)
+        stage1_params, _ = _fit(dataset, stage1_cfg, _bce_step(dataset))
         logits, _ = nnet.forward(stage1_params, dataset.features)
         wrong = (expit(logits) >= 0.5).astype(int) != dataset.y
         if not wrong.any():
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
         for lam in up_grid:
             weights = np.where(wrong, float(lam), 1.0)
-            params, history = _run_plain(dataset, cfg, sample_weights=weights)
+            params, history = _fit(dataset, cfg, _bce_step(dataset, sample_weights=weights))
             candidate = TrainedModel(
                 params=params,
                 method="jtt",

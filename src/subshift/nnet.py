@@ -6,6 +6,12 @@ per-class adversary bank predicting group from the hidden representation.
 Everything is plain numpy; gradients are validated against central finite
 differences in the test suite.
 
+Parameters live in one contiguous float64 vector, ``ModelParams.flat``, in
+the block order w1, b1, w_heads, b_heads[, w_adv, b_adv]; the named blocks
+are reshaped views into it. Gradients share the layout: each loss function
+writes its blocks into a zeroed ``params.like(...)`` buffer through those
+views, and Adam updates the whole vector with one expression per moment.
+
 Batch loss convention: loss = (1/B) * sum_i weight_i * bce_i. The batch
 size, not the weight total, normalizes, so scaling all weights scales the
 loss and every gradient by the same factor.
@@ -13,7 +19,7 @@ loss and every gradient by the same factor.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,35 +38,48 @@ __all__ = [
     "grad_reversal_backward",
     "adam_init",
     "sgd_adam_step",
-    "params_to_json",
-    "params_from_json",
 ]
 
 _FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
 
 
-@dataclass(frozen=True)
 class ModelParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w_heads: np.ndarray
-    b_heads: np.ndarray
-    w_adv: np.ndarray | None = None
-    b_adv: np.ndarray | None = None
+    """Named blocks stored back to back in one contiguous float64 vector.
+
+    ``flat`` holds every parameter; w1, b1, w_heads, b_heads and, when the
+    model has an adversary, w_adv and b_adv are reshaped views into it, so
+    writing into a block writes into ``flat``. The adversary blocks are None
+    otherwise.
+    """
+
+    __slots__ = ("flat", "_layout") + _FIELDS
+
+    def __init__(self, w1, b1, w_heads, b_heads, w_adv=None, b_adv=None):
+        given = (w1, b1, w_heads, b_heads, w_adv, b_adv)
+        blocks = [(f, a) for f, a in zip(_FIELDS, given) if a is not None]
+        self._bind(
+            np.concatenate([np.asarray(a, dtype=float).ravel() for _, a in blocks]),
+            tuple((f, np.shape(a)) for f, a in blocks),
+        )
+
+    def _bind(self, flat: np.ndarray, layout: tuple) -> None:
+        self.flat, self._layout = flat, layout
+        self.w_adv = self.b_adv = None
+        start = 0
+        for f, shape in layout:
+            size = math.prod(shape)
+            setattr(self, f, flat[start : start + size].reshape(shape))
+            start += size
+
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """The same block layout over another vector of equal length, not copied."""
+        out = ModelParams.__new__(ModelParams)
+        out._bind(flat, self._layout)
+        return out
 
     @property
     def n_heads(self) -> int:
         return self.w_heads.shape[0]
-
-    def map(self, fn, *others: "ModelParams") -> "ModelParams":
-        out = {}
-        for f in _FIELDS:
-            mine = getattr(self, f)
-            if mine is None:
-                out[f] = None
-                continue
-            out[f] = fn(mine, *[getattr(o, f) for o in others])
-        return ModelParams(**out)
 
 
 def init_params(
@@ -117,10 +136,6 @@ def per_sample_losses(params: ModelParams, x, y, head_ids=None) -> np.ndarray:
     return _bce(logits, np.asarray(y, dtype=float))
 
 
-def _zero_grads_like(params: ModelParams) -> dict:
-    return {f: (None if getattr(params, f) is None else np.zeros_like(getattr(params, f))) for f in _FIELDS}
-
-
 def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=None):
     """Weighted batch BCE and exact gradients for encoder plus heads.
 
@@ -146,20 +161,18 @@ def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=N
     else:
         dlogits = dz[:, None]
 
-    g = _zero_grads_like(params)
-    g["w_heads"] = dlogits.T @ hidden
-    g["b_heads"] = dlogits.sum(axis=0)
+    g = params.like(np.zeros_like(params.flat))
+    g.w_heads[...] = dlogits.T @ hidden
+    g.b_heads[...] = dlogits.sum(axis=0)
     d_hidden = dlogits @ params.w_heads
     dz1 = d_hidden * (1.0 - hidden**2)
-    g["w1"] = x.T @ dz1
-    g["b1"] = dz1.sum(axis=0)
-    return loss, ModelParams(**g)
+    g.w1[...] = x.T @ dz1
+    g.b1[...] = dz1.sum(axis=0)
+    return loss, g
 
 
 def grad_reversal_backward(adversary_grads, mu: float):
     """Encoder-side contribution of an adversary gradient: scaled by -mu."""
-    if isinstance(adversary_grads, ModelParams):
-        return adversary_grads.map(lambda a: -mu * a)
     return -mu * np.asarray(adversary_grads)
 
 
@@ -186,15 +199,13 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
     dz = (expit(z) - yf) / b
     dlogits = dz[:, None]
 
-    grads = _zero_grads_like(params)
-    grads["w_heads"] = dlogits.T @ hidden
-    grads["b_heads"] = dlogits.sum(axis=0)
+    grads = params.like(np.zeros_like(params.flat))
+    grads.w_heads[...] = dlogits.T @ hidden
+    grads.b_heads[...] = dlogits.sum(axis=0)
     d_hidden_bce = dlogits @ params.w_heads
 
     adv_loss = 0.0
     d_hidden_adv = np.zeros_like(hidden)
-    grads["w_adv"] = np.zeros_like(params.w_adv)
-    grads["b_adv"] = np.zeros_like(params.b_adv)
     n_classes = params.w_adv.shape[0]
     for c in range(n_classes):
         idx = np.nonzero(y == c)[0]
@@ -210,49 +221,28 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
         dza = p.copy()
         dza[np.arange(len(idx)), targets] -= 1.0
         dza /= b
-        grads["w_adv"][c] = dza.T @ h_c
-        grads["b_adv"][c] = dza.sum(axis=0)
+        grads.w_adv[c] = dza.T @ h_c
+        grads.b_adv[c] = dza.sum(axis=0)
         d_hidden_adv[idx] += dza @ params.w_adv[c]
 
     d_hidden = d_hidden_bce + grad_reversal_backward(d_hidden_adv, mu)
     dz1 = d_hidden * (1.0 - hidden**2)
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return bce, adv_loss, ModelParams(**grads)
-
-
-def params_to_json(params: ModelParams) -> str:
-    """Flat-vector serialization with a shape header, for reproducibility audits."""
-    payload = {"shapes": {}, "values": {}}
-    for f in _FIELDS:
-        arr = getattr(params, f)
-        if arr is None:
-            continue
-        payload["shapes"][f] = list(arr.shape)
-        payload["values"][f] = arr.ravel().tolist()
-    return json.dumps(payload, sort_keys=True)
-
-
-def params_from_json(text: str) -> ModelParams:
-    payload = json.loads(text)
-    fields = {}
-    for f in _FIELDS:
-        if f not in payload["shapes"]:
-            fields[f] = None
-            continue
-        fields[f] = np.asarray(payload["values"][f], dtype=float).reshape(payload["shapes"][f])
-    return ModelParams(**fields)
+    grads.w1[...] = x.T @ dz1
+    grads.b1[...] = dz1.sum(axis=0)
+    return bce, adv_loss, grads
 
 
 @dataclass(frozen=True)
 class AdamState:
-    m: ModelParams
-    v: ModelParams
+    """First and second moment estimates, laid out like ``ModelParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int
 
 
 def adam_init(params: ModelParams) -> AdamState:
-    zeros = params.map(np.zeros_like)
+    zeros = np.zeros_like(params.flat)
     return AdamState(m=zeros, v=zeros, t=0)
 
 
@@ -266,16 +256,17 @@ def sgd_adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ):
-    """One Adam step with decoupled weight decay; returns (params, state)."""
+    """One Adam step with decoupled weight decay; returns new (params, state).
+
+    Every expression acts on the whole flat vector; the arithmetic per
+    element is that of a block-by-block update.
+    """
     t = state.t + 1
-    m = state.m.map(lambda m_, g_: beta1 * m_ + (1.0 - beta1) * g_, grads)
-    v = state.v.map(lambda v_, g_: beta2 * v_ + (1.0 - beta2) * g_**2, grads)
+    g = grads.flat
+    m = beta1 * state.m + (1.0 - beta1) * g
+    v = beta2 * state.v + (1.0 - beta2) * g**2
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-
-    def upd(p_, m_, v_):
-        step = lr * (m_ / bc1) / (np.sqrt(v_ / bc2) + eps)
-        return p_ - step - lr * weight_decay * p_
-
-    new_params = params.map(upd, m, v)
-    return new_params, AdamState(m=m, v=v, t=t)
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    p = params.flat
+    return params.like(p - step - lr * weight_decay * p), AdamState(m=m, v=v, t=t)

@@ -18,7 +18,7 @@ import numpy as np
 from .dist_core import Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
 from .errors import OutOfRange
 
-__all__ = ["FeatureConfig", "Sample", "Dataset", "sample_dataset", "make_splits", "write_dataset_csv", "read_dataset_csv"]
+__all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits", "write_dataset_csv", "read_dataset_csv"]
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,6 @@ class FeatureConfig:
 
 
 @dataclass(frozen=True)
-class Sample:
-    features: np.ndarray
-    y: int
-    s: int
-    a: int
-    group: int | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Column-oriented sample store; group annotation is optional."""
 
@@ -73,10 +64,6 @@ class Dataset:
 
     def atom_indices(self) -> np.ndarray:
         return atom_index(self.y, self.s, self.a)
-
-    def sample(self, i: int) -> Sample:
-        g = int(self.group[i]) if self.group is not None else None
-        return Sample(self.features[i], int(self.y[i]), int(self.s[i]), int(self.a[i]), g)
 
     def with_groups(self, groups: np.ndarray, scheme_name: str, k: int) -> "Dataset":
         return replace(self, group=groups, group_scheme=scheme_name, group_count=k)

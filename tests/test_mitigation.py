@@ -72,6 +72,59 @@ class TestDeterminism:
         assert params_equal(one.params, two.params, fields)
 
 
+def fit_one(method, small_train, small_val, train_a, train_ay, epochs):
+    cfg = TrainConfig(epochs=epochs, seed=0, jtt_stage1_epochs=1, jtt_upweight=5.0)
+    ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
+        method, small_train
+    )
+    return train(method, ds, cfg, val=small_val if method == "jtt" else None)
+
+
+class TestHistory:
+    @pytest.mark.parametrize("method", TestDeterminism.CASES)
+    def test_history_is_a_tuple_of_epoch_rows(self, method, small_train, small_val, train_a, train_ay):
+        model = fit_one(method, small_train, small_val, train_a, train_ay, epochs=2)
+        assert isinstance(model.history, tuple)
+        assert [row["epoch"] for row in model.history] == [0, 1]
+        for row in model.history:
+            assert np.isfinite(row["train_loss"])
+            if method == "gdro":
+                assert row["group_weights"].shape == (4,)
+            else:
+                assert row["group_weights"] is None
+            assert ("adversary_loss" in row) == (method == "cfair")
+
+
+# Which nnet functions each trainer reaches. The benchmark's tracer counts
+# calls by patching these module attributes, so trainers must look them up
+# on the module at call time rather than binding them at import.
+NNET_USES = {
+    "erm": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
+    "gdro": {"bce_loss_and_grad", "sgd_adam_step", "per_sample_losses", "forward"},
+    "resampling": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
+    "domain_ind": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
+    "cfair": {"cfair_loss_and_grad", "sgd_adam_step", "forward"},
+    "jtt": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
+}
+
+
+@pytest.mark.parametrize("method", TestDeterminism.CASES)
+def test_trainers_reach_patched_nnet_functions(
+    method, monkeypatch, small_train, small_val, train_a, train_ay
+):
+    calls = {}
+    for name in set().union(*NNET_USES.values()):
+        original = getattr(nnet, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(nnet, name, counted)
+    fit_one(method, small_train, small_val, train_a, train_ay, epochs=1)
+    assert set(calls) == NNET_USES[method]
+
+
 class TestErm:
     def test_history_length_and_scores(self, small_train):
         cfg = TrainConfig(epochs=4, seed=1)

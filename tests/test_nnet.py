@@ -12,13 +12,34 @@ from subshift.nnet import (
     forward,
     grad_reversal_backward,
     init_params,
-    params_from_json,
-    params_to_json,
     per_sample_losses,
     sgd_adam_step,
 )
 
 PARAM_FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
+
+
+def zeros_like(params):
+    return params.like(np.zeros_like(params.flat))
+
+
+def blocks_of(params):
+    return [f for f in PARAM_FIELDS if getattr(params, f) is not None]
+
+
+def reference_adam_step(params, grads, m, v, t, lr, weight_decay, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Block-by-block Adam with decoupled weight decay, the reference the flat
+    update must match bit for bit. Arguments are dicts of blocks."""
+    t += 1
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    new_p, new_m, new_v = {}, {}, {}
+    for f in params:
+        new_m[f] = beta1 * m[f] + (1.0 - beta1) * grads[f]
+        new_v[f] = beta2 * v[f] + (1.0 - beta2) * grads[f] ** 2
+        step = lr * (new_m[f] / bc1) / (np.sqrt(new_v[f] / bc2) + eps)
+        new_p[f] = params[f] - step - lr * weight_decay * params[f]
+    return new_p, new_m, new_v, t
 
 
 def finite_difference_grads(params, field, loss_fn, step=1e-5):
@@ -53,7 +74,7 @@ def random_batch(rng, dim, batch, n_groups=4):
 
 class TestForward:
     def test_zero_weights_give_zero_logits(self):
-        params = init_params(3, hidden=4, seed=0).map(np.zeros_like)
+        params = zeros_like(init_params(3, hidden=4, seed=0))
         logits, hidden = forward(params, np.ones((5, 3)))
         assert np.all(logits == 0.0)
         assert np.all(hidden == 0.0)
@@ -91,7 +112,7 @@ class TestForward:
 
 class TestBceLoss:
     def test_zero_logit_gives_ln2(self):
-        params = init_params(3, hidden=4, seed=0).map(np.zeros_like)
+        params = zeros_like(init_params(3, hidden=4, seed=0))
         loss, _ = bce_loss_and_grad(params, np.ones((4, 3)), np.array([1, 1, 0, 1]))
         assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
@@ -225,11 +246,6 @@ class TestGradReversal:
         g = rng.normal(size=(3, 4))
         assert np.array_equal(grad_reversal_backward(g, 0.1), -0.1 * g)
 
-    def test_handles_param_trees(self):
-        params = init_params(3, hidden=4, seed=0)
-        flipped = grad_reversal_backward(params, 2.0)
-        assert np.array_equal(flipped.w1, -2.0 * params.w1)
-
     def test_composite_sign_via_finite_differences(self, rng):
         """Larger mu pushes the encoder gradient against the adversary's."""
         params = init_params(4, hidden=5, adv_groups=3, seed=13)
@@ -253,14 +269,14 @@ class TestGradReversal:
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         params = init_params(3, hidden=4, seed=0)
-        zeros = params.map(np.zeros_like)
+        zeros = zeros_like(params)
         new, _ = sgd_adam_step(params, zeros, adam_init(params), lr=0.1)
         for f in PARAM_FIELDS[:4]:
             assert np.array_equal(getattr(new, f), getattr(params, f))
 
     def test_weight_decay_is_decoupled(self):
         params = init_params(3, hidden=4, seed=0)
-        zeros = params.map(np.zeros_like)
+        zeros = zeros_like(params)
         new, _ = sgd_adam_step(params, zeros, adam_init(params), lr=0.1, weight_decay=0.5)
         assert np.allclose(new.w1, params.w1 * (1.0 - 0.1 * 0.5), atol=1e-15)
 
@@ -304,23 +320,86 @@ class TestAdam:
             assert losses[k] <= losses[k - 1] + 1e-6
         assert losses[-1] < losses[0]
 
+    @pytest.mark.parametrize(
+        "shape", [{"n_heads": 3}, {"adv_groups": 3}], ids=["multi_head", "adversary"]
+    )
+    def test_flat_step_equals_blockwise_reference(self, shape):
+        """50 steps with random gradients, learning rates and weight decay:
+        the flat update must equal the per-block one bit for bit."""
+        rng = np.random.default_rng(31)
+        params = init_params(5, hidden=6, seed=3, **shape)
+        state = adam_init(params)
+        fields = blocks_of(params)
+        ref_p = {f: getattr(params, f).copy() for f in fields}
+        ref_m = {f: np.zeros_like(ref_p[f]) for f in fields}
+        ref_v = {f: np.zeros_like(ref_p[f]) for f in fields}
+        t = 0
+        for _ in range(50):
+            grads = zeros_like(params)
+            grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.uniform(-4, 1)
+            lr = float(rng.choice([1e-3, 1e-4, 0.05]))
+            wd = float(rng.choice([0.0, 1e-4, 0.3]))
+            params, state = sgd_adam_step(params, grads, state, lr, weight_decay=wd)
+            ref_p, ref_m, ref_v, t = reference_adam_step(
+                ref_p, {f: getattr(grads, f) for f in fields}, ref_m, ref_v, t, lr, wd
+            )
+            assert state.t == t
+            m, v = params.like(state.m), params.like(state.v)
+            for f in fields:
+                assert np.array_equal(getattr(params, f), ref_p[f]), f
+                assert np.array_equal(getattr(m, f), ref_m[f]), f
+                assert np.array_equal(getattr(v, f), ref_v[f]), f
 
-class TestSerialization:
-    def test_round_trip_exact(self):
-        params = init_params(5, hidden=6, n_heads=3, adv_groups=4, seed=17)
-        back = params_from_json(params_to_json(params))
+    def test_step_returns_new_params(self):
+        params = init_params(3, hidden=4, seed=0)
+        before = params.flat.copy()
+        grads = zeros_like(params)
+        grads.flat[:] = 1.0
+        new, _ = sgd_adam_step(params, grads, adam_init(params), lr=0.1)
+        assert np.array_equal(params.flat, before)
+        assert not np.shares_memory(new.flat, params.flat)
+
+
+class TestFlatLayout:
+    def test_blocks_are_views_into_one_vector(self):
+        params = init_params(4, hidden=5, n_heads=2, adv_groups=3, seed=0)
+        fields = blocks_of(params)
+        assert fields == list(PARAM_FIELDS)
+        assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+        assert params.flat.size == sum(getattr(params, f).size for f in fields)
+        for f in fields:
+            assert np.shares_memory(getattr(params, f), params.flat), f
+        params.b_heads[1] = 7.5
+        assert params.flat[4 * 5 + 5 + 2 * 5 + 1] == 7.5
+
+    def test_constructor_keeps_shapes_and_values(self, rng):
+        blocks = {"w1": rng.normal(size=(3, 2)), "b1": rng.normal(size=2),
+                  "w_heads": rng.normal(size=(1, 2)), "b_heads": rng.normal(size=1)}
+        params = ModelParams(**blocks)
+        assert params.w_adv is None and params.b_adv is None
+        assert params.n_heads == 1
+        for f, a in blocks.items():
+            assert getattr(params, f).shape == a.shape
+            assert np.array_equal(getattr(params, f), a)
+        assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in blocks.values()]))
+
+    def test_like_rebinds_the_layout_without_copying(self):
+        params = init_params(3, hidden=4, adv_groups=2, seed=1)
+        buf = np.zeros_like(params.flat)
+        other = params.like(buf)
+        assert other.flat is buf
+        other.w_adv[...] = 1.0
+        assert buf.sum() == other.w_adv.size
         for f in PARAM_FIELDS:
-            assert np.array_equal(getattr(back, f), getattr(params, f))
+            assert getattr(other, f).shape == getattr(params, f).shape
 
-    def test_round_trip_without_adversary(self):
-        params = init_params(3, hidden=4, seed=2)
-        back = params_from_json(params_to_json(params))
-        assert back.w_adv is None and back.b_adv is None
-        assert np.array_equal(back.w1, params.w1)
-
-    def test_shape_header_present(self):
-        import json as json_mod
-
-        payload = json_mod.loads(params_to_json(init_params(3, hidden=4, seed=0)))
-        assert payload["shapes"]["w1"] == [3, 4]
-        assert len(payload["values"]["w1"]) == 12
+    def test_gradients_share_the_layout(self, rng):
+        params = init_params(4, hidden=5, adv_groups=3, seed=2)
+        x, y, g = random_batch(rng, 4, 10, n_groups=3)
+        _, plain = bce_loss_and_grad(params, x, y)
+        _, _, adv = cfair_loss_and_grad(params, x, y, g, mu=0.1)
+        for grads in (plain, adv):
+            assert grads.flat.shape == params.flat.shape
+            for f in PARAM_FIELDS:
+                assert np.shares_memory(getattr(grads, f), grads.flat), f
+        assert np.all(plain.w_adv == 0.0) and np.all(plain.b_adv == 0.0)

@@ -95,12 +95,6 @@ class TestSampleDataset:
         score = auc(model.predict_scores(test_ds.features), test_ds.y)
         assert 0.48 <= score <= 0.52
 
-    def test_sample_accessor(self, big_uniform):
-        s = big_uniform.sample(17)
-        assert s.y == big_uniform.y[17]
-        assert s.group is None
-        assert np.array_equal(s.features, big_uniform.features[17])
-
     def test_empirical_distribution_matches_counts(self, big_biased):
         probs = big_biased.empirical_distribution().probs
         counts = np.bincount(big_biased.atom_indices(), minlength=8)
