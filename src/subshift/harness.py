@@ -154,7 +154,8 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     ERM ignores the grouping, so it trains once per seed and its row is
     replicated across schemes. Cells run one after another: the work is
     Python and numpy dispatch that holds the interpreter lock, so threads
-    would not overlap it. Failed cells are recorded and skipped.
+    would not overlap it. A cell that raises a SubshiftError is recorded as
+    an error row and skipped; any other exception is a bug and propagates.
     """
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
@@ -258,7 +259,7 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
 def _guarded(fn, arg):
     try:
         return True, fn(arg)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+    except SubshiftError as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
 

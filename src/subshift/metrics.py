@@ -8,14 +8,33 @@ schemes incomparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateInput, MissingCell, SingleClass
 
 __all__ = ["EvalReport", "auc", "accuracy", "evaluate", "pearson"]
+
+_BETA_CF_MAX_TERMS = 10_000
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks where each run of tied values shares its mean position.
+
+    These are scipy.stats.rankdata's "average" ranks: integers and
+    half-integers, so exact in float64. Any NaN makes every rank NaN.
+    """
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
 
 
 def auc(scores, labels) -> float:
@@ -27,7 +46,7 @@ def auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClass("AUC needs both classes")
-    ranks = stats.rankdata(scores)
+    ranks = _average_ranks(scores)
     r_pos = ranks[pos].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -83,7 +102,15 @@ def evaluate(model, dataset) -> EvalReport:
 
 
 def pearson(x, y) -> tuple[float, float]:
-    """Pearson r with a two-sided p-value (t distribution, n-2 dof)."""
+    """Pearson r with its two-sided p-value under the null of no correlation.
+
+    r is computed as scipy.stats.pearsonr computes it: deviations from the
+    mean are scaled by their largest magnitude before the norm, so squares
+    cannot overflow. Under the null, (r + 1) / 2 is Beta(n/2 - 1, n/2 - 1),
+    which makes the p-value p = 2 * I_{(1 - |r|)/2}(n/2 - 1, n/2 - 1), with I
+    the regularized incomplete beta function. This equals the t-test p-value
+    with n - 2 degrees of freedom.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) != len(y):
@@ -92,5 +119,51 @@ def pearson(x, y) -> tuple[float, float]:
         raise DegenerateInput("need at least 3 points")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise DegenerateInput("zero variance")
-    r, p = stats.pearsonr(x, y)
-    return float(r), float(p)
+    xm = x - x.mean()
+    ym = y - y.mean()
+    x_max = np.abs(xm).max()
+    y_max = np.abs(ym).max()
+    # axis=-1 sums the squares with np.add.reduce as scipy does; without an
+    # axis, norm takes a BLAS dot, which can round differently.
+    x_norm = x_max * np.linalg.norm(xm / x_max, axis=-1)
+    y_norm = y_max * np.linalg.norm(ym / y_max, axis=-1)
+    r = float(np.clip(np.dot(xm / x_norm, ym / y_norm), -1.0, 1.0))
+    ab = len(x) / 2.0 - 1.0
+    return r, 2.0 * _betainc(ab, ab, (1.0 - abs(r)) / 2.0)
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0, 0 <= x <= 1.
+
+    Evaluates the continued fraction by the modified Lentz method where it
+    converges fast, x <= (a + 1) / (a + b + 2), and otherwise uses
+    I_x(a, b) = 1 - I_{1-x}(b, a).
+    """
+    if x <= 0.0 or x >= 1.0:
+        return float(x >= 1.0)
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    log_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    return math.exp(log_front) / a * _beta_continued_fraction(a, b, x)
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b), evaluated by the modified Lentz method."""
+    tiny = 1e-300  # stands in for a zero denominator
+
+    def nonzero(v: float) -> float:
+        return v if abs(v) >= tiny else tiny
+
+    c = 1.0
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _BETA_CF_MAX_TERMS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coef in (even, odd):
+            d = 1.0 / nonzero(1.0 + coef * d)
+            c = nonzero(1.0 + coef / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")

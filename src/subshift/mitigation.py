@@ -31,11 +31,11 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from . import nnet
 from .errors import EmptyGroup, InvalidScheme, YBasedGrouping
 from .grouping import GroupingScheme, Y_BASED_KINDS
+from .nnet import expit
 
 __all__ = [
     "TrainConfig",

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch
 
@@ -32,6 +31,7 @@ __all__ = [
     "AdamState",
     "init_params",
     "forward",
+    "expit",
     "bce_loss_and_grad",
     "per_sample_losses",
     "cfair_loss_and_grad",
@@ -117,6 +117,16 @@ def forward(params: ModelParams, x: np.ndarray):
     if params.n_heads == 1:
         logits = logits[:, 0]
     return logits, hidden
+
+
+@np.errstate(over="ignore")  # cheaper per call as a decorator than as a with block
+def expit(z):
+    """Logistic sigmoid 1 / (1 + exp(-z)).
+
+    Saturates to exactly 0.0 for z below about -709.8, where exp(-z)
+    overflows to inf, and to exactly 1.0 for large z, without a warning.
+    """
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _routed_logits(logits: np.ndarray, head_ids) -> np.ndarray:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from subshift import mitigation
 from subshift.errors import InsufficientSchemes, OutOfRange
 from subshift.harness import (
     CHECK_TOLERANCE,
@@ -115,6 +116,14 @@ class TestRunSweep:
             record = run_sweep(spec)
         assert any(e["grouping"] == "YSA" and "EmptyGroup" in e["error"] for e in record.errors)
         assert ("gdro", "Y") in [(r["method"], r["grouping"]) for r in record.rows]
+
+    def test_programming_error_is_raised_not_recorded(self, monkeypatch):
+        def broken_train(*args, **kwargs):
+            raise ZeroDivisionError("bug in a trainer")
+
+        monkeypatch.setattr(mitigation, "train", broken_train)
+        with pytest.raises(ZeroDivisionError, match="bug in a trainer"):
+            run_sweep(tiny_spec())
 
 
 class TestCsvOutputs:
@@ -294,6 +303,12 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "YSA,0.000000,0.000000" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        code = "import subshift, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDefaults:

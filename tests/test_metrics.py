@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from subshift.dist_core import uniform_distribution
 from subshift.errors import DegenerateInput, MissingCell, SingleClass
-from subshift.metrics import EvalReport, accuracy, auc, evaluate, pearson
+from subshift.metrics import EvalReport, _average_ranks, _betainc, accuracy, auc, evaluate, pearson
 from subshift.mitigation import TrainConfig, train_erm
 from subshift.synth_data import Dataset, FeatureConfig, make_splits, sample_dataset
 
@@ -19,6 +19,17 @@ def pairwise_auc(scores, labels):
         for n in neg:
             wins += 1.0 if p > n else (0.5 if p == n else 0.0)
     return wins / (len(pos) * len(neg))
+
+
+def with_correlation(rng, n, r):
+    """Centred x and y whose sample correlation is r up to rounding."""
+    x, z = rng.normal(size=(2, n))
+    x -= x.mean()
+    x /= np.linalg.norm(x)
+    z -= z.mean()
+    z -= (z @ x) * x
+    z /= np.linalg.norm(z)
+    return x, r * x + np.sqrt(1.0 - r * r) * z
 
 
 class FixedScores:
@@ -82,6 +93,12 @@ class TestAuc:
     def test_rejects_single_class(self):
         with pytest.raises(SingleClass):
             auc([0.1, 0.9], [1, 1])
+
+    def test_average_ranks_equal_scipy_rankdata_on_heavy_ties(self, rng):
+        values = rng.integers(0, 4, size=500) / 3.0
+        assert np.array_equal(_average_ranks(values), stats.rankdata(values))
+        values[7] = np.nan
+        assert np.array_equal(_average_ranks(values), stats.rankdata(values), equal_nan=True)
 
 
 class TestAccuracy:
@@ -176,12 +193,23 @@ class TestPearson:
         r, _ = pearson(x, y)
         assert r == pytest.approx(want, abs=1e-12)
 
-    def test_p_value_matches_t_distribution(self, rng):
-        x = rng.normal(size=12)
-        y = x + rng.normal(scale=0.7, size=12)
+    @pytest.mark.parametrize("n", [3, 4, 15, 45, 200])
+    @pytest.mark.parametrize(
+        "target_r", [0.01, 0.6, -0.995], ids=["p_near_1", "moderate", "strong"]
+    )
+    def test_p_value_matches_t_distribution(self, rng, target_r, n):
+        x, y = with_correlation(rng, n, target_r)
         r, p = pearson(x, y)
-        t = abs(r) * np.sqrt(10.0 / (1.0 - r * r))
-        assert p == pytest.approx(2.0 * stats.t.sf(t, df=10), rel=1e-9)
+        assert r == pytest.approx(target_r, abs=1e-12)
+        assert r == stats.pearsonr(x, y).statistic
+        t = abs(r) * np.sqrt((n - 2) / (1.0 - r * r))
+        assert p == pytest.approx(2.0 * stats.t.sf(t, df=n - 2), rel=1e-9)
+        assert p == pytest.approx(stats.pearsonr(x, y).pvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 7.5), (40.0, 3.0), (99.0, 99.0)])
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.3, 0.5, 0.8, 0.999, 1.0])
+    def test_incomplete_beta_matches_scipy_on_both_sides_of_the_switch(self, a, b, x):
+        assert _betainc(a, b, x) == pytest.approx(special.betainc(a, b, x), rel=1e-11, abs=1e-300)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DegenerateInput):

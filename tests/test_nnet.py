@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from subshift.errors import DimensionMismatch
 from subshift.nnet import (
@@ -9,6 +11,7 @@ from subshift.nnet import (
     adam_init,
     bce_loss_and_grad,
     cfair_loss_and_grad,
+    expit,
     forward,
     grad_reversal_backward,
     init_params,
@@ -108,6 +111,21 @@ class TestForward:
         params = init_params(3, hidden=4, seed=0)
         with pytest.raises(DimensionMismatch):
             forward(params, np.zeros((2, 5)))
+
+
+class TestExpit:
+    def test_saturates_exactly_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expit(np.array([-800.0, 0.0, 800.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
+    def test_within_four_ulp_of_scipy(self):
+        # Both evaluate 1 / (1 + exp(-z)), each with an exp within 1 ulp of
+        # exact (numpy's vectorised one, libm's for scipy) and its own
+        # rounding of the sum and the quotient: 4 ulp bounds the difference.
+        z = np.linspace(-700.0, 700.0, 100_001)
+        np.testing.assert_array_max_ulp(expit(z), special.expit(z), maxulp=4)
 
 
 class TestBceLoss:
