@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift.dist_core import (
+    biased_distribution,
     kl_divergence,
     make_distribution,
     reweighted_distribution,
     uniform_distribution,
 )
-from subshift.errors import OutOfRange, TooManyGroups
+from subshift.errors import OutOfRange, SupportMismatch, TooManyGroups
 from subshift.grouping import (
     GroupingScheme,
     SoftGrouping,
     atom_grouping,
+    model_based_schemes,
     refine,
     reweighting_schemes,
 )
@@ -80,8 +84,11 @@ class TestOptimalWeights:
 
     def test_noisiest_scheme(self, p_train, p_uniform):
         g = atom_grouping(GroupingScheme("NoisyAY", noise=0.50), p_train)
-        res = optimal_weights(p_train, g, p_uniform, tol=1e-11, max_iters=500_000)
+        res = optimal_weights(p_train, g, p_uniform)
         assert res.achieved_kl == pytest.approx(0.118, abs=5e-3)
+        # Certified optimum; equal to AY's because the noise can be reweighted away.
+        assert res.gap <= 1e-11
+        assert res.achieved_kl == pytest.approx(0.113415290770, abs=1e-9)
 
     def test_exhausted_iterations_reports_not_converged(self, p_train, p_uniform):
         g = atom_grouping(GroupingScheme("NoisyAY", noise=0.25), p_train)
@@ -89,6 +96,7 @@ class TestOptimalWeights:
         assert not res.converged
         assert res.iterations == 1
         assert np.isfinite(res.achieved_kl)
+        assert np.isfinite(res.gap) and res.gap > 0.0
 
     def test_zero_mass_group_dropped_with_warning(self):
         p = make_distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
@@ -99,6 +107,13 @@ class TestOptimalWeights:
         assert res.achieved_kl == pytest.approx(0.0, abs=1e-8)
         assert np.allclose(res.weights.w[2:], 0.0)
         assert res.weights.w[:2] == pytest.approx([0.3, 0.7], abs=1e-4)
+
+    @pytest.mark.parametrize("name", ["Y", "YSA"])
+    def test_target_outside_training_support_rejected(self, p_uniform, name):
+        p = make_distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
+        g = atom_grouping(GroupingScheme(name))
+        with pytest.warns(UserWarning), pytest.raises(SupportMismatch):
+            optimal_weights(p, g, p_uniform)
 
     def test_weights_stay_strictly_positive_on_active_groups(self, p_train, p_uniform):
         for name in ("AY", "SY", "Random"):
@@ -153,19 +168,53 @@ class TestOptimalityProperties:
     def test_refinement_monotonicity(self, p_train, p_uniform):
         for scheme in reweighting_schemes():
             g = atom_grouping(scheme, p_train)
-            base = optimal_weights(p_train, g, p_uniform, tol=1e-11, max_iters=500_000)
-            fine = optimal_weights(p_train, refine(g), p_uniform, tol=1e-11, max_iters=500_000)
+            base = optimal_weights(p_train, g, p_uniform)
+            fine = optimal_weights(p_train, refine(g), p_uniform)
             assert fine.achieved_kl <= base.achieved_kl + 1e-9, scheme.name
 
     def test_duplicate_group_invariance(self, p_train, p_uniform):
         for parent, child in (("AY", "AY8"), ("SY", "SY8")):
-            a = optimal_weights(
-                p_train, atom_grouping(GroupingScheme(parent)), p_uniform, tol=1e-11, max_iters=500_000
-            )
-            b = optimal_weights(
-                p_train, atom_grouping(GroupingScheme(child)), p_uniform, tol=1e-11, max_iters=500_000
-            )
+            a = optimal_weights(p_train, atom_grouping(GroupingScheme(parent)), p_uniform)
+            b = optimal_weights(p_train, atom_grouping(GroupingScheme(child)), p_uniform)
             assert abs(a.achieved_kl - b.achieved_kl) <= 1e-9
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_gap_brackets_the_optimum_on_random_soft_groupings(self, seed):
+        rng = np.random.default_rng(seed)
+        p = make_distribution(rng.dirichlet(np.ones(8)))
+        target = make_distribution(rng.dirichlet(np.ones(8)))
+        k = int(rng.integers(1, 7))
+        g = SoftGrouping(rng.dirichlet(np.ones(k), size=8), tuple(f"g{i}" for i in range(k)), "dirichlet")
+        res = optimal_weights(p, g, target)
+        # Near-degenerate boundary optima can need more than max_iters, so
+        # convergence is asserted on the program's own groupings below.
+        assert res.converged == (res.gap <= 1e-11)
+        # Two iterations leave the gap wide enough for probes to beat the iterate.
+        early = optimal_weights(p, g, target, max_iters=2)
+        for _ in range(50):
+            w = rng.dirichlet(np.ones(k))
+            probe_kl = kl_divergence(target, reweighted_distribution(p, g, w))
+            assert res.achieved_kl <= probe_kl + 1e-12
+            # Lower bounds on f*; the slack absorbs rounding when k = 1 makes
+            # every probe the optimum.
+            assert res.achieved_kl - res.gap <= probe_kl + 1e-15
+            assert early.achieved_kl - early.gap <= probe_kl + 1e-15
+
+    @pytest.mark.parametrize(
+        "bias",
+        [None, (0.55, 0.55), (0.99, 0.99), (0.55, 0.99), (0.99, 0.55)],
+        ids=["default", "0.55-0.55", "0.99-0.99", "0.55-0.99", "0.99-0.55"],
+    )
+    def test_every_grid_scheme_converges(self, p_train, p_uniform, bias):
+        p = p_train if bias is None else biased_distribution(*bias)
+        schemes = {s.name: s for s in reweighting_schemes() + model_based_schemes()}
+        assert len(schemes) == 23
+        for scheme in schemes.values():
+            g = atom_grouping(scheme, p)
+            for grouping in (g, refine(g)):
+                res = optimal_weights(p, grouping, p_uniform)
+                assert res.converged and res.gap <= 1e-11, (grouping.scheme_id, res.iterations)
 
 
 class TestMinKlTable:
