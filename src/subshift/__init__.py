@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptyGroup,
     InsufficientSchemes,
+    InvalidConfig,
     InvalidScheme,
     MissingCell,
     NonNormalizable,

@@ -51,3 +51,7 @@ class YBasedGrouping(SubshiftError):
 
 class InsufficientSchemes(SubshiftError):
     """Correlation analysis needs at least three schemes per method."""
+
+
+class InvalidConfig(SubshiftError):
+    """Experiment spec or command-line value the sweep cannot run."""

@@ -23,14 +23,14 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import mitigation
 from .dist_core import Distribution, biased_distribution, uniform_distribution
-from .errors import InsufficientSchemes, OutOfRange, SubshiftError
+from .errors import InsufficientSchemes, InvalidConfig, OutOfRange, SubshiftError
 from .grouping import GroupingScheme, annotate_samples, atom_grouping, reweighting_schemes
 from .metrics import auc, evaluate, pearson
 from .mitigation import TrainConfig
@@ -110,8 +110,19 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        # Reject a spec the sweep cannot run before any table or data is built.
         if len(self.seeds) == 0:
             raise OutOfRange("at least one seed is required")
+        unknown = [m for m in self.methods if m not in mitigation.METHODS]
+        if unknown:
+            raise InvalidConfig(
+                f"unknown method {unknown[0]!r}; choose from {', '.join(mitigation.METHODS)}"
+            )
+        for name in self.schemes:
+            GroupingScheme.from_name(name)
+        for field_name in ("n_train", "n_val", "n_test"):
+            if getattr(self, field_name) < 1:
+                raise OutOfRange(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
 
 
 @dataclass(frozen=True)
@@ -151,11 +162,16 @@ def compute_kl_rows(scheme_names, p_s0: float, p_s1: float) -> list:
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
     """Train and evaluate every (method, scheme, seed) cell.
 
-    ERM ignores the grouping, so it trains once per seed and its row is
-    replicated across schemes. Cells run one after another: the work is
-    Python and numpy dispatch that holds the interpreter lock, so threads
-    would not overlap it. A cell that raises a SubshiftError is recorded as
-    an error row and skipped; any other exception is a bug and propagates.
+    The sweep runs seed by seed. Each seed draws its splits, trains ERM once
+    (ERM ignores the grouping, so its row is replicated across schemes), then
+    annotates train and val with one scheme at a time just before that
+    scheme's cells. Only one seed's splits and one scheme's annotation are
+    alive at a time, so memory does not grow with the number of seeds or
+    schemes. Cells run one after another: the work is Python and numpy
+    dispatch that holds the interpreter lock, so threads would not overlap
+    it. A cell that raises a SubshiftError is recorded as an error row and
+    skipped; any other exception is a bug and propagates. Error rows come
+    out in spec order (method, then scheme, then seed), not run order.
     """
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
@@ -169,9 +185,31 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
                 f"n_train={spec.n_train} risks empty groups for {name} (k={k})"
             )
 
-    splits = {}
-    for seed in spec.seeds:
-        splits[seed] = make_splits(
+    rows = []
+    errors = []  # (spec position, error row)
+    grouped = [(m, method) for m, method in enumerate(spec.methods) if method != "erm"]
+
+    def run_cell(position, method, name, seed, train, val, test):
+        cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name or "-", seed))
+        ok, payload = _guarded(_train_and_score, method, cfg, train, val, test)
+        if not ok:
+            errors.append((position, {"method": method, "grouping": name or "-", "seed": seed, "error": payload}))
+            return
+        for scheme_name in spec.schemes if name is None else (name,):
+            kl = kl_by_scheme[scheme_name]
+            rows.append(
+                {
+                    "method": method,
+                    "seed": seed,
+                    **payload,
+                    "grouping": scheme_name,
+                    "min_kl_gdro": kl.kl_gdro,
+                    "min_kl_resampling": kl.kl_resampling,
+                }
+            )
+
+    def run_seed(i, seed):
+        train, val, test = make_splits(
             spec.feature,
             spec.n_train,
             spec.n_val,
@@ -180,85 +218,56 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
             spec.p_s1,
             seed=_derive_seed(spec.master_seed, "data", seed),
         )
-
-    annotated = {}
-    for name in spec.schemes:
-        scheme = GroupingScheme.from_name(name)
-        for seed in spec.seeds:
-            train, val, _ = splits[seed]
-            annotated[(name, seed)] = (
-                annotate_samples(
-                    train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
-                ),
-                annotate_samples(
-                    val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
-                ),
+        for m, method in enumerate(spec.methods):
+            if method == "erm":
+                run_cell((m, 0, i), method, None, seed, train, val, test)
+        if not grouped:
+            return
+        for j, name in enumerate(spec.schemes):
+            scheme = GroupingScheme.from_name(name)
+            ann_train = annotate_samples(
+                train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
             )
-
-    cells = []
-    for method in spec.methods:
-        if method == "erm":
-            cells.extend(("erm", None, seed) for seed in spec.seeds)
-        else:
-            cells.extend(
-                (method, name, seed) for name in spec.schemes for seed in spec.seeds
+            ann_val = annotate_samples(
+                val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
             )
+            for m, method in grouped:
+                run_cell((m, j, i), method, name, seed, ann_train, ann_val, test)
+            del ann_train, ann_val  # before the next scheme annotates
 
-    def run_cell(cell):
-        method, name, seed = cell
-        if name is None:
-            train, val, test = splits[seed]
-            cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, "-", seed))
-            model = mitigation.train(method, train, cfg, val=val)
-        else:
-            train, val = annotated[(name, seed)]
-            test = splits[seed][2]
-            cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name, seed))
-            model = mitigation.train(method, train, cfg, val=val)
-        val_auc = auc(model.predict_scores(val.features), val.y)
-        report = evaluate(model, test)
-        return {
-            "method": method,
-            "seed": seed,
-            "val_auc": val_auc,
-            "test_auc": report.overall_auc,
-            "min_acc_A": report.min_acc_A,
-            "gap_A": report.gap_A,
-            "min_acc_S": report.min_acc_S,
-            "gap_S": report.gap_S,
-        }
+    for i, seed in enumerate(spec.seeds):
+        run_seed(i, seed)
 
-    rows = []
-    errors = []
-    for cell in cells:
-        method, name, seed = cell
-        ok, payload = _guarded(run_cell, cell)
-        if not ok:
-            errors.append({"method": method, "grouping": name or "-", "seed": seed, "error": payload})
-            continue
-        targets = spec.schemes if name is None else (name,)
-        for scheme_name in targets:
-            kl = kl_by_scheme[scheme_name]
-            row = dict(payload)
-            row["grouping"] = scheme_name
-            row["min_kl_gdro"] = kl.kl_gdro
-            row["min_kl_resampling"] = kl.kl_resampling
-            rows.append(row)
     rows.sort(key=lambda r: (r["method"], r["grouping"], r["seed"]))
+    errors.sort(key=lambda e: e[0])
     return RunRecord(
         spec_hash=spec_hash(spec),
         rows=tuple(rows),
         kl_rows=tuple(kl_rows),
-        errors=tuple(errors),
+        errors=tuple(e for _, e in errors),
         started=started,
         finished=_now(),
         version=TOOL_VERSION,
     )
 
 
-def _guarded(fn, arg):
+def _train_and_score(method, cfg, train, val, test) -> dict:
+    model = mitigation.train(method, train, cfg, val=val)
+    val_auc = auc(model.predict_scores(val.features), val.y)
+    report = evaluate(model, test)
+    return {
+        "val_auc": val_auc,
+        "test_auc": report.overall_auc,
+        "min_acc_A": report.min_acc_A,
+        "gap_A": report.gap_A,
+        "min_acc_S": report.min_acc_S,
+        "gap_S": report.gap_S,
+    }
+
+
+def _guarded(fn, *args):
     try:
-        return True, fn(arg)
+        return True, fn(*args)
     except SubshiftError as exc:
         return False, f"{type(exc).__name__}: {exc}"
 
@@ -498,18 +507,28 @@ def _load_config(path) -> dict:
         return json.load(fh)
 
 
+def _from_config(cls, data: dict, section: str):
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidConfig(f"unknown {section} key {unknown[0]!r} in --config")
+    return cls(**data)
+
+
 def _spec_from_args(args) -> ExperimentSpec:
     data = _load_config(args.config) if args.config else {}
-    feature = FeatureConfig(**data.pop("feature", {}))
-    train = TrainConfig(**data.pop("train", {}))
+    feature = _from_config(FeatureConfig, data.pop("feature", {}), "feature")
+    train = _from_config(TrainConfig, data.pop("train", {}), "train")
     for key in ("methods", "schemes", "seeds"):
         if key in data:
             data[key] = tuple(data[key])
-    spec = ExperimentSpec(**data, feature=feature, train=train)
+    spec = _from_config(ExperimentSpec, dict(data, feature=feature, train=train), "top-level")
 
     overrides = {}
     if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        try:
+            overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError:
+            raise InvalidConfig(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
     if getattr(args, "methods", None):
         overrides["methods"] = tuple(args.methods.split(","))
     if getattr(args, "schemes", None):

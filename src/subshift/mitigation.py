@@ -38,6 +38,7 @@ from .grouping import GroupingScheme, Y_BASED_KINDS
 from .nnet import expit
 
 __all__ = [
+    "METHODS",
     "TrainConfig",
     "TrainedModel",
     "train",
@@ -355,6 +356,9 @@ _TRAINERS = {
     "domain_ind": train_domain_ind,
     "cfair": train_cfair,
 }
+
+# Every method name `train` accepts, in the order the module docstring lists them.
+METHODS = (*_TRAINERS, "jtt")
 
 
 def train(method: str, dataset, cfg: TrainConfig, val=None) -> TrainedModel:

@@ -112,7 +112,9 @@ def forward(params: ModelParams, x: np.ndarray):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != params.w1.shape[0]:
         raise DimensionMismatch(f"{x.shape[1]} features vs {params.w1.shape[0]} input weights")
-    hidden = np.tanh(x @ params.w1 + params.b1)
+    hidden = x @ params.w1
+    hidden += params.b1
+    np.tanh(hidden, out=hidden)
     logits = hidden @ params.w_heads.T + params.b_heads
     if params.n_heads == 1:
         logits = logits[:, 0]

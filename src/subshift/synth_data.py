@@ -83,15 +83,16 @@ def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) ->
     s = ((atoms >> 1) & 1).astype(np.int8)
     a = (atoms & 1).astype(np.int8)
 
-    noise = rng.standard_normal((n, cfg.dim)) * cfg.noise_sd
-    centers = np.empty((n, cfg.dim))
+    # noise * noise_sd + centers, built in the one array the draw returns
+    features = rng.standard_normal((n, cfg.dim))
+    features *= cfg.noise_sd
     signs = lambda v: (2.0 * v - 1.0)[:, None]
-    centers[:, : cfg.d_y] = cfg.mu_y * signs(y)
-    centers[:, cfg.d_y : cfg.d_y + cfg.d_a] = cfg.mu_a * signs(a)
-    centers[:, cfg.d_y + cfg.d_a :] = cfg.mu_s * signs(s)
+    features[:, : cfg.d_y] += cfg.mu_y * signs(y)
+    features[:, cfg.d_y : cfg.d_y + cfg.d_a] += cfg.mu_a * signs(a)
+    features[:, cfg.d_y + cfg.d_a :] += cfg.mu_s * signs(s)
 
     return Dataset(
-        features=noise + centers,
+        features=features,
         y=y,
         s=s,
         a=a,

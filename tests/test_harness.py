@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from subshift import mitigation
-from subshift.errors import InsufficientSchemes, OutOfRange
+from subshift.errors import EmptyGroup, InsufficientSchemes, InvalidConfig, InvalidScheme, OutOfRange
 from subshift.harness import (
     CHECK_TOLERANCE,
     DEFAULT_SCHEMES,
@@ -60,6 +62,26 @@ class TestSpecHash:
     def test_rejects_empty_seed_list(self):
         with pytest.raises(OutOfRange):
             tiny_spec(seeds=())
+
+
+class TestSpecValidation:
+    def test_rejects_unknown_method(self):
+        with pytest.raises(InvalidConfig, match="unknown method 'nope'"):
+            tiny_spec(methods=("erm", "nope"))
+
+    def test_accepts_every_method(self):
+        assert tiny_spec(methods=mitigation.METHODS).methods == (
+            "erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"
+        )
+
+    def test_rejects_unknown_scheme(self):
+        with pytest.raises(InvalidScheme, match="unknown scheme name 'NOPE'"):
+            tiny_spec(schemes=("AY", "NOPE"))
+
+    @pytest.mark.parametrize("field", ["n_train", "n_val", "n_test"])
+    def test_rejects_empty_split(self, field):
+        with pytest.raises(OutOfRange, match=field):
+            tiny_spec(**{field: 0})
 
 
 class TestDeriveSeed:
@@ -116,6 +138,56 @@ class TestRunSweep:
             record = run_sweep(spec)
         assert any(e["grouping"] == "YSA" and "EmptyGroup" in e["error"] for e in record.errors)
         assert ("gdro", "Y") in [(r["method"], r["grouping"]) for r in record.rows]
+
+    def test_errors_come_out_in_spec_order(self, monkeypatch):
+        # The sweep runs seed-major, so (gdro, S, 0) and (erm, -, 0) fail before
+        # (gdro, A, 1); the record lists them by method, then scheme, then seed.
+        spec = tiny_spec(methods=("gdro", "erm"), schemes=("A", "S"), seeds=(0, 1))
+        failing = {
+            _derive_seed(spec.master_seed, "gdro", "S", 0),
+            _derive_seed(spec.master_seed, "gdro", "A", 1),
+            _derive_seed(spec.master_seed, "erm", "-", 0),
+        }
+        real_train = mitigation.train
+
+        def flaky_train(method, dataset, cfg, val=None):
+            if cfg.seed in failing:
+                raise EmptyGroup("injected")
+            return real_train(method, dataset, cfg, val=val)
+
+        monkeypatch.setattr(mitigation, "train", flaky_train)
+        record = run_sweep(spec)
+        assert [(e["method"], e["grouping"], e["seed"]) for e in record.errors] == [
+            ("gdro", "A", 1),
+            ("gdro", "S", 0),
+            ("erm", "-", 0),
+        ]
+        cells = {(r["method"], r["grouping"], r["seed"]) for r in record.rows}
+        assert cells == {("gdro", "A", 0), ("gdro", "S", 1), ("erm", "A", 1), ("erm", "S", 1)}
+
+    def test_peak_memory_does_not_grow_with_seeds(self):
+        """A sweep holds one seed's splits and one scheme's annotation at a
+        time, so four seeds peak no higher than one (within 10%)."""
+
+        def traced_peak(seeds):
+            spec = ExperimentSpec(
+                methods=("erm", "gdro"),
+                schemes=("A", "S", "AY"),
+                seeds=seeds,
+                n_train=4000,
+                train=TrainConfig(epochs=1),
+            )
+            tracemalloc.start()
+            try:
+                run_sweep(spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak((0,))  # the first sweep in a process also pays one-time allocations
+        one = traced_peak((0,))
+        four = traced_peak((0, 1, 2, 3))
+        assert four <= 1.1 * one, (one, four)
 
     def test_programming_error_is_raised_not_recorded(self, monkeypatch):
         def broken_train(*args, **kwargs):
@@ -294,6 +366,41 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec"]["seeds"] == [0]
         assert manifest["spec"]["n_train"] == 300
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--methods", "nope"], "unknown method 'nope'"),
+            (["--n-train", "0"], "n_train must be >= 1"),
+            (["--schemes", "AY,NOPE"], "unknown scheme name 'NOPE'"),
+            (["--seeds", "0,a"], "--seeds takes comma-separated integers, got '0,a'"),
+        ],
+    )
+    def test_bad_spec_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--out", str(out), *argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"epochs": 3}, "unknown top-level key 'epochs'"),
+            ({"feature": {"mu": 1.0}}, "unknown feature key 'mu'"),
+            ({"train": {"epochz": 3}}, "unknown train key 'epochz'"),
+        ],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert message in err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

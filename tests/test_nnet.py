@@ -112,6 +112,29 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward(params, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("n_heads", [1, 3])
+    def test_matches_reference_expression_bit_for_bit(self, rng, n_heads):
+        """The in-place hidden layer equals tanh(x @ w1 + b1) exactly, and the
+        logits equal the head expression on it; nonzero biases make the order
+        of the bias add and the tanh matter."""
+        params = init_params(6, hidden=5, n_heads=n_heads, seed=2)
+        params.flat[:] = rng.normal(size=params.flat.size)
+        x = rng.normal(size=(9, 6))
+        logits, hidden = forward(params, x)
+        ref_hidden = np.tanh(x @ params.w1 + params.b1)
+        ref_logits = ref_hidden @ params.w_heads.T + params.b_heads
+        assert np.array_equal(hidden, ref_hidden)
+        assert np.array_equal(logits, ref_logits[:, 0] if n_heads == 1 else ref_logits)
+
+    def test_leaves_inputs_and_params_unchanged(self, rng):
+        params = init_params(4, hidden=3, n_heads=2, adv_groups=2, seed=5)
+        params.flat[:] = rng.normal(size=params.flat.size)
+        x = rng.normal(size=(6, 4))
+        x_before, flat_before = x.copy(), params.flat.copy()
+        forward(params, x)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(params.flat, flat_before)
+
 
 class TestExpit:
     def test_saturates_exactly_without_warnings(self):

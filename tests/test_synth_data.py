@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from subshift.dist_core import biased_distribution, uniform_distribution
+from subshift.dist_core import N_ATOMS, biased_distribution, uniform_distribution
 from subshift.errors import OutOfRange
 from subshift.metrics import auc
 from subshift.mitigation import TrainConfig, train
@@ -76,6 +76,22 @@ class TestSampleDataset:
     def test_rejects_empty(self, p_train):
         with pytest.raises(OutOfRange):
             sample_dataset(p_train, 0, FeatureConfig(), seed=0)
+
+    def test_features_match_noise_plus_centers(self, p_train):
+        """Built in place, the features equal noise * noise_sd + centers bit
+        for bit, the two-array expression rebuilt here from the same draws."""
+        cfg = FeatureConfig(d_y=2, d_a=3, d_s=4, mu_y=0.7, mu_a=1.9, mu_s=1.3, noise_sd=0.8)
+        ds = sample_dataset(p_train, 700, cfg, seed=21)
+
+        rng = np.random.default_rng(21)
+        atoms = rng.choice(N_ATOMS, size=700, p=p_train.probs)
+        noise = rng.standard_normal((700, cfg.dim)) * cfg.noise_sd
+        signs = lambda bit: (2.0 * ((atoms >> bit) & 1) - 1.0)[:, None]
+        centers = np.empty((700, cfg.dim))
+        centers[:, :2] = cfg.mu_y * signs(2)
+        centers[:, 2:5] = cfg.mu_a * signs(0)
+        centers[:, 5:] = cfg.mu_s * signs(1)
+        assert np.array_equal(ds.features, noise + centers)
 
     @pytest.mark.parametrize("block,lo,hi", [("y", 0, 5), ("a", 5, 10), ("s", 10, 15)])
     def test_block_means(self, big_uniform, block, lo, hi):
