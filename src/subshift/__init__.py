@@ -8,13 +8,10 @@ with the divergence bound.
 """
 
 from .dist_core import (
-    Atom,
     Distribution,
-    DivergenceReport,
     N_ATOMS,
     atom_index,
     biased_distribution,
-    divergence_report,
     kl_divergence,
     make_distribution,
     pinsker_bound,
@@ -51,7 +48,7 @@ from .grouping import (
 )
 from .harness import ExperimentSpec, RunRecord, REFERENCE_TABLE, main, run_sweep, spec_hash
 from .metrics import EvalReport, accuracy, auc, evaluate, pearson
-from .mitigation import TrainConfig, TrainedModel, history_to_csv, train
+from .mitigation import TrainConfig, TrainedModel, train
 from .reweight_opt import (
     MinKlRow,
     OptimizationResult,
@@ -62,6 +59,6 @@ from .reweight_opt import (
     resampling_weights,
     table_to_csv,
 )
-from .synth_data import Dataset, FeatureConfig, make_splits, read_dataset_csv, sample_dataset, write_dataset_csv
+from .synth_data import Dataset, FeatureConfig, make_splits, sample_dataset
 
 __version__ = "0.1.0"

@@ -21,16 +21,13 @@ from .errors import EmptyGroup, NonNormalizable, OutOfRange, SupportMismatch
 
 __all__ = [
     "N_ATOMS",
-    "Atom",
     "Distribution",
-    "DivergenceReport",
     "make_distribution",
     "uniform_distribution",
     "biased_distribution",
     "kl_divergence",
     "tv_distance",
     "pinsker_bound",
-    "divergence_report",
     "reweighted_distribution",
 ]
 
@@ -40,25 +37,6 @@ N_ATOMS = 8
 # renormalize. Internally results stay within 1e-12 of mass 1.
 _INPUT_SLACK = 1e-9
 _NEG_SLACK = -1e-12
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One joint assignment of the binary variables (y, s, a)."""
-
-    y: int
-    s: int
-    a: int
-
-    @property
-    def index(self) -> int:
-        return 4 * self.y + 2 * self.s + self.a
-
-    @staticmethod
-    def from_index(index: int) -> "Atom":
-        if not 0 <= index < N_ATOMS:
-            raise OutOfRange(f"atom index {index} outside [0, {N_ATOMS})")
-        return Atom(y=(index >> 2) & 1, s=(index >> 1) & 1, a=index & 1)
 
 
 def atom_index(y, s, a):
@@ -85,13 +63,6 @@ class Distribution:
 
     def __getitem__(self, j):
         return self.probs[j]
-
-
-@dataclass(frozen=True)
-class DivergenceReport:
-    kl: float
-    tv: float
-    pinsker_bound: float
 
 
 def make_distribution(probs) -> Distribution:
@@ -167,11 +138,6 @@ def pinsker_bound(train_err: float, kl: float) -> float:
     if kl < 0.0:
         raise OutOfRange(f"kl must be non-negative, got {kl}")
     return train_err + float(np.sqrt(kl / 2.0))
-
-
-def divergence_report(p: Distribution, q: Distribution, train_err: float = 0.0) -> DivergenceReport:
-    kl = kl_divergence(p, q)
-    return DivergenceReport(kl=kl, tv=tv_distance(p, q), pinsker_bound=pinsker_bound(train_err, kl))
 
 
 def reweighted_distribution(p: Distribution, g, w) -> Distribution:

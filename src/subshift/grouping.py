@@ -25,7 +25,6 @@ __all__ = [
     "reweighting_schemes",
     "model_based_schemes",
     "NOISE_LEVELS",
-    "Y_BASED_KINDS",
     "is_y_free",
 ]
 
@@ -36,11 +35,12 @@ _HARD_KINDS = ("Y", "A", "S", "AY", "SY", "YSA", "SCnoSC", "AS")
 _SPLIT_KINDS = {"AY8": "AY", "SY8": "SY", "A4": "A", "S4": "S"}
 _NOISY_KINDS = {"NoisyAY": "AY", "NoisyA": "A"}
 _KINDS = _HARD_KINDS + tuple(_SPLIT_KINDS) + tuple(_NOISY_KINDS) + ("Random",)
+_RANDOM_K = 4  # groups of the Random scheme, each drawn uniformly per sample
 
 # Schemes whose construction uses the class label. Model-based methods
 # reject these; note SCnoSC is deliberately absent: although built from
 # (a, y) cells, each of its groups contains both classes.
-Y_BASED_KINDS = frozenset({"Y", "AY", "SY", "YSA", "AY8", "SY8", "NoisyAY"})
+_Y_BASED_KINDS = frozenset({"Y", "AY", "SY", "YSA", "AY8", "SY8", "NoisyAY"})
 
 _KIND_TO_NAME = {
     "Y": "Y", "A": "A", "S": "S", "AY": "AY", "SY": "SY", "YSA": "YSA",
@@ -52,19 +52,16 @@ _NAME_TO_KIND = {v: k for k, v in _KIND_TO_NAME.items()}
 
 @dataclass(frozen=True)
 class GroupingScheme:
-    """A named scheme; noise applies to NoisyAY/NoisyA, k to Random."""
+    """A named scheme; noise applies to NoisyAY/NoisyA."""
 
     kind: str
     noise: float = 0.0
-    k: int = 4
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidScheme(f"unknown kind {self.kind!r}")
         if self.kind in _NOISY_KINDS and not 0.0 <= self.noise < 1.0:
             raise InvalidScheme(f"noise fraction {self.noise} outside [0, 1)")
-        if self.kind == "Random" and self.k < 1:
-            raise InvalidScheme(f"Random needs k >= 1, got {self.k}")
 
     @property
     def name(self) -> str:
@@ -196,8 +193,8 @@ def atom_grouping(scheme: GroupingScheme, p_train: Distribution | None = None) -
         split = refine(parent)
         return SoftGrouping(split.assign, split.group_names, _KIND_TO_NAME[scheme.kind])
     if scheme.kind == "Random":
-        assign = np.full((N_ATOMS, scheme.k), 1.0 / scheme.k)
-        return SoftGrouping(assign, tuple(f"r{i}" for i in range(scheme.k)), "Random")
+        assign = np.full((N_ATOMS, _RANDOM_K), 1.0 / _RANDOM_K)
+        return SoftGrouping(assign, tuple(f"r{i}" for i in range(_RANDOM_K)), "Random")
     if scheme.kind in _NOISY_KINDS:
         if p_train is None:
             raise InvalidScheme(f"{scheme.kind} requires p_train for the noise profile")
@@ -229,7 +226,7 @@ def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distri
 
 
 def is_y_free(scheme: GroupingScheme) -> bool:
-    return scheme.kind not in Y_BASED_KINDS
+    return scheme.kind not in _Y_BASED_KINDS
 
 
 def reweighting_schemes() -> list:

@@ -30,8 +30,15 @@ import numpy as np
 
 from . import mitigation
 from .dist_core import Distribution, biased_distribution, uniform_distribution
-from .errors import InsufficientSchemes, InvalidConfig, OutOfRange, SubshiftError
-from .grouping import GroupingScheme, annotate_samples, atom_grouping, reweighting_schemes
+from .errors import (
+    InsufficientSchemes,
+    InvalidConfig,
+    InvalidScheme,
+    OutOfRange,
+    SubshiftError,
+    YBasedGrouping,
+)
+from .grouping import GroupingScheme, annotate_samples, atom_grouping, is_y_free, reweighting_schemes
 from .metrics import auc, evaluate, pearson
 from .mitigation import TrainConfig
 from .reweight_opt import min_kl_table, table_to_csv
@@ -118,8 +125,21 @@ class ExperimentSpec:
             raise InvalidConfig(
                 f"unknown method {unknown[0]!r}; choose from {', '.join(mitigation.METHODS)}"
             )
-        for name in self.schemes:
-            GroupingScheme.from_name(name)
+        schemes = [GroupingScheme.from_name(name) for name in self.schemes]
+        for name, scheme in zip(self.schemes, schemes):
+            if scheme.name != name:  # result rows and KL rows are keyed by the canonical name
+                raise InvalidScheme(f"scheme {name!r} must be written {scheme.name!r}")
+        for field_name in ("methods", "schemes", "seeds"):
+            values = getattr(self, field_name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise InvalidConfig(f"{field_name} lists {repeated[0]!r} more than once")
+        y_based = [s.name for s in schemes if not is_y_free(s)]
+        for method in mitigation.NEEDS_Y_FREE:
+            if method in self.methods and y_based:
+                raise YBasedGrouping(
+                    f"{method} needs y-free groups, but {y_based[0]} groups are a function of y"
+                )
         for field_name in ("n_train", "n_val", "n_test"):
             if getattr(self, field_name) < 1:
                 raise OutOfRange(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
@@ -503,24 +523,46 @@ def cmd_ablate(args) -> int:
 
 
 def _load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers malformed JSON and text
+        raise InvalidConfig(f"cannot read --config {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"--config {path} must hold a JSON object")
+    return data
 
 
-def _from_config(cls, data: dict, section: str):
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
-    if unknown:
-        raise InvalidConfig(f"unknown {section} key {unknown[0]!r} in --config")
-    return cls(**data)
+def _fits(value, default) -> bool:
+    """Whether a JSON value can stand in for a config field with this default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if default is None:  # the optional JTT overrides are numbers
+        return value is None or isinstance(value, (int, float))
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _from_config(cls, data, section: str):
+    """Build cls from one --config section, refusing unknown keys and mistyped values."""
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{section} section of --config must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    for key, value in data.items():
+        if key not in defaults:
+            raise InvalidConfig(f"unknown {section} key {key!r} in --config")
+        if not _fits(value, defaults[key]):
+            raise InvalidConfig(f"{section} key {key!r} in --config has the wrong type: {value!r}")
+    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()})
 
 
 def _spec_from_args(args) -> ExperimentSpec:
     data = _load_config(args.config) if args.config else {}
     feature = _from_config(FeatureConfig, data.pop("feature", {}), "feature")
     train = _from_config(TrainConfig, data.pop("train", {}), "train")
-    for key in ("methods", "schemes", "seeds"):
-        if key in data:
-            data[key] = tuple(data[key])
     spec = _from_config(ExperimentSpec, dict(data, feature=feature, train=train), "top-level")
 
     overrides = {}

@@ -17,28 +17,29 @@ batch)``, which weights samples, routes heads or trains adversaries), and
 the model's shape (``n_heads``, ``adv_groups``). JTT runs ``_fit`` once for
 stage one and once per upweighting candidate.
 
-domain_ind and cfair refuse groupings that depend on the label, since their
-mechanisms would leak y into inference; the check uses the scheme name when
-the dataset carries one and falls back to a structural test.
+domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
+label, since their mechanisms would leak y into inference; the check uses
+the scheme name when the dataset carries one and falls back to a structural
+test.
 """
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
 from . import nnet
 from .errors import EmptyGroup, InvalidScheme, YBasedGrouping
-from .grouping import GroupingScheme, Y_BASED_KINDS
+from .grouping import GroupingScheme, is_y_free
+from .metrics import accuracy
 from .nnet import expit
 
 __all__ = [
     "METHODS",
+    "NEEDS_Y_FREE",
     "TrainConfig",
     "TrainedModel",
     "train",
@@ -48,7 +49,6 @@ __all__ = [
     "train_domain_ind",
     "train_cfair",
     "train_jtt",
-    "history_to_csv",
 ]
 
 JTT_STAGE1_GRID = (1, 2)
@@ -79,7 +79,6 @@ class TrainedModel:
     method: str
     config: TrainConfig
     history: tuple
-    scheme: str | None = None
     info: dict = field(default_factory=dict)
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def _check_y_free(dataset, k: int) -> None:
         except InvalidScheme:
             scheme = None
         if scheme is not None:
-            if scheme.kind in Y_BASED_KINDS:
+            if not is_y_free(scheme):
                 raise YBasedGrouping(f"{name} groups are a function of y")
             return
     for g in range(k):
@@ -223,9 +222,7 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
         return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w)
 
     params, history = _fit(dataset, cfg, step, q=q)
-    return TrainedModel(
-        params=params, method="gdro", config=cfg, history=history, scheme=dataset.group_scheme
-    )
+    return TrainedModel(params=params, method="gdro", config=cfg, history=history)
 
 
 def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -247,9 +244,7 @@ def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
             yield batch
 
     params, history = _fit(dataset, cfg, _bce_step(dataset), batches=batches)
-    return TrainedModel(
-        params=params, method="resampling", config=cfg, history=history, scheme=dataset.group_scheme
-    )
+    return TrainedModel(params=params, method="resampling", config=cfg, history=history)
 
 
 def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -264,9 +259,7 @@ def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
     if cfg.domain_ind_rule not in ("max_abs", "sum"):
         raise InvalidScheme(f"unknown inference rule {cfg.domain_ind_rule!r}")
     params, history = _fit(dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
-    return TrainedModel(
-        params=params, method="domain_ind", config=cfg, history=history, scheme=dataset.group_scheme
-    )
+    return TrainedModel(params=params, method="domain_ind", config=cfg, history=history)
 
 
 def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -289,25 +282,19 @@ def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
         return (bce, adv), grads
 
     params, history = _fit(dataset, cfg, step, adv_groups=k)
-    return TrainedModel(
-        params=params, method="cfair", config=cfg, history=history, scheme=dataset.group_scheme
-    )
-
-
-def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
-    return float(((scores >= 0.5).astype(int) == y).mean())
+    return TrainedModel(params=params, method="cfair", config=cfg, history=history)
 
 
 def _selection_score(model: TrainedModel, val) -> float:
     scores = model.predict_scores(val.features)
     if val.group is None:
-        return _accuracy(scores, val.y)
+        return accuracy(scores, val.y)
     k = int(np.max(val.group)) + 1 if val.group_count is None else val.group_count
     accs = []
     for g in range(k):
         mask = val.group == g
         if mask.any():
-            accs.append(_accuracy(scores[mask], val.y[mask]))
+            accs.append(accuracy(scores[mask], val.y[mask]))
     return min(accs)
 
 
@@ -340,7 +327,6 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
                 method="jtt",
                 config=cfg,
                 history=history,
-                scheme=dataset.group_scheme,
                 info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
             )
             score = _selection_score(candidate, val)
@@ -360,6 +346,10 @@ _TRAINERS = {
 # Every method name `train` accepts, in the order the module docstring lists them.
 METHODS = (*_TRAINERS, "jtt")
 
+# Methods whose mechanism would carry a label-based grouping into inference;
+# their trainers refuse any grouping that is not y-free.
+NEEDS_Y_FREE = ("domain_ind", "cfair")
+
 
 def train(method: str, dataset, cfg: TrainConfig, val=None) -> TrainedModel:
     if method == "jtt":
@@ -369,22 +359,3 @@ def train(method: str, dataset, cfg: TrainConfig, val=None) -> TrainedModel:
     if method not in _TRAINERS:
         raise InvalidScheme(f"unknown method {method!r}")
     return _TRAINERS[method](dataset, cfg)
-
-
-def history_to_csv(history: Sequence[dict]) -> str:
-    """Render epoch history; group-weight columns appear when any row has them."""
-    k = 0
-    for row in history:
-        gw = row.get("group_weights")
-        if gw is not None:
-            k = max(k, len(gw))
-    buf = io.StringIO()
-    cols = ["epoch", "train_loss"] + [f"group_{g}_weight" for g in range(k)]
-    buf.write(",".join(cols) + "\n")
-    for row in history:
-        cells = [str(int(row["epoch"])), f"{row['train_loss']:.6f}"]
-        gw = row.get("group_weights")
-        for g in range(k):
-            cells.append(f"{gw[g]:.6f}" if gw is not None else "")
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()

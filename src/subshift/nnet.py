@@ -35,7 +35,6 @@ __all__ = [
     "bce_loss_and_grad",
     "per_sample_losses",
     "cfair_loss_and_grad",
-    "grad_reversal_backward",
     "adam_init",
     "sgd_adam_step",
 ]
@@ -87,16 +86,15 @@ def init_params(
     hidden: int = 16,
     n_heads: int = 1,
     adv_groups: int = 0,
-    n_classes: int = 2,
     seed: int = 0,
 ) -> ModelParams:
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
     w_heads = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(n_heads, hidden))
     w_adv = b_adv = None
-    if adv_groups > 0:
-        w_adv = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(n_classes, adv_groups, hidden))
-        b_adv = np.zeros((n_classes, adv_groups))
+    if adv_groups > 0:  # one adversary per class of the binary label
+        w_adv = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(2, adv_groups, hidden))
+        b_adv = np.zeros((2, adv_groups))
     return ModelParams(
         w1=w1,
         b1=np.zeros(hidden),
@@ -183,11 +181,6 @@ def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=N
     return loss, g
 
 
-def grad_reversal_backward(adversary_grads, mu: float):
-    """Encoder-side contribution of an adversary gradient: scaled by -mu."""
-    return -mu * np.asarray(adversary_grads)
-
-
 def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
     """Joint step for the adversarial configuration.
 
@@ -218,8 +211,7 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
 
     adv_loss = 0.0
     d_hidden_adv = np.zeros_like(hidden)
-    n_classes = params.w_adv.shape[0]
-    for c in range(n_classes):
+    for c in range(params.w_adv.shape[0]):
         idx = np.nonzero(y == c)[0]
         if len(idx) == 0:
             continue
@@ -237,7 +229,7 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
         grads.b_adv[c] = dza.sum(axis=0)
         d_hidden_adv[idx] += dza @ params.w_adv[c]
 
-    d_hidden = d_hidden_bce + grad_reversal_backward(d_hidden_adv, mu)
+    d_hidden = d_hidden_bce - mu * d_hidden_adv
     dz1 = d_hidden * (1.0 - hidden**2)
     grads.w1[...] = x.T @ dz1
     grads.b1[...] = dz1.sum(axis=0)

@@ -9,16 +9,14 @@ is what lets an unmitigated learner inherit the training correlation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dist_core import Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
 from .errors import OutOfRange
 
-__all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits", "write_dataset_csv", "read_dataset_csv"]
+__all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits"]
 
 
 @dataclass(frozen=True)
@@ -52,9 +50,6 @@ class Dataset:
     y: np.ndarray
     s: np.ndarray
     a: np.ndarray
-    source_probs: np.ndarray
-    seed: int
-    config: FeatureConfig
     group: np.ndarray | None = None
     group_scheme: str | None = None
     group_count: int | None = None
@@ -91,15 +86,7 @@ def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) ->
     features[:, cfg.d_y : cfg.d_y + cfg.d_a] += cfg.mu_a * signs(a)
     features[:, cfg.d_y + cfg.d_a :] += cfg.mu_s * signs(s)
 
-    return Dataset(
-        features=features,
-        y=y,
-        s=s,
-        a=a,
-        source_probs=dist.probs,
-        seed=seed,
-        config=cfg,
-    )
+    return Dataset(features=features, y=y, s=s, a=a)
 
 
 def make_splits(
@@ -118,51 +105,3 @@ def make_splits(
     val = sample_dataset(biased, n_val, cfg, s_val)
     test = sample_dataset(uniform_distribution(), n_test, cfg, s_test)
     return train, val, test
-
-
-def write_dataset_csv(ds: Dataset, path) -> None:
-    """CSV with feat_* columns then y, s, a, group; JSON sidecar with provenance."""
-    path = Path(path)
-    d = ds.features.shape[1]
-    header = ",".join([f"feat_{i}" for i in range(d)] + ["y", "s", "a", "group"])
-    lines = [header]
-    has_groups = ds.group is not None
-    for i in range(len(ds)):
-        feats = ",".join(f"{v:.9g}" for v in ds.features[i])
-        g = str(int(ds.group[i])) if has_groups else ""
-        lines.append(f"{feats},{ds.y[i]},{ds.s[i]},{ds.a[i]},{g}")
-    path.write_text("\n".join(lines) + "\n")
-    sidecar = {
-        "feature_config": asdict(ds.config),
-        "distribution": [float(p) for p in ds.source_probs],
-        "seed": int(ds.seed),
-        "n": len(ds),
-        "group_scheme": ds.group_scheme,
-        "group_count": ds.group_count,
-    }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-def read_dataset_csv(path) -> Dataset:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    cfg = FeatureConfig(**sidecar["feature_config"])
-    raw = np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
-    d = cfg.dim
-    features = np.column_stack([raw[f"feat_{i}"] for i in range(d)]).astype(float)
-    groups = None
-    g = raw["group"]
-    if g.dtype.kind in "if" and not np.all(np.isnan(np.asarray(g, dtype=float))):
-        groups = np.asarray(g, dtype=np.int64)
-    ds = Dataset(
-        features=features,
-        y=np.asarray(raw["y"], dtype=np.int8),
-        s=np.asarray(raw["s"], dtype=np.int8),
-        a=np.asarray(raw["a"], dtype=np.int8),
-        source_probs=np.asarray(sidecar["distribution"], dtype=float),
-        seed=int(sidecar["seed"]),
-        config=cfg,
-    )
-    if groups is not None:
-        ds = ds.with_groups(groups, sidecar.get("group_scheme"), sidecar.get("group_count"))
-    return ds

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift.dist_core import (
-    Atom,
     N_ATOMS,
     atom_index,
     biased_distribution,
-    divergence_report,
     kl_divergence,
     make_distribution,
     pinsker_bound,
@@ -33,12 +31,6 @@ class TestAtom:
     def test_index_layout(self):
         # canonical order: index = 4y + 2s + a
         assert [atom_index(y, s, a) for y in (0, 1) for s in (0, 1) for a in (0, 1)] == list(range(8))
-
-    def test_round_trip(self):
-        for i in range(N_ATOMS):
-            atom = Atom.from_index(i)
-            assert atom.index == i
-            assert atom_index(atom.y, atom.s, atom.a) == i
 
     def test_vectorized(self):
         y = np.array([0, 1, 1])
@@ -183,15 +175,6 @@ class TestPinskerBound:
             pinsker_bound(1.2, 0.5)
         with pytest.raises(OutOfRange):
             pinsker_bound(0.5, -1e-9)
-
-
-class TestDivergenceReport:
-    def test_fields_consistent(self, p_train, p_uniform):
-        rep = divergence_report(p_uniform, p_train, train_err=0.05)
-        assert rep.kl == pytest.approx(kl_divergence(p_uniform, p_train))
-        assert rep.tv == pytest.approx(tv_distance(p_uniform, p_train))
-        assert rep.pinsker_bound == pytest.approx(0.05 + np.sqrt(rep.kl / 2.0))
-        assert rep.tv <= np.sqrt(rep.kl / 2.0) + 1e-12
 
 
 class TestReweightedDistribution:

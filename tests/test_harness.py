@@ -7,8 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from subshift import mitigation
-from subshift.errors import EmptyGroup, InsufficientSchemes, InvalidConfig, InvalidScheme, OutOfRange
+from subshift import harness, mitigation
+from subshift.errors import (
+    EmptyGroup,
+    InsufficientSchemes,
+    InvalidConfig,
+    InvalidScheme,
+    OutOfRange,
+    YBasedGrouping,
+)
 from subshift.harness import (
     CHECK_TOLERANCE,
     DEFAULT_SCHEMES,
@@ -70,7 +77,7 @@ class TestSpecValidation:
             tiny_spec(methods=("erm", "nope"))
 
     def test_accepts_every_method(self):
-        assert tiny_spec(methods=mitigation.METHODS).methods == (
+        assert tiny_spec(methods=mitigation.METHODS, schemes=("A", "S")).methods == (
             "erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"
         )
 
@@ -82,6 +89,29 @@ class TestSpecValidation:
     def test_rejects_empty_split(self, field):
         with pytest.raises(OutOfRange, match=field):
             tiny_spec(**{field: 0})
+
+    @pytest.mark.parametrize(
+        "field,values,repeated",
+        [
+            ("methods", ("erm", "gdro", "erm"), "'erm'"),
+            ("schemes", ("AY", "S", "AY"), "'AY'"),
+            ("seeds", (0, 1, 0), "0"),
+        ],
+    )
+    def test_rejects_repeats(self, field, values, repeated):
+        # a repeat would retrain a copy of a cell and count it as another run
+        with pytest.raises(InvalidConfig, match=f"{field} lists {repeated} more than once"):
+            tiny_spec(**{field: values})
+
+    def test_rejects_noncanonical_scheme_name(self):
+        # the same scheme under two spellings would slip past the repeat check
+        with pytest.raises(InvalidScheme, match="'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'"):
+            tiny_spec(schemes=("Noisy_AY_0.1", "Noisy_AY_0.10"))
+
+    def test_y_free_methods_accept_y_free_schemes(self):
+        spec = tiny_spec(methods=("gdro", *mitigation.NEEDS_Y_FREE), schemes=("A", "S", "SC_noSC", "Random"))
+        assert spec.methods == ("gdro", "domain_ind", "cfair")
+        assert tiny_spec(methods=("gdro", "jtt"), schemes=("AY", "Y")).schemes == ("AY", "Y")
 
 
 class TestDeriveSeed:
@@ -122,15 +152,14 @@ class TestRunSweep:
         assert results_csv(again.rows) == results_csv(tiny_record.rows)
         assert again.spec_hash == tiny_record.spec_hash
 
-    def test_failed_cell_is_recorded_and_isolated(self):
-        record = run_sweep(tiny_spec(methods=("erm", "domain_ind"), schemes=("AY", "A")))
-        cells = [(r["method"], r["grouping"]) for r in record.rows]
-        assert ("domain_ind", "A") in cells
-        assert ("domain_ind", "AY") not in cells
-        assert len(record.errors) == 1
-        err = record.errors[0]
-        assert err["grouping"] == "AY"
-        assert "YBasedGrouping" in err["error"]
+    def test_y_based_scheme_for_y_free_method_fails_before_any_data(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("make_splits ran for a spec that should have been rejected")
+
+        monkeypatch.setattr(harness, "make_splits", no_data)
+        for method in mitigation.NEEDS_Y_FREE:
+            with pytest.raises(YBasedGrouping, match=f"{method} needs y-free groups, but AY groups"):
+                run_sweep(tiny_spec(methods=("erm", method), schemes=("A", "AY")))
 
     def test_small_train_warns_and_empty_group_is_isolated(self):
         spec = tiny_spec(schemes=("Y", "YSA"), n_train=24, n_val=100, train=TrainConfig(epochs=1))
@@ -374,6 +403,8 @@ class TestCli:
             (["--n-train", "0"], "n_train must be >= 1"),
             (["--schemes", "AY,NOPE"], "unknown scheme name 'NOPE'"),
             (["--seeds", "0,a"], "--seeds takes comma-separated integers, got '0,a'"),
+            (["--seeds", "0,1,0"], "seeds lists 0 more than once"),
+            (["--methods", "erm,cfair", "--schemes", "A,SY"], "cfair needs y-free groups, but SY groups"),
         ],
     )
     def test_bad_spec_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
@@ -401,6 +432,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (None, "cannot read --config"),
+            ("{bad json", "cannot read --config"),
+            ('{"seeds": 5}', "top-level key 'seeds' in --config has the wrong type: 5"),
+            ('{"n_train": "abc"}', "top-level key 'n_train' in --config has the wrong type: 'abc'"),
+        ],
+        ids=["missing_file", "invalid_json", "seeds_not_a_list", "n_train_not_an_int"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "config.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -47,9 +47,6 @@ def tiny_dataset(y, s, a, d=2):
         y=np.asarray(y, dtype=np.int8),
         s=np.asarray(s, dtype=np.int8),
         a=np.asarray(a, dtype=np.int8),
-        source_probs=uniform_distribution().probs,
-        seed=0,
-        config=FeatureConfig(d_y=d, d_a=d, d_s=d),
     )
 
 

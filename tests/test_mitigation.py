@@ -11,7 +11,6 @@ from subshift.mitigation import (
     JTT_UPWEIGHT_GRID,
     TrainConfig,
     TrainedModel,
-    history_to_csv,
     train,
     train_cfair,
     train_domain_ind,
@@ -196,9 +195,6 @@ class TestResampling:
             y=rng.integers(0, 2, n).astype(np.int8),
             s=np.zeros(n, np.int8),
             a=np.zeros(n, np.int8),
-            source_probs=uniform_distribution().probs,
-            seed=0,
-            config=FeatureConfig(d_y=1, d_a=1, d_s=1),
         ).with_groups(groups, None, 4)
 
         seen = np.zeros(4)
@@ -340,29 +336,3 @@ class TestJtt:
     def test_dispatcher_rejects_unknown_method(self, small_train):
         with pytest.raises(InvalidScheme):
             train("boosting", small_train, TrainConfig(epochs=1))
-
-
-class TestHistoryCsv:
-    def test_group_weight_columns(self, train_ay):
-        model = train_gdro(train_ay, TrainConfig(epochs=2, seed=0))
-        text = history_to_csv(model.history)
-        lines = text.strip().split("\n")
-        assert lines[0] == "epoch,train_loss,group_0_weight,group_1_weight,group_2_weight,group_3_weight"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[2]) > 0
-
-    def test_plain_history_has_two_columns(self, small_train):
-        model = train_erm(small_train, TrainConfig(epochs=2, seed=0))
-        text = history_to_csv(model.history)
-        assert text.splitlines()[0] == "epoch,train_loss"
-
-    def test_blank_cells_for_missing_weights(self):
-        history = [
-            {"epoch": 0, "train_loss": 0.5, "group_weights": None},
-            {"epoch": 1, "train_loss": 0.4, "group_weights": np.array([0.6, 0.4])},
-        ]
-        lines = history_to_csv(history).splitlines()
-        assert lines[1] == "0,0.500000,,"
-        assert lines[2] == "1,0.400000,0.600000,0.400000"

@@ -13,7 +13,6 @@ from subshift.nnet import (
     cfair_loss_and_grad,
     expit,
     forward,
-    grad_reversal_backward,
     init_params,
     per_sample_losses,
     sgd_adam_step,
@@ -282,10 +281,6 @@ class TestGradReversal:
         assert bce == pytest.approx(plain_loss, abs=1e-15)
         for f in PARAM_FIELDS[:4]:
             assert np.array_equal(getattr(grads, f), getattr(plain, f))
-
-    def test_scales_by_minus_mu(self, rng):
-        g = rng.normal(size=(3, 4))
-        assert np.array_equal(grad_reversal_backward(g, 0.1), -0.1 * g)
 
     def test_composite_sign_via_finite_differences(self, rng):
         """Larger mu pushes the encoder gradient against the adversary's."""
