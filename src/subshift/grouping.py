@@ -1,15 +1,18 @@
 """Subgrouping schemes over (y, s, a) atoms.
 
 A grouping is an [n_atoms x k] matrix of conditionals P(group | atom). Hard
-partitions are the 0/1 special case; noisy and random schemes have genuinely
-soft rows. The module also annotates sampled datasets with group ids and
-knows which schemes are compatible with model-based mitigation methods
-(those whose groups never isolate a single class).
+partitions are the 0/1 special case; split, noisy and random schemes have
+soft rows. Each scheme is one entry in one table below: a hard partition
+(_HARD), an equal-mass split of one (_SPLIT), a noisy annotation of one
+(_NOISY), or Random. Its serialized name, its groups and whether it is
+y-free follow from that entry: a scheme is y-free, and so accepted by
+model-based mitigation methods, when every group of its noise-free grouping
+holds both classes. The module also annotates sampled datasets with group ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,23 +34,29 @@ __all__ = [
 # Noise sweep used by the standard scheme lists.
 NOISE_LEVELS = (0.01, 0.05, 0.10, 0.25, 0.50)
 
-_HARD_KINDS = ("Y", "A", "S", "AY", "SY", "YSA", "SCnoSC", "AS")
-_SPLIT_KINDS = {"AY8": "AY", "SY8": "SY", "A4": "A", "S4": "S"}
-_NOISY_KINDS = {"NoisyAY": "AY", "NoisyA": "A"}
-_KINDS = _HARD_KINDS + tuple(_SPLIT_KINDS) + tuple(_NOISY_KINDS) + ("Random",)
+# kind -> (serialized name, group of atom (y, s, a), group names)
+_HARD = {
+    "Y": ("Y", lambda y, s, a: y, ("y0", "y1")),
+    "A": ("A", lambda y, s, a: a, ("a0", "a1")),
+    "S": ("S", lambda y, s, a: s, ("s0", "s1")),
+    "AY": ("AY", lambda y, s, a: 2 * y + a, ("a0_y0", "a1_y0", "a0_y1", "a1_y1")),
+    "SY": ("SY", lambda y, s, a: 2 * y + s, ("s0_y0", "s1_y0", "s0_y1", "s1_y1")),
+    "YSA": (
+        "YSA",
+        lambda y, s, a: 4 * y + 2 * s + a,
+        tuple(f"y{y}_s{s}_a{a}" for y in (0, 1) for s in (0, 1) for a in (0, 1)),
+    ),
+    "SCnoSC": ("SC_noSC", lambda y, s, a: int(y != a), ("aligned", "conflicting")),
+    "AS": ("AS", lambda y, s, a: 2 * s + a, ("a0_s0", "a1_s0", "a0_s1", "a1_s1")),
+}
+# kind -> (serialized name, hard parent whose groups are split in two)
+_SPLIT = {"AY8": ("AY_8", "AY"), "SY8": ("SY_8", "SY"), "A4": ("A_4", "A"), "S4": ("S_4", "S")}
+# kind -> (serialized name prefix, hard parent); the noise level completes the name
+_NOISY = {"NoisyAY": ("Noisy_AY_", "AY"), "NoisyA": ("Noisy_A_", "A")}
 _RANDOM_K = 4  # groups of the Random scheme, each drawn uniformly per sample
 
-# Schemes whose construction uses the class label. Model-based methods
-# reject these; note SCnoSC is deliberately absent: although built from
-# (a, y) cells, each of its groups contains both classes.
-_Y_BASED_KINDS = frozenset({"Y", "AY", "SY", "YSA", "AY8", "SY8", "NoisyAY"})
-
-_KIND_TO_NAME = {
-    "Y": "Y", "A": "A", "S": "S", "AY": "AY", "SY": "SY", "YSA": "YSA",
-    "SCnoSC": "SC_noSC", "AS": "AS", "AY8": "AY_8", "SY8": "SY_8",
-    "A4": "A_4", "S4": "S_4", "Random": "Random",
-}
-_NAME_TO_KIND = {v: k for k, v in _KIND_TO_NAME.items()}
+_FIXED_NAMES = {kind: entry[0] for kind, entry in (_HARD | _SPLIT).items()} | {"Random": "Random"}
+_NAME_TO_KIND = {name: kind for kind, name in _FIXED_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -58,30 +67,32 @@ class GroupingScheme:
     noise: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _FIXED_NAMES and self.kind not in _NOISY:
             raise InvalidScheme(f"unknown kind {self.kind!r}")
-        if self.kind in _NOISY_KINDS and not 0.0 <= self.noise < 1.0:
+        if self.kind in _NOISY and not 0.0 <= self.noise < 1.0:
             raise InvalidScheme(f"noise fraction {self.noise} outside [0, 1)")
 
     @property
     def name(self) -> str:
         """Serialized name used in result files, e.g. 'AY_8', 'Noisy_AY_0.05'."""
-        if self.kind == "NoisyAY":
-            return f"Noisy_AY_{self.noise:.2f}"
-        if self.kind == "NoisyA":
-            return f"Noisy_A_{self.noise:.2f}"
-        return _KIND_TO_NAME[self.kind]
+        if self.kind in _NOISY:
+            return f"{_NOISY[self.kind][0]}{self.noise:.2f}"
+        return _FIXED_NAMES[self.kind]
 
     @staticmethod
     def from_name(name: str) -> "GroupingScheme":
+        """The scheme serialized as name; only its canonical spelling is accepted."""
         if name in _NAME_TO_KIND:
             return GroupingScheme(_NAME_TO_KIND[name])
-        for prefix, kind in (("Noisy_AY_", "NoisyAY"), ("Noisy_A_", "NoisyA")):
+        for kind, (prefix, _) in _NOISY.items():
             if name.startswith(prefix):
                 try:
-                    return GroupingScheme(kind, noise=float(name[len(prefix):]))
+                    scheme = GroupingScheme(kind, noise=float(name[len(prefix):]))
                 except ValueError:
                     raise InvalidScheme(f"bad noise fraction in {name!r}") from None
+                if scheme.name != name:  # result rows and KL rows are keyed by the canonical name
+                    raise InvalidScheme(f"scheme {name!r} must be written {scheme.name!r}")
+                return scheme
         raise InvalidScheme(f"unknown scheme name {name!r}")
 
 
@@ -113,46 +124,10 @@ class SoftGrouping:
         return bool(np.all((self.assign == 0.0) | (self.assign == 1.0)))
 
 
-def _hard_assign(group_of_atom) -> np.ndarray:
-    labels = [group_of_atom(j) for j in range(N_ATOMS)]
-    k = max(labels) + 1
-    a = np.zeros((N_ATOMS, k))
-    a[np.arange(N_ATOMS), labels] = 1.0
-    return a
-
-
-def _bits(j):
-    return (j >> 2) & 1, (j >> 1) & 1, j & 1  # y, s, a
-
-
-def _hard_grouping(kind: str) -> SoftGrouping:
-    if kind == "Y":
-        assign = _hard_assign(lambda j: _bits(j)[0])
-        names = ("y0", "y1")
-    elif kind == "A":
-        assign = _hard_assign(lambda j: _bits(j)[2])
-        names = ("a0", "a1")
-    elif kind == "S":
-        assign = _hard_assign(lambda j: _bits(j)[1])
-        names = ("s0", "s1")
-    elif kind == "AY":
-        assign = _hard_assign(lambda j: 2 * _bits(j)[0] + _bits(j)[2])
-        names = ("a0_y0", "a1_y0", "a0_y1", "a1_y1")
-    elif kind == "SY":
-        assign = _hard_assign(lambda j: 2 * _bits(j)[0] + _bits(j)[1])
-        names = ("s0_y0", "s1_y0", "s0_y1", "s1_y1")
-    elif kind == "YSA":
-        assign = np.eye(N_ATOMS)
-        names = tuple(f"y{y}_s{s}_a{a}" for y in (0, 1) for s in (0, 1) for a in (0, 1))
-    elif kind == "SCnoSC":
-        assign = _hard_assign(lambda j: 0 if _bits(j)[0] == _bits(j)[2] else 1)
-        names = ("aligned", "conflicting")
-    elif kind == "AS":
-        assign = _hard_assign(lambda j: 2 * _bits(j)[1] + _bits(j)[2])
-        names = ("a0_s0", "a1_s0", "a0_s1", "a1_s1")
-    else:
-        raise InvalidScheme(kind)
-    return SoftGrouping(assign, names, _KIND_TO_NAME[kind])
+def _partition(kind: str) -> SoftGrouping:
+    name, group_of, names = _HARD[kind]
+    labels = [group_of((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(N_ATOMS)]
+    return SoftGrouping(np.eye(len(names))[labels], names, name)
 
 
 def refine(grouping: SoftGrouping) -> SoftGrouping:
@@ -170,63 +145,53 @@ def refine(grouping: SoftGrouping) -> SoftGrouping:
     return SoftGrouping(out, names, f"{grouping.scheme_id}_refined")
 
 
-def _noisy_grouping(kind: str, b: float, p_train: Distribution) -> SoftGrouping:
-    parent = _hard_grouping(_NOISY_KINDS[kind])
-    # A corrupted annotation is redrawn from the clean groups' mass profile,
-    # so every row mixes the clean one-hot with the group marginals.
-    marginal = p_train.probs @ parent.assign
-    assign = (1.0 - b) * parent.assign + b * np.tile(marginal, (N_ATOMS, 1))
-    name = f"Noisy_{_KIND_TO_NAME[_NOISY_KINDS[kind]]}_{b:.2f}"
-    return SoftGrouping(assign, parent.group_names, name)
-
-
 def atom_grouping(scheme: GroupingScheme, p_train: Distribution | None = None) -> SoftGrouping:
     """Build the scheme's P(group | atom) matrix.
 
     Noisy schemes need p_train to shape the misannotation profile; all
     other schemes ignore it.
     """
-    if scheme.kind in _HARD_KINDS:
-        return _hard_grouping(scheme.kind)
-    if scheme.kind in _SPLIT_KINDS:
-        parent = _hard_grouping(_SPLIT_KINDS[scheme.kind])
-        split = refine(parent)
-        return SoftGrouping(split.assign, split.group_names, _KIND_TO_NAME[scheme.kind])
+    if scheme.kind in _HARD:
+        return _partition(scheme.kind)
+    if scheme.kind in _SPLIT:
+        name, parent = _SPLIT[scheme.kind]
+        return replace(refine(_partition(parent)), scheme_id=name)
     if scheme.kind == "Random":
         assign = np.full((N_ATOMS, _RANDOM_K), 1.0 / _RANDOM_K)
         return SoftGrouping(assign, tuple(f"r{i}" for i in range(_RANDOM_K)), "Random")
-    if scheme.kind in _NOISY_KINDS:
-        if p_train is None:
-            raise InvalidScheme(f"{scheme.kind} requires p_train for the noise profile")
-        return _noisy_grouping(scheme.kind, scheme.noise, p_train)
-    raise InvalidScheme(scheme.kind)
+    if p_train is None:
+        raise InvalidScheme(f"{scheme.kind} requires p_train for the noise profile")
+    parent = _partition(_NOISY[scheme.kind][1])
+    # A corrupted annotation is redrawn from the clean groups' mass profile,
+    # so every row mixes the clean one-hot with the group marginals.
+    marginal = p_train.probs @ parent.assign
+    assign = (1.0 - scheme.noise) * parent.assign + scheme.noise * np.tile(marginal, (N_ATOMS, 1))
+    return SoftGrouping(assign, parent.group_names, scheme.name)
 
 
 def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distribution | None = None):
     """Assign a group id to every sample, returning a new annotated dataset.
 
-    Hard rows map deterministically; soft rows are sampled per sample from
-    the atom's conditional, reproducibly under the given seed. Only the
-    group annotation changes; y, s, a are untouched.
+    Each sample draws its group from its atom's conditional by inverting the
+    row's CDF at a uniform u, reproducibly under the given seed. A one-hot
+    row's CDF steps from exactly 0 to exactly 1, so hard schemes give every
+    sample its partition label. Only the group annotation changes; y, s, a
+    are untouched.
     """
     grouping = atom_grouping(scheme, p_train)
     atoms = dataset.atom_indices()
-    if grouping.is_hard:
-        groups = np.argmax(grouping.assign, axis=1)[atoms]
-    else:
-        rng = np.random.default_rng(seed)
-        u = rng.random(len(atoms))
-        cdf = np.cumsum(grouping.assign, axis=1)
-        cdf[:, -1] = 1.0
-        groups = np.empty(len(atoms), dtype=np.int64)
-        for atom in range(grouping.assign.shape[0]):
-            mask = atoms == atom
-            groups[mask] = np.searchsorted(cdf[atom], u[mask], side="right")
-    return dataset.with_groups(groups.astype(np.int64), scheme.name, grouping.k)
+    u = np.random.default_rng(seed).random(len(atoms))
+    cdf = np.cumsum(grouping.assign, axis=1)
+    cdf[:, -1] = 1.0
+    groups = (cdf[atoms] <= u[:, None]).sum(axis=1, dtype=np.int64)
+    return dataset.with_groups(groups, scheme.name, grouping.k)
 
 
 def is_y_free(scheme: GroupingScheme) -> bool:
-    return scheme.kind not in _Y_BASED_KINDS
+    """Whether every group of the noise-free grouping holds both classes."""
+    kind = _NOISY[scheme.kind][1] if scheme.kind in _NOISY else scheme.kind
+    assign = atom_grouping(GroupingScheme(kind)).assign
+    return bool(assign.reshape(2, N_ATOMS // 2, -1).any(axis=1).all())  # atoms 0-3 have y = 0, 4-7 y = 1
 
 
 def reweighting_schemes() -> list:

@@ -33,7 +33,6 @@ from .dist_core import Distribution, biased_distribution, uniform_distribution
 from .errors import (
     InsufficientSchemes,
     InvalidConfig,
-    InvalidScheme,
     OutOfRange,
     SubshiftError,
     YBasedGrouping,
@@ -126,9 +125,6 @@ class ExperimentSpec:
                 f"unknown method {unknown[0]!r}; choose from {', '.join(mitigation.METHODS)}"
             )
         schemes = [GroupingScheme.from_name(name) for name in self.schemes]
-        for name, scheme in zip(self.schemes, schemes):
-            if scheme.name != name:  # result rows and KL rows are keyed by the canonical name
-                raise InvalidScheme(f"scheme {name!r} must be written {scheme.name!r}")
         for field_name in ("methods", "schemes", "seeds"):
             values = getattr(self, field_name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -170,13 +166,9 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S%z")
 
 
-def _scheme_objects(names) -> list:
-    return [GroupingScheme.from_name(n) for n in names]
-
-
 def compute_kl_rows(scheme_names, p_s0: float, p_s1: float) -> list:
     p_train = biased_distribution(p_s0, p_s1)
-    return min_kl_table(_scheme_objects(scheme_names), p_train, uniform_distribution())
+    return min_kl_table([GroupingScheme.from_name(n) for n in scheme_names], p_train, uniform_distribution())
 
 
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
@@ -566,23 +558,16 @@ def _spec_from_args(args) -> ExperimentSpec:
     spec = _from_config(ExperimentSpec, dict(data, feature=feature, train=train), "top-level")
 
     overrides = {}
-    if getattr(args, "seeds", None):
+    for name in ("seeds", "methods", "schemes", "p_s0", "p_s1", "n_train", "master_seed"):
+        value = getattr(args, name, None)  # analyze-kl has only the bias flags
+        if value in (None, ""):
+            continue
+        overrides[name] = tuple(value.split(",")) if isinstance(value, str) else value
+    if "seeds" in overrides:
         try:
-            overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+            overrides["seeds"] = tuple(int(s) for s in overrides["seeds"])
         except ValueError:
             raise InvalidConfig(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
-    if getattr(args, "methods", None):
-        overrides["methods"] = tuple(args.methods.split(","))
-    if getattr(args, "schemes", None):
-        overrides["schemes"] = tuple(args.schemes.split(","))
-    if getattr(args, "p_s0", None) is not None:
-        overrides["p_s0"] = args.p_s0
-    if getattr(args, "p_s1", None) is not None:
-        overrides["p_s1"] = args.p_s1
-    if getattr(args, "n_train", None) is not None:
-        overrides["n_train"] = args.n_train
-    if getattr(args, "master_seed", None) is not None:
-        overrides["master_seed"] = args.master_seed
     return replace(spec, **overrides) if overrides else spec
 
 

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import nnet
-from .errors import EmptyGroup, InvalidScheme, YBasedGrouping
+from .errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
 from .grouping import GroupingScheme, is_y_free
 from .metrics import accuracy
 from .nnet import expit
@@ -71,6 +71,17 @@ class TrainConfig:
     jtt_upweight: float | None = None
     domain_ind_rule: str = "max_abs"
     seed: int = 0
+
+    def __post_init__(self):
+        # A None JTT field means "tune it"; any value that is set must be in range.
+        for name in ("epochs", "batch_size", "hidden", "jtt_stage1_epochs"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise OutOfRange(f"{name} must be >= 1, got {value}")
+        for name in ("lr", "jtt_upweight"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise OutOfRange(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)

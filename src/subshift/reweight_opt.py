@@ -25,7 +25,7 @@ import numpy as np
 
 from .dist_core import Distribution, kl_divergence, reweighted_distribution
 from .errors import EmptyGroup, OutOfRange, SupportMismatch, TooManyGroups
-from .grouping import SoftGrouping, GroupingScheme, atom_grouping
+from .grouping import SoftGrouping, atom_grouping
 
 __all__ = [
     "WeightVector",
@@ -205,17 +205,16 @@ def min_kl_table(
     p_train: Distribution,
     p_target: Distribution,
 ) -> list:
-    """Per-scheme minimum and uniform-weight divergences, in input order."""
+    """Per-scheme minimum and uniform-weight divergences of GroupingSchemes, in input order."""
     if not schemes:
         raise OutOfRange("schemes list is empty")
     rows = []
     for scheme in schemes:
-        grouping = scheme if isinstance(scheme, SoftGrouping) else atom_grouping(scheme, p_train)
-        name = scheme.name if isinstance(scheme, GroupingScheme) else grouping.scheme_id
+        grouping = atom_grouping(scheme, p_train)
         uniform = resampling_weights(grouping)
         kl_res = kl_divergence(p_target, reweighted_distribution(p_train, grouping, uniform))
         opt = optimal_weights(p_train, grouping, p_target)
-        rows.append(MinKlRow(scheme=name, kl_gdro=opt.achieved_kl, kl_resampling=kl_res))
+        rows.append(MinKlRow(scheme=scheme.name, kl_gdro=opt.achieved_kl, kl_resampling=kl_res))
     return rows
 
 

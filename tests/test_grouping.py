@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,9 @@ HARD_INDEX_SETS = {
     "AS": [{0, 4}, {1, 5}, {2, 6}, {3, 7}],
 }
 
+# the 23 distinct scheme names of the two standard lists
+ALL_SCHEME_NAMES = tuple(dict.fromkeys(s.name for s in reweighting_schemes() + model_based_schemes()))
+
 
 def hard_groups(g: SoftGrouping) -> list:
     labels = np.argmax(g.assign, axis=1)
@@ -56,6 +61,15 @@ class TestSchemeNames:
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidScheme):
             GroupingScheme.from_name("BOGUS")
+
+    @pytest.mark.parametrize(
+        "name,canonical",
+        [("Noisy_AY_0.1", "Noisy_AY_0.10"), ("Noisy_A_0.100", "Noisy_A_0.10"), ("Noisy_AY_1e-1", "Noisy_AY_0.10")],
+    )
+    def test_noncanonical_name_rejected(self, name, canonical):
+        # result rows and KL rows are keyed by the name, so one scheme has one spelling
+        with pytest.raises(InvalidScheme, match=re.escape(f"scheme {name!r} must be written {canonical!r}")):
+            GroupingScheme.from_name(name)
 
     def test_noise_range(self):
         with pytest.raises(InvalidScheme):
@@ -152,11 +166,39 @@ def big_dataset(p_train):
     return sample_dataset(p_train, 100_000, FeatureConfig(d_y=1, d_a=1, d_s=1), seed=5)
 
 
+def per_atom_annotation(dataset, scheme, seed, p_train):
+    """Reference annotation: argmax for hard rows, else a searchsorted per atom."""
+    grouping = atom_grouping(scheme, p_train)
+    atoms = dataset.atom_indices()
+    if grouping.is_hard:
+        return np.argmax(grouping.assign, axis=1)[atoms].astype(np.int64)
+    u = np.random.default_rng(seed).random(len(atoms))
+    cdf = np.cumsum(grouping.assign, axis=1)
+    cdf[:, -1] = 1.0
+    groups = np.empty(len(atoms), dtype=np.int64)
+    for atom in range(grouping.assign.shape[0]):
+        mask = atoms == atom
+        groups[mask] = np.searchsorted(cdf[atom], u[mask], side="right")
+    return groups
+
+
 class TestAnnotateSamples:
-    def test_hard_ay_matches_cells(self, p_train, big_dataset):
-        ds = annotate_samples(big_dataset, GroupingScheme("AY"), seed=0)
-        expected = 2 * ds.y + ds.a
-        assert np.array_equal(ds.group, expected)
+    @pytest.mark.parametrize("kind", sorted(HARD_INDEX_SETS))
+    def test_hard_ay_matches_cells(self, big_dataset, kind):
+        ds = annotate_samples(big_dataset, GroupingScheme(kind), seed=0)
+        label = np.empty(8, dtype=np.int64)
+        for g, atoms in enumerate(HARD_INDEX_SETS[kind]):
+            label[sorted(atoms)] = g
+        assert np.array_equal(ds.group, label[ds.atom_indices()])
+
+    @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
+    def test_matches_per_atom_reference(self, p_train, big_dataset, name):
+        scheme = GroupingScheme.from_name(name)
+        for seed in (0, 11):
+            got = annotate_samples(big_dataset, scheme, seed, p_train).group
+            expected = per_atom_annotation(big_dataset, scheme, seed, p_train)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expected)
 
     def test_deterministic_given_seed(self, p_train, big_dataset):
         a = annotate_samples(big_dataset, GroupingScheme("Random"), seed=42)

@@ -352,6 +352,12 @@ class TestCli:
         assert main(["analyze-kl", "--scheme", "NOPE"]) == 2
         assert "unknown scheme name" in capsys.readouterr().err
 
+    def test_analyze_kl_rejects_noncanonical_scheme(self, capsys):
+        assert main(["analyze-kl", "--scheme", "Noisy_AY_0.1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'" in captured.err
+
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {
             "methods": ["erm", "gdro"],
@@ -440,8 +446,25 @@ class TestCli:
             ("{bad json", "cannot read --config"),
             ('{"seeds": 5}', "top-level key 'seeds' in --config has the wrong type: 5"),
             ('{"n_train": "abc"}', "top-level key 'n_train' in --config has the wrong type: 'abc'"),
+            ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
+            ('{"train": {"epochs": 0}}', "epochs must be >= 1, got 0"),
+            ('{"train": {"hidden": 0}}', "hidden must be >= 1, got 0"),
+            ('{"train": {"jtt_stage1_epochs": 0}}', "jtt_stage1_epochs must be >= 1, got 0"),
+            ('{"train": {"jtt_upweight": 0}}', "jtt_upweight must be > 0, got 0"),
+            ('{"train": {"lr": -1.0}}', "lr must be > 0, got -1.0"),
         ],
-        ids=["missing_file", "invalid_json", "seeds_not_a_list", "n_train_not_an_int"],
+        ids=[
+            "missing_file",
+            "invalid_json",
+            "seeds_not_a_list",
+            "n_train_not_an_int",
+            "batch_size_0",
+            "epochs_0",
+            "hidden_0",
+            "jtt_stage1_epochs_0",
+            "jtt_upweight_0",
+            "lr_negative",
+        ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
         cfg_path = tmp_path / "config.json"
