@@ -22,6 +22,7 @@ import io
 import json
 import sys
 import time
+import typing
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -525,14 +526,18 @@ def _load_config(path) -> dict:
     return data
 
 
-def _fits(value, default) -> bool:
-    """Whether a JSON value can stand in for a config field with this default."""
+def _fits(value, default, hint=None) -> bool:
+    """Whether a JSON value can stand in for a config field with this default.
+
+    An optional field (default None, annotated ``T | None``) takes null or a
+    value of type T: a whole number of JTT stage-1 epochs, any upweight.
+    """
+    if default is None:
+        return value is None or _fits(value, typing.get_args(hint)[0]())
     if isinstance(default, tuple):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
     if isinstance(value, bool):
         return False
-    if default is None:  # the optional JTT overrides are numbers
-        return value is None or isinstance(value, (int, float))
     if isinstance(default, float):
         return isinstance(value, (int, float))
     return isinstance(value, type(default))
@@ -543,10 +548,11 @@ def _from_config(cls, data, section: str):
     if not isinstance(data, dict):
         raise InvalidConfig(f"{section} section of --config must be a JSON object")
     defaults = {f.name: f.default for f in fields(cls)}
+    hints = typing.get_type_hints(cls)
     for key, value in data.items():
         if key not in defaults:
             raise InvalidConfig(f"unknown {section} key {key!r} in --config")
-        if not _fits(value, defaults[key]):
+        if not _fits(value, defaults[key], hints[key]):
             raise InvalidConfig(f"{section} key {key!r} in --config has the wrong type: {value!r}")
     return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()})
 

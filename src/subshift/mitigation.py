@@ -25,6 +25,7 @@ test.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -74,14 +75,25 @@ class TrainConfig:
 
     def __post_init__(self):
         # A None JTT field means "tune it"; any value that is set must be in range.
+        # The comparisons are written so that NaN fails them.
         for name in ("epochs", "batch_size", "hidden", "jtt_stage1_epochs"):
             value = getattr(self, name)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            if not isinstance(value, numbers.Integral):
+                raise OutOfRange(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise OutOfRange(f"{name} must be >= 1, got {value}")
-        for name in ("lr", "jtt_upweight"):
+        for name in ("lr", "jtt_upweight", "lr_decay_factor"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise OutOfRange(f"{name} must be > 0, got {value}")
+        for name in ("weight_decay", "lr_decay_epoch"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise OutOfRange(f"{name} must be >= 0, got {value}")
+        if self.domain_ind_rule not in ("max_abs", "sum"):
+            raise InvalidScheme(f"unknown inference rule {self.domain_ind_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +279,6 @@ def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
     k = _group_count(dataset)
     _indices_by_group(dataset, k)
     _check_y_free(dataset, k)
-    if cfg.domain_ind_rule not in ("max_abs", "sum"):
-        raise InvalidScheme(f"unknown inference rule {cfg.domain_ind_rule!r}")
     params, history = _fit(dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
     return TrainedModel(params=params, method="domain_ind", config=cfg, history=history)
 

@@ -147,9 +147,16 @@ def brute_force_min_kl(
 ) -> float:
     """Exhaustive simplex grid search; the independent check on the optimizer.
 
-    Enumerates every weight vector with coordinates that are multiples of
-    grid_step and returns the minimum divergence found. Exponential in k,
+    Visits every weight vector whose coordinates are multiples of grid_step,
+    C(n+k-1, k-1) points for n = 1/grid_step (1,373,701 at k = 4 and step
+    0.005), and returns the minimum divergence found. Exponential in k,
     hence restricted to k <= 4.
+
+    The points stream through fixed-size buffers, one leading coordinate c1
+    at a time. The middle coordinates (c2[, c3]) are tabulated once in order
+    of their sum, so the points with room for a given c1 are a prefix of
+    that table. The right operand of the product is kept C-contiguous: a
+    transposed view sometimes ran 48-75x slower under threaded OpenBLAS.
     """
     k = grouping.k
     if k > 4:
@@ -162,35 +169,41 @@ def brute_force_min_kl(
     pos = t > 0.0
     t_pos = t[pos]
     entropy_part = float(np.sum(t_pos * np.log(t_pos)))
-    r_pos = r[pos, :]
-
-    def batch_min(weight_block: np.ndarray) -> float:
-        pw = weight_block @ r_pos.T
-        with np.errstate(divide="ignore"):
-            logs = np.where(pw > 0.0, np.log(np.where(pw > 0.0, pw, 1.0)), -np.inf)
-        vals = entropy_part - logs @ t_pos
-        return float(np.min(vals)) if len(vals) else np.inf
-
-    best = np.inf
+    r_pos_t = np.ascontiguousarray(r[pos, :].T)
     if k == 1:
-        return batch_min(np.array([[1.0]]))
-    if k == 2:
-        c = np.arange(n + 1, dtype=float)
-        block = np.column_stack([c, n - c]) * grid_step
-        return batch_min(block)
-    for c1 in range(n + 1):
-        if k == 3:
-            c2 = np.arange(n - c1 + 1, dtype=float)
-            block = np.column_stack([np.full_like(c2, c1), c2, n - c1 - c2]) * grid_step
-            best = min(best, batch_min(block))
-        else:
+        with np.errstate(divide="ignore"):
+            return float(entropy_part - (np.log(r_pos_t) @ t_pos)[0])
+
+    # Middle points ordered by their sum s: one empty point at k = 2, c2 = s
+    # at k = 3, and c2 = 0..s with c3 = s - c2 at k = 4. Row j of the block is
+    # (c1, middle point j, n - c1 - sums[j]) * grid_step.
+    s = np.arange(n + 1.0) if k > 2 else np.zeros(1)
+    sums = np.repeat(s, np.arange(1, n + 2)) if k == 4 else s
+    block = np.empty((len(sums), k))
+    if k == 3:
+        block[:, 1] = sums
+    elif k == 4:
+        np.subtract(np.arange(len(sums)), sums * (sums + 1.0) / 2.0, out=block[:, 1])
+        np.subtract(sums, block[:, 1], out=block[:, 2])
+    block[:, 1:-1] *= grid_step
+    pw = np.empty((len(sums), len(t_pos)))
+    dots = np.empty(len(sums))
+
+    best = -np.inf
+    with np.errstate(divide="ignore"):  # log 0 = -inf where a point misses target mass
+        for c1 in range(n + 1):
             rem = n - c1
-            g2, g3 = np.meshgrid(np.arange(rem + 1), np.arange(rem + 1), indexing="ij")
-            keep = (g2 + g3) <= rem
-            c2, c3 = g2[keep].astype(float), g3[keep].astype(float)
-            block = np.column_stack([np.full_like(c2, c1), c2, c3, rem - c2 - c3]) * grid_step
-            best = min(best, batch_min(block))
-    return best
+            m = int(np.searchsorted(sums, rem, side="right"))
+            w, p, d = block[:m], pw[:m], dots[:m]
+            w[:, 0] = c1 * grid_step
+            np.subtract(rem, sums[:m], out=w[:, -1])
+            w[:, -1] *= grid_step
+            np.matmul(w, r_pos_t, out=p)
+            np.log(p, out=p)
+            np.matmul(p, t_pos, out=d)
+            best = max(best, d.max())
+    # Rounding is monotone, so entropy_part - max(dots) is exactly min(entropy_part - dots).
+    return float(entropy_part - best)
 
 
 @dataclass(frozen=True)

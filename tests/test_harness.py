@@ -1,11 +1,17 @@
 import json
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subshift import harness, mitigation
 from subshift.errors import (
@@ -16,6 +22,7 @@ from subshift.errors import (
     OutOfRange,
     YBasedGrouping,
 )
+from subshift.grouping import model_based_schemes, reweighting_schemes
 from subshift.harness import (
     CHECK_TOLERANCE,
     DEFAULT_SCHEMES,
@@ -452,6 +459,14 @@ class TestCli:
             ('{"train": {"jtt_stage1_epochs": 0}}', "jtt_stage1_epochs must be >= 1, got 0"),
             ('{"train": {"jtt_upweight": 0}}', "jtt_upweight must be > 0, got 0"),
             ('{"train": {"lr": -1.0}}', "lr must be > 0, got -1.0"),
+            ('{"train": {"domain_ind_rule": "vote"}}', "unknown inference rule 'vote'"),
+            (
+                '{"train": {"jtt_stage1_epochs": 1.5}}',
+                "train key 'jtt_stage1_epochs' in --config has the wrong type: 1.5",
+            ),
+            ('{"train": {"weight_decay": -0.1}}', "weight_decay must be >= 0, got -0.1"),
+            ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
+            ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
         ],
         ids=[
             "missing_file",
@@ -464,6 +479,11 @@ class TestCli:
             "jtt_stage1_epochs_0",
             "jtt_upweight_0",
             "lr_negative",
+            "domain_ind_rule_unknown",
+            "jtt_stage1_epochs_float",
+            "weight_decay_negative",
+            "lr_decay_epoch_negative",
+            "lr_decay_factor_0",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
@@ -491,6 +511,82 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+SCHEME_NAMES = {s.name for s in reweighting_schemes() + model_based_schemes()}
+# A runnable --config: one ERM cell on small splits, one epoch.
+VALID_CONFIG = {
+    "methods": ["erm"],
+    "schemes": ["A"],
+    "seeds": [0],
+    "n_train": 64,
+    "n_val": 32,
+    "n_test": 64,
+    "train": {"epochs": 1},
+}
+
+
+def _unknown_scheme(name: str) -> bool:
+    return name not in SCHEME_NAMES and not re.fullmatch(r"Noisy_AY?_0\.\d\d", name)
+
+
+def _malformed_configs():
+    """One malformation of VALID_CONFIG, as a dict merged over it."""
+    names = st.text(max_size=10)
+    unknown = st.one_of(
+        names.filter(lambda n: n not in mitigation.METHODS).map(lambda n: {"methods": ["erm", n]}),
+        st.one_of(names, names.map("Noisy_AY_".__add__))
+        .filter(_unknown_scheme)
+        .map(lambda n: {"schemes": ["A", n]}),
+    )
+    repeated = st.one_of(
+        st.sampled_from(mitigation.METHODS).map(lambda m: {"methods": [m, m]}),
+        st.sampled_from(DEFAULT_SCHEMES).map(lambda s: {"schemes": [s, "A", s]}),
+        st.integers(0, 2**31).map(lambda i: {"seeds": [i, 0, i]}),
+    )
+    small = st.tuples(st.sampled_from(["n_train", "n_val", "n_test"]), st.integers(max_value=0))
+    bias = st.tuples(
+        st.sampled_from(["p_s0", "p_s1"]),
+        st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0)),
+    )
+    below_one = st.tuples(
+        st.sampled_from(["epochs", "batch_size", "hidden", "jtt_stage1_epochs"]), st.integers(max_value=0)
+    )
+    not_positive = st.tuples(
+        st.sampled_from(["lr", "jtt_upweight", "lr_decay_factor"]), st.floats(max_value=0.0)
+    )
+    negative = st.one_of(
+        st.tuples(st.just("weight_decay"), st.floats(max_value=0.0, exclude_max=True)),
+        st.tuples(st.just("lr_decay_epoch"), st.integers(max_value=-1)),
+    )
+    train = st.one_of(
+        below_one,
+        not_positive,
+        negative,
+        st.tuples(st.sampled_from(["lr", "weight_decay", "lr_decay_factor"]), st.just(float("nan"))),
+        st.tuples(st.just("jtt_stage1_epochs"), st.floats()),  # JSON floats never fit an int field
+        st.tuples(st.just("domain_ind_rule"), names.filter(lambda n: n not in ("max_abs", "sum"))),
+    ).map(lambda kv: {"train": {"epochs": 1, kv[0]: kv[1]}})
+    return st.one_of(unknown, repeated, st.one_of(small, bias).map(lambda kv: dict([kv])), train)
+
+
+class TestMalformedSpecs:
+    @given(malformed=_malformed_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_before_data_is_drawn(self, malformed):
+        reached = AssertionError("make_splits ran for a malformed spec")
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "make_splits", side_effect=reached):
+            cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            cfg_path.write_text(json.dumps({**VALID_CONFIG, **malformed}))
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2, malformed
+            assert not out.exists()
+
+    def test_valid_config_reaches_make_splits(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(VALID_CONFIG))
+        reached = AssertionError("make_splits reached")
+        with mock.patch.object(harness, "make_splits", side_effect=reached), pytest.raises(AssertionError, match="reached"):
+            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
 
 
 class TestDefaults:

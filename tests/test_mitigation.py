@@ -3,7 +3,7 @@ import pytest
 
 from subshift import nnet
 from subshift.dist_core import biased_distribution, uniform_distribution
-from subshift.errors import EmptyGroup, InvalidScheme, YBasedGrouping
+from subshift.errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
 from subshift.grouping import GroupingScheme, annotate_samples
 from subshift.metrics import auc
 from subshift.mitigation import (
@@ -122,6 +122,30 @@ def test_trainers_reach_patched_nnet_functions(
         monkeypatch.setattr(nnet, name, counted)
     fit_one(method, small_train, small_val, train_a, train_ay, epochs=1)
     assert set(calls) == NNET_USES[method]
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "field,value,error",
+        [
+            ("epochs", 2.0, OutOfRange),
+            ("jtt_stage1_epochs", 1.5, OutOfRange),
+            ("lr", float("nan"), OutOfRange),
+            ("lr_decay_factor", 0.0, OutOfRange),
+            ("lr_decay_factor", -0.1, OutOfRange),
+            ("weight_decay", -1e-4, OutOfRange),
+            ("weight_decay", float("nan"), OutOfRange),
+            ("lr_decay_epoch", -1, OutOfRange),
+            ("domain_ind_rule", "vote", InvalidScheme),
+        ],
+    )
+    def test_rejects_out_of_range_field(self, field, value, error):
+        with pytest.raises(error, match=field if error is OutOfRange else "inference rule"):
+            TrainConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = TrainConfig(weight_decay=0.0, lr_decay_epoch=0, jtt_stage1_epochs=np.int64(2), domain_ind_rule="sum")
+        assert cfg.jtt_stage1_epochs == 2
 
 
 class TestErm:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,12 +23,62 @@ from subshift.grouping import (
 )
 from subshift.reweight_opt import (
     WeightVector,
+    _ratio_matrix,
     brute_force_min_kl,
     min_kl_table,
     optimal_weights,
     resampling_weights,
     table_to_csv,
 )
+
+
+def reference_brute_force(p_train, grouping, p_target, grid_step):
+    """The grid search as first written: one meshgrid block per leading coordinate."""
+    k = grouping.k
+    n = int(round(1.0 / grid_step))
+    r, _ = _ratio_matrix(p_train, grouping)
+    t = p_target.probs
+    pos = t > 0.0
+    t_pos = t[pos]
+    entropy_part = float(np.sum(t_pos * np.log(t_pos)))
+    r_pos = r[pos, :]
+
+    def batch_min(weight_block):
+        pw = weight_block @ r_pos.T
+        with np.errstate(divide="ignore"):
+            logs = np.where(pw > 0.0, np.log(np.where(pw > 0.0, pw, 1.0)), -np.inf)
+        return float(np.min(entropy_part - logs @ t_pos))
+
+    if k == 1:
+        return batch_min(np.array([[1.0]]))
+    if k == 2:
+        c = np.arange(n + 1, dtype=float)
+        return batch_min(np.column_stack([c, n - c]) * grid_step)
+    best = np.inf
+    for c1 in range(n + 1):
+        rem = n - c1
+        if k == 3:
+            c2 = np.arange(rem + 1, dtype=float)
+            block = np.column_stack([np.full_like(c2, c1), c2, rem - c2]) * grid_step
+        else:
+            g2, g3 = np.meshgrid(np.arange(rem + 1), np.arange(rem + 1), indexing="ij")
+            keep = (g2 + g3) <= rem
+            c2, c3 = g2[keep].astype(float), g3[keep].astype(float)
+            block = np.column_stack([np.full_like(c2, c1), c2, c3, rem - c2 - c3]) * grid_step
+        best = min(best, batch_min(block))
+    return best
+
+
+def assert_matches_reference(p_train, grouping, p_target, grid_step):
+    val = brute_force_min_kl(p_train, grouping, p_target, grid_step=grid_step)
+    ref = reference_brute_force(p_train, grouping, p_target, grid_step)
+    assert type(val) is float
+    # The same points and arithmetic; at k <= 2 the per-point dot products
+    # run through a different BLAS shape and may move by a few ulps.
+    if grouping.k >= 3:
+        assert val == ref, grouping.scheme_id
+    else:
+        assert abs(val - ref) <= 1e-15, grouping.scheme_id
 
 
 def probe_is_no_better(p_train, grouping, p_target, best_kl, n_probes, seed):
@@ -142,6 +194,51 @@ class TestBruteForce:
         g = atom_grouping(GroupingScheme("YSA"))
         with pytest.raises(TooManyGroups):
             brute_force_min_kl(p_train, g, p_uniform)
+
+    @pytest.mark.parametrize("grid_step", [0.01, 0.02])
+    @pytest.mark.parametrize(
+        "bias", [None, (0.55, 0.99), (0.99, 0.55)], ids=["default", "0.55-0.99", "0.99-0.55"]
+    )
+    def test_matches_reference_on_grid_schemes(self, p_train, p_uniform, bias, grid_step):
+        p = p_train if bias is None else biased_distribution(*bias)
+        schemes = {s.name: s for s in reweighting_schemes() + model_based_schemes()}
+        assert len(schemes) == 23
+        seen = set()
+        for scheme in schemes.values():
+            g = atom_grouping(scheme, p)
+            if g.k > 4:
+                continue
+            seen.add(g.k)
+            assert_matches_reference(p, g, p_uniform, grid_step)
+        assert seen == {2, 4}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_reference_on_soft_groupings(self, k):
+        rng = np.random.default_rng(k)
+        for _ in range(5):
+            p = make_distribution(rng.dirichlet(np.ones(8)))
+            target = make_distribution(rng.dirichlet(np.ones(8)))
+            g = SoftGrouping(rng.dirichlet(np.ones(k), size=8), tuple(f"g{i}" for i in range(k)), "dirichlet")
+            for grid_step in (0.02, 0.3):
+                assert_matches_reference(p, g, target, grid_step)
+
+    def test_target_mass_outside_every_group_gives_inf(self, p_uniform):
+        p = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        g = atom_grouping(GroupingScheme("AY"))
+        assert brute_force_min_kl(p, g, p_uniform, grid_step=0.1) == np.inf
+
+    def test_peak_memory_is_bounded(self, p_train, p_uniform):
+        """The k = 4 search at step 0.005 visits 1,373,701 points through
+        buffers sized for the 20,301 points of one leading coordinate."""
+        g = atom_grouping(GroupingScheme("AY"))
+        brute_force_min_kl(p_train, g, p_uniform)  # one-time allocations
+        tracemalloc.start()
+        try:
+            brute_force_min_kl(p_train, g, p_uniform)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6, peak
 
     def test_agrees_with_optimizer_on_small_schemes(self, p_train, p_uniform):
         for scheme in reweighting_schemes():
