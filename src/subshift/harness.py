@@ -8,9 +8,10 @@ Subcommands
     ablate       rerun the sweep under weaker bias and a smaller train set
 
 Reproducibility: every cell derives its RNG seed from
-hash(master_seed, method, scheme, seed index), so extending the scheme list
-never perturbs existing cells, and a repeated run writes byte-identical
-CSVs. Timestamps live only in manifest.json.
+hash(master_seed, method, scheme, seed), the seed's value rather than its
+position in the list, so extending the scheme or seed list never perturbs
+existing cells, and a repeated run writes byte-identical CSVs. Timestamps
+live only in manifest.json.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import sys
 import time
@@ -140,6 +140,8 @@ class ExperimentSpec:
         for field_name in ("n_train", "n_val", "n_test"):
             if getattr(self, field_name) < 1:
                 raise OutOfRange(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
+        if self.train.seed != 0:  # run_sweep would replace it in every cell
+            raise InvalidConfig(f"train.seed is unused (got {self.train.seed}); set master_seed instead")
 
 
 @dataclass(frozen=True)
@@ -285,47 +287,41 @@ def _guarded(fn, *args):
         return False, f"{type(exc).__name__}: {exc}"
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: floats (numpy's included) at six decimals, anything else as str."""
+    lines = [header]
+    lines += [",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def results_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(RESULT_COLUMNS) + "\n")
-    for r in rows:
-        cells = []
-        for col in RESULT_COLUMNS:
-            v = r[col]
-            cells.append(f"{v:.6f}" if isinstance(v, float) else str(v))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    return _csv(",".join(RESULT_COLUMNS), ([r[col] for col in RESULT_COLUMNS] for r in rows))
 
 
-def _aggregate(rows, key_fields, value_field):
+def _aggregate(rows, field):
+    """Mean and SD of one field per (method, grouping), in sorted key order, averaged in row order."""
     agg = {}
     for r in rows:
-        agg.setdefault(tuple(r[k] for k in key_fields), []).append(r[value_field])
-    return {k: (float(np.mean(v)), float(np.std(v))) for k, v in agg.items()}
+        agg.setdefault((r["method"], r["grouping"]), []).append(r[field])
+    return {key: (float(np.mean(agg[key])), float(np.std(agg[key]))) for key in sorted(agg)}
 
 
 def relative_auc_csv(rows) -> str:
-    by_cell = _aggregate(rows, ("method", "grouping"), "test_auc")
+    by_cell = _aggregate(rows, "test_auc")
     erm_mean = {g: m for (meth, g), (m, _) in by_cell.items() if meth == "erm"}
-    buf = io.StringIO()
-    buf.write("method,grouping,mean_test_auc,sd_test_auc,delta_auc_vs_erm\n")
-    for (method, grouping) in sorted(by_cell):
-        mean, sd = by_cell[(method, grouping)]
-        delta = mean - erm_mean.get(grouping, mean)
-        buf.write(f"{method},{grouping},{mean:.6f},{sd:.6f},{delta:.6f}\n")
-    return buf.getvalue()
+    return _csv(
+        "method,grouping,mean_test_auc,sd_test_auc,delta_auc_vs_erm",
+        ((*key, mean, sd, mean - erm_mean.get(key[1], mean)) for key, (mean, sd) in by_cell.items()),
+    )
 
 
 def disparity_csv(rows) -> str:
-    min_s = _aggregate(rows, ("method", "grouping"), "min_acc_S")
-    gap_s = _aggregate(rows, ("method", "grouping"), "gap_S")
-    buf = io.StringIO()
-    buf.write("method,grouping,mean_min_acc_S,sd_min_acc_S,mean_gap_S,sd_gap_S\n")
-    for key in sorted(min_s):
-        m1, s1 = min_s[key]
-        m2, s2 = gap_s[key]
-        buf.write(f"{key[0]},{key[1]},{m1:.6f},{s1:.6f},{m2:.6f},{s2:.6f}\n")
-    return buf.getvalue()
+    min_s = _aggregate(rows, "min_acc_S")
+    gap_s = _aggregate(rows, "gap_S")
+    return _csv(
+        "method,grouping,mean_min_acc_S,sd_min_acc_S,mean_gap_S,sd_gap_S",
+        ((*key, *min_s[key], *gap_s[key]) for key in min_s),
+    )
 
 
 def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
@@ -365,23 +361,16 @@ def correlate_results(rows):
     gdro pairs with its optimal-weight divergence, resampling with the
     uniform-weight one; any other non-baseline method uses the optimal one.
     """
-    methods = sorted({r["method"] for r in rows} - {"erm"})
+    by_cell = _aggregate(rows, "test_auc")
     report = {}
-    for method in methods:
+    for method in sorted({m for m, _ in by_cell} - {"erm"}):
         kl_field = "min_kl_resampling" if method == "resampling" else "min_kl_gdro"
-        per_scheme = {}
-        for r in rows:
-            if r["method"] == method:
-                per_scheme.setdefault(r["grouping"], {"kl": r[kl_field], "aucs": []})
-                per_scheme[r["grouping"]]["aucs"].append(r["test_auc"])
-        if len(per_scheme) < 3:
-            raise InsufficientSchemes(
-                f"{method}: need at least 3 schemes, have {len(per_scheme)}"
-            )
-        names = sorted(per_scheme)
-        x = [per_scheme[n]["kl"] for n in names]
-        y = [float(np.mean(per_scheme[n]["aucs"])) for n in names]
-        sd = [float(np.std(per_scheme[n]["aucs"])) for n in names]
+        kl = {r["grouping"]: r[kl_field] for r in rows if r["method"] == method}
+        if len(kl) < 3:
+            raise InsufficientSchemes(f"{method}: need at least 3 schemes, have {len(kl)}")
+        names = sorted(kl)
+        x = [kl[n] for n in names]
+        y = [by_cell[method, n][0] for n in names]
         r_val, p_val = pearson(x, y)
         report[method] = {
             "r": r_val,
@@ -389,7 +378,7 @@ def correlate_results(rows):
             "schemes": names,
             "min_kl": x,
             "mean_auc": y,
-            "sd_auc": sd,
+            "sd_auc": [by_cell[method, n][1] for n in names],
         }
     return report
 
@@ -397,21 +386,12 @@ def correlate_results(rows):
 def write_correlation_outputs(report, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    buf.write("method,n_schemes,pearson_r,p_value\n")
-    for method in sorted(report):
-        entry = report[method]
-        buf.write(f"{method},{len(entry['schemes'])},{entry['r']:.6f},{entry['p']:.6g}\n")
-    (out / "correlation.csv").write_text(buf.getvalue())
-    for method in sorted(report):
-        entry = report[method]
-        buf = io.StringIO()
-        buf.write("scheme,min_kl,mean_test_auc,sd_test_auc\n")
-        for name, kl, mean, sd in zip(
-            entry["schemes"], entry["min_kl"], entry["mean_auc"], entry["sd_auc"]
-        ):
-            buf.write(f"{name},{kl:.6f},{mean:.6f},{sd:.6f}\n")
-        (out / f"scatter_{method}.csv").write_text(buf.getvalue())
+    entries = sorted(report.items())
+    corr = [(method, len(e["schemes"]), e["r"], f"{e['p']:.6g}") for method, e in entries]
+    (out / "correlation.csv").write_text(_csv("method,n_schemes,pearson_r,p_value", corr))
+    for method, e in entries:
+        scatter = zip(e["schemes"], e["min_kl"], e["mean_auc"], e["sd_auc"])
+        (out / f"scatter_{method}.csv").write_text(_csv("scheme,min_kl,mean_test_auc,sd_test_auc", scatter))
 
 
 def cmd_analyze_kl(args) -> int:
@@ -445,15 +425,19 @@ def cmd_analyze_kl(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_run(args) -> int:
-    spec = _spec_from_args(args)
+def _run_and_write(spec: ExperimentSpec, out) -> RunRecord:
+    """Run the sweep, write its outputs to out, and report every failed cell."""
     record = run_sweep(spec)
-    out = args.out or "out"
     write_run_outputs(record, spec, out)
     print(f"{len(record.rows)} rows -> {out}/results.csv")
     for err in record.errors:
         print(f"cell failed: {err}", file=sys.stderr)
-    return 0 if not record.errors else 1
+    return record
+
+
+def cmd_run(args) -> int:
+    record = _run_and_write(_spec_from_args(args), args.out or "out")
+    return 1 if record.errors else 0
 
 
 def cmd_correlate(args) -> int:
@@ -483,36 +467,27 @@ def cmd_ablate(args) -> int:
         ("weak_shift", replace(spec, p_s0=0.85, p_s1=0.70)),
         ("small_n", replace(spec, n_train=max(spec.n_train // 8, 8))),
     ]
-    summaries = {}
+    base = None
+    failed = False
+    summary = []
     for name, variant_spec in variants:
-        sub = out / name
-        record = run_sweep(variant_spec)
-        write_run_outputs(record, variant_spec, sub)
+        record = _run_and_write(variant_spec, out / name)
+        failed = failed or bool(record.errors)
         report = correlate_results(record.rows)
-        write_correlation_outputs(report, sub)
-        erm_rows = [r for r in record.rows if r["method"] == "erm"]
-        erm_drop = (
-            float(np.mean([r["val_auc"] - r["test_auc"] for r in erm_rows])) if erm_rows else float("nan")
-        )
-        summaries[name] = {"report": report, "erm_drop": erm_drop}
-        print(f"{name}: done ({len(record.rows)} rows)")
-    base = summaries["baseline"]["report"]
-    buf = io.StringIO()
-    buf.write("variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop\n")
-    for name in ("baseline", "weak_shift", "small_n"):
-        entry = summaries[name]
-        for method in sorted(entry["report"]):
-            r_val = entry["report"][method]["r"]
-            p_val = entry["report"][method]["p"]
+        write_correlation_outputs(report, out / name)
+        if base is None:  # the baseline runs first
+            base = report
+        erm_drops = [r["val_auc"] - r["test_auc"] for r in record.rows if r["method"] == "erm"]
+        erm_drop = float(np.mean(erm_drops)) if erm_drops else float("nan")
+        for method, e in sorted(report.items()):
             base_r = base[method]["r"]
-            preserved = int(np.sign(r_val) == np.sign(base_r))
-            buf.write(
-                f"{name},{method},{r_val:.6f},{p_val:.6g},{base_r:.6f},{preserved},{entry['erm_drop']:.6f}\n"
-            )
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation_summary.csv").write_text(buf.getvalue())
+            preserved = int(np.sign(e["r"]) == np.sign(base_r))
+            summary.append((name, method, e["r"], f"{e['p']:.6g}", base_r, preserved, erm_drop))
+    (out / "ablation_summary.csv").write_text(
+        _csv("variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop", summary)
+    )
     print(f"summary -> {out}/ablation_summary.csv")
-    return 0
+    return 1 if failed else 0
 
 
 def _load_config(path) -> dict:

@@ -60,7 +60,6 @@ def accuracy(scores, labels, threshold: float = 0.5) -> float:
 @dataclass(frozen=True)
 class EvalReport:
     overall_auc: float
-    overall_acc: float
     acc_by_a: dict
     acc_by_s: dict
     min_acc_A: float
@@ -91,7 +90,6 @@ def evaluate(model, dataset) -> EvalReport:
     s_vals = list(acc_by_s.values())
     return EvalReport(
         overall_auc=auc(scores, dataset.y),
-        overall_acc=accuracy(scores, dataset.y),
         acc_by_a=acc_by_a,
         acc_by_s=acc_by_s,
         min_acc_A=min(a_vals),

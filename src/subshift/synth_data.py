@@ -63,10 +63,6 @@ class Dataset:
     def with_groups(self, groups: np.ndarray, scheme_name: str, k: int) -> "Dataset":
         return replace(self, group=groups, group_scheme=scheme_name, group_count=k)
 
-    def empirical_distribution(self) -> Distribution:
-        counts = np.bincount(self.atom_indices(), minlength=N_ATOMS).astype(float)
-        return Distribution(counts / counts.sum())
-
 
 def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) -> Dataset:
     """Draw n i.i.d. samples; bitwise deterministic for fixed arguments."""

@@ -115,6 +115,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidScheme, match="'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'"):
             tiny_spec(schemes=("Noisy_AY_0.1", "Noisy_AY_0.10"))
 
+    def test_rejects_train_seed(self):
+        # run_sweep derives every cell's seed from master_seed, so train.seed would be ignored
+        with pytest.raises(InvalidConfig, match="train.seed is unused .got 7.; set master_seed instead"):
+            tiny_spec(train=TrainConfig(epochs=2, seed=7))
+
     def test_y_free_methods_accept_y_free_schemes(self):
         spec = tiny_spec(methods=("gdro", *mitigation.NEEDS_Y_FREE), schemes=("A", "S", "SC_noSC", "Random"))
         assert spec.methods == ("gdro", "domain_ind", "cfair")
@@ -225,6 +230,14 @@ class TestRunSweep:
         four = traced_peak((0, 1, 2, 3))
         assert four <= 1.1 * one, (one, four)
 
+    def test_cell_seed_hashes_seed_value_not_position(self):
+        # (gdro, AY, 1) is first in one sweep and in the middle of the other
+        alone = run_sweep(tiny_spec(seeds=(1,), schemes=("AY",)))
+        among = run_sweep(tiny_spec(seeds=(0, 1), schemes=("Y", "AY", "S")))
+        cell = ("gdro", "AY", 1)
+        [row] = [r for r in alone.rows if (r["method"], r["grouping"], r["seed"]) == cell]
+        assert row in among.rows
+
     def test_programming_error_is_raised_not_recorded(self, monkeypatch):
         def broken_train(*args, **kwargs):
             raise ZeroDivisionError("bug in a trainer")
@@ -333,6 +346,20 @@ class TestCorrelate:
         scatter = (tmp_path / "scatter_gdro.csv").read_text().splitlines()
         assert scatter[0] == "scheme,min_kl,mean_test_auc,sd_test_auc"
         assert len(scatter) == 4
+
+
+# An ablation small enough for a test: small_n trains on 100 samples.
+ABLATE_CONFIG = {
+    "methods": ["erm", "gdro"],
+    "schemes": ["Y", "AY", "S"],
+    "seeds": [0],
+    "n_train": 800,
+    "n_val": 200,
+    "n_test": 400,
+    "feature": {"d_y": 2, "d_a": 2, "d_s": 2},
+    "train": {"epochs": 2},
+}
+ABLATE_VARIANTS = ("baseline", "weak_shift", "small_n")
 
 
 class TestCli:
@@ -467,6 +494,7 @@ class TestCli:
             ('{"train": {"weight_decay": -0.1}}', "weight_decay must be >= 0, got -0.1"),
             ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
             ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
+            ('{"train": {"seed": 12345}}', "train.seed is unused (got 12345); set master_seed instead"),
         ],
         ids=[
             "missing_file",
@@ -484,6 +512,7 @@ class TestCli:
             "weight_decay_negative",
             "lr_decay_epoch_negative",
             "lr_decay_factor_0",
+            "train_seed_nonzero",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
@@ -496,6 +525,44 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert message in err
         assert not out.exists()
+
+    def test_ablate_writes_every_variant(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(ABLATE_CONFIG))
+        csvs = {}
+        for run in ("first", "second"):
+            out = tmp_path / run
+            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            csvs[run] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+        names = ("results", "relative_auc", "disparity", "correlation", "scatter_gdro")
+        for variant in ABLATE_VARIANTS:
+            for name in names:
+                assert f"{variant}/{name}.csv" in csvs["first"]
+        assert csvs["first"] == csvs["second"]
+        summary = csvs["first"]["ablation_summary.csv"].decode().splitlines()
+        assert summary[0] == "variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop"
+        assert [line.split(",")[:2] for line in summary[1:]] == [[v, "gdro"] for v in ABLATE_VARIANTS]
+        assert summary[1].split(",")[5] == "1"
+
+    def test_ablate_reports_failed_cells_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        config = dict(ABLATE_CONFIG, schemes=["A", "Y", "AY", "S"])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        failing = _derive_seed(0, "gdro", "A", 0)  # the same cell seed in every variant
+        real_train = mitigation.train
+
+        def flaky_train(method, dataset, cfg, val=None):
+            if cfg.seed == failing:
+                raise EmptyGroup("injected")
+            return real_train(method, dataset, cfg, val=val)
+
+        monkeypatch.setattr(mitigation, "train", flaky_train)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        failures = [l for l in capsys.readouterr().err.splitlines() if l.startswith("cell failed: ")]
+        assert len(failures) == len(ABLATE_VARIANTS)
+        assert all("'gdro'" in l and "'A'" in l and "EmptyGroup: injected" in l for l in failures)
+        assert len((out / "ablation_summary.csv").read_text().splitlines()) == 1 + len(ABLATE_VARIANTS)
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -566,6 +633,7 @@ def _malformed_configs():
         st.tuples(st.sampled_from(["lr", "weight_decay", "lr_decay_factor"]), st.just(float("nan"))),
         st.tuples(st.just("jtt_stage1_epochs"), st.floats()),  # JSON floats never fit an int field
         st.tuples(st.just("domain_ind_rule"), names.filter(lambda n: n not in ("max_abs", "sum"))),
+        st.tuples(st.just("seed"), st.integers().filter(bool)),  # cells derive seeds from master_seed
     ).map(lambda kv: {"train": {"epochs": 1, kv[0]: kv[1]}})
     return st.one_of(unknown, repeated, st.one_of(small, bias).map(lambda kv: dict([kv])), train)
 

@@ -105,11 +105,6 @@ class TestSampleDataset:
         score = auc(model.predict_scores(test_ds.features), test_ds.y)
         assert 0.48 <= score <= 0.52
 
-    def test_empirical_distribution_matches_counts(self, big_biased):
-        probs = big_biased.empirical_distribution().probs
-        counts = np.bincount(big_biased.atom_indices(), minlength=8)
-        assert np.allclose(probs, counts / counts.sum(), atol=1e-15)
-
 
 class TestMakeSplits:
     def test_sources(self):
