@@ -55,6 +55,11 @@ __all__ = [
 JTT_STAGE1_GRID = (1, 2)
 JTT_UPWEIGHT_GRID = (5.0, 20.0, 50.0)
 
+# 1024 rows x 15 features x 16 hidden units stays under OpenBLAS's
+# single-thread GEMM cutoff (65,536 x 4 multiply-adds), and no whole-split
+# activation is allocated.
+_SCORE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -105,13 +110,22 @@ class TrainedModel:
     info: dict = field(default_factory=dict)
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = nnet.forward(self.params, x)
-        if logits.ndim == 1:
-            return expit(logits)
-        if self.method == "domain_ind" and self.config.domain_ind_rule == "sum":
-            return expit(logits.sum(axis=1))
-        pick = np.argmax(np.abs(logits), axis=1)
-        return expit(logits[np.arange(len(logits)), pick])
+        """Scores for every row of x, computed _SCORE_BLOCK rows at a time.
+
+        Several heads reduce to one logit per row by the largest |logit|, or
+        by their sum for domain_ind under the "sum" rule.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        scores = np.empty(len(x))
+        for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
+            logits, _ = nnet.forward(self.params, x[start:stop])
+            if logits.ndim == 2:
+                if self.method == "domain_ind" and self.config.domain_ind_rule == "sum":
+                    logits = logits.sum(axis=1)
+                else:
+                    logits = logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)]
+            scores[start:stop] = expit(logits)
+        return scores
 
 
 def _group_count(dataset) -> int:
@@ -334,10 +348,8 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
 
     best = None
     for s1 in s1_grid:
-        stage1_cfg = replace(cfg, epochs=int(s1))
-        stage1_params, _ = _fit(dataset, stage1_cfg, _bce_step(dataset))
-        logits, _ = nnet.forward(stage1_params, dataset.features)
-        wrong = (expit(logits) >= 0.5).astype(int) != dataset.y
+        stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)))
+        wrong = (stage1.predict_scores(dataset.features) >= 0.5).astype(int) != dataset.y
         if not wrong.any():
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
         for lam in up_grid:

@@ -31,6 +31,7 @@ __all__ = [
     "AdamState",
     "init_params",
     "forward",
+    "row_blocks",
     "expit",
     "bce_loss_and_grad",
     "per_sample_losses",
@@ -117,6 +118,23 @@ def forward(params: ModelParams, x: np.ndarray):
     if params.n_heads == 1:
         logits = logits[:, 0]
     return logits, hidden
+
+
+def row_blocks(n: int, size: int):
+    """Yield (start, stop) row ranges of size rows that cover range(n).
+
+    Each product over the blocks rounds as one product over all n rows
+    would: every block starts at a multiple of size, where BLAS's row
+    unrolling lines up as it does over the whole range, and a lone last row,
+    which numpy would multiply as a matrix-vector product, joins the block
+    before it, which then has size + 1 rows.
+    """
+    for start in range(0, n, size):
+        stop = start + size
+        if stop >= n - 1:
+            yield start, n
+            return
+        yield start, stop
 
 
 @np.errstate(over="ignore")  # cheaper per call as a decorator than as a with block

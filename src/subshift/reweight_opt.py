@@ -26,6 +26,7 @@ import numpy as np
 from .dist_core import Distribution, kl_divergence, reweighted_distribution
 from .errors import EmptyGroup, OutOfRange, SupportMismatch, TooManyGroups
 from .grouping import SoftGrouping, atom_grouping
+from .nnet import row_blocks
 
 __all__ = [
     "WeightVector",
@@ -36,6 +37,10 @@ __all__ = [
     "brute_force_min_kl",
     "table_to_csv",
 ]
+
+# Grid points per product: 1024 x k <= 4 coordinates x 8 atoms stays far under
+# OpenBLAS's single-thread GEMM cutoff, and the buffers stay a few tens of KB.
+_GRID_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -152,11 +157,13 @@ def brute_force_min_kl(
     0.005), and returns the minimum divergence found. Exponential in k,
     hence restricted to k <= 4.
 
-    The points stream through fixed-size buffers, one leading coordinate c1
-    at a time. The middle coordinates (c2[, c3]) are tabulated once in order
-    of their sum, so the points with room for a given c1 are a prefix of
-    that table. The right operand of the product is kept C-contiguous: a
-    transposed view sometimes ran 48-75x slower under threaded OpenBLAS.
+    The points stream through buffers of _GRID_BLOCK rows, one leading
+    coordinate c1 at a time. The middle coordinates (c2[, c3]) are tabulated
+    once in order of their sum, so the points with room for a given c1 are a
+    prefix of that table, which is walked in nnet.row_blocks slices. Each
+    slice's product stays on OpenBLAS's single-thread path and rounds as one
+    product over the whole prefix would, so the result does not depend on
+    the block size.
     """
     k = grouping.k
     if k > 4:
@@ -175,33 +182,37 @@ def brute_force_min_kl(
             return float(entropy_part - (np.log(r_pos_t) @ t_pos)[0])
 
     # Middle points ordered by their sum s: one empty point at k = 2, c2 = s
-    # at k = 3, and c2 = 0..s with c3 = s - c2 at k = 4. Row j of the block is
+    # at k = 3, and c2 = 0..s with c3 = s - c2 at k = 4. Row j of a block is
     # (c1, middle point j, n - c1 - sums[j]) * grid_step.
     s = np.arange(n + 1.0) if k > 2 else np.zeros(1)
     sums = np.repeat(s, np.arange(1, n + 2)) if k == 4 else s
-    block = np.empty((len(sums), k))
+    middle = np.empty((len(sums), k - 2))
     if k == 3:
-        block[:, 1] = sums
+        middle[:, 0] = sums
     elif k == 4:
-        np.subtract(np.arange(len(sums)), sums * (sums + 1.0) / 2.0, out=block[:, 1])
-        np.subtract(sums, block[:, 1], out=block[:, 2])
-    block[:, 1:-1] *= grid_step
-    pw = np.empty((len(sums), len(t_pos)))
-    dots = np.empty(len(sums))
+        np.subtract(np.arange(len(sums)), sums * (sums + 1.0) / 2.0, out=middle[:, 0])
+        np.subtract(sums, middle[:, 0], out=middle[:, 1])
+    middle *= grid_step
+    rows = min(len(sums), _GRID_BLOCK + 1)  # row_blocks may end on a block one row longer
+    block = np.empty((rows, k))
+    pw = np.empty((rows, len(t_pos)))
+    dots = np.empty(rows)
 
     best = -np.inf
     with np.errstate(divide="ignore"):  # log 0 = -inf where a point misses target mass
         for c1 in range(n + 1):
             rem = n - c1
             m = int(np.searchsorted(sums, rem, side="right"))
-            w, p, d = block[:m], pw[:m], dots[:m]
-            w[:, 0] = c1 * grid_step
-            np.subtract(rem, sums[:m], out=w[:, -1])
-            w[:, -1] *= grid_step
-            np.matmul(w, r_pos_t, out=p)
-            np.log(p, out=p)
-            np.matmul(p, t_pos, out=d)
-            best = max(best, d.max())
+            block[:, 0] = c1 * grid_step
+            for start, stop in row_blocks(m, _GRID_BLOCK):
+                w, p, d = block[: stop - start], pw[: stop - start], dots[: stop - start]
+                w[:, 1:-1] = middle[start:stop]
+                np.subtract(rem, sums[start:stop], out=w[:, -1])
+                w[:, -1] *= grid_step
+                np.matmul(w, r_pos_t, out=p)
+                np.log(p, out=p)
+                np.matmul(p, t_pos, out=d)
+                best = max(best, d.max())
     # Rounding is monotone, so entropy_part - max(dots) is exactly min(entropy_part - dots).
     return float(entropy_part - best)
 

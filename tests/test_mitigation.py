@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -296,6 +298,42 @@ class TestDomainInd:
             history=(),
         )
         assert summed.predict_scores(x)[0] == pytest.approx(expit(-1.0))
+
+
+class TestPredictScores:
+    """Full-split scoring runs in 1024-row blocks."""
+
+    @pytest.mark.parametrize("n", (1, 1023, 1024, 1025, 2500))
+    @pytest.mark.parametrize(
+        "n_heads, rule", ((1, "max_abs"), (3, "max_abs"), (3, "sum")), ids=("one-head", "max_abs", "sum")
+    )
+    def test_blocks_match_one_unblocked_forward(self, rng, n, n_heads, rule):
+        params = nnet.init_params(15, hidden=16, n_heads=n_heads, seed=1)
+        params.flat[:] += rng.normal(size=params.flat.shape)  # spread the logits
+        x = rng.normal(size=(n, 15))
+        model = TrainedModel(
+            params=params, method="domain_ind", config=TrainConfig(domain_ind_rule=rule), history=()
+        )
+        logits, _ = nnet.forward(params, x)
+        if n_heads > 1 and rule == "sum":
+            logits = logits.sum(axis=1)
+        elif n_heads > 1:
+            logits = logits[np.arange(n), np.argmax(np.abs(logits), axis=1)]
+        np.testing.assert_array_equal(model.predict_scores(x), nnet.expit(logits))
+
+    def test_peak_memory_is_bounded(self, rng):
+        """Scoring holds the [n] score vector and one block's activations,
+        never an [n, hidden] activation of the whole split."""
+        x = rng.normal(size=(200_000, 15))
+        model = TrainedModel(params=nnet.init_params(15, seed=0), method="erm", config=TrainConfig(), history=())
+        model.predict_scores(x)  # one-time allocations
+        tracemalloc.start()
+        try:
+            model.predict_scores(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * x.shape[0] * 8, peak  # twice the 1.6 MB score vector
 
 
 class TestCfair:
