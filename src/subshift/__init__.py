@@ -59,6 +59,6 @@ from .reweight_opt import (
     resampling_weights,
     table_to_csv,
 )
-from .synth_data import Dataset, FeatureConfig, make_splits, sample_dataset
+from .synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
 
 __version__ = "0.1.0"

@@ -182,8 +182,9 @@ def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distri
     atoms = dataset.atom_indices()
     u = np.random.default_rng(seed).random(len(atoms))
     cdf = np.cumsum(grouping.assign, axis=1)
-    cdf[:, -1] = 1.0
-    groups = (cdf[atoms] <= u[:, None]).sum(axis=1, dtype=np.int64)
+    groups = np.zeros(len(atoms), dtype=np.int64)
+    for c in range(grouping.k - 1):  # the last column is 1 > u and never counts
+        groups += cdf[atoms, c] <= u
     return dataset.with_groups(groups, scheme.name, grouping.k)
 
 

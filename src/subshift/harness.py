@@ -42,7 +42,7 @@ from .grouping import GroupingScheme, annotate_samples, atom_grouping, is_y_free
 from .metrics import auc, evaluate, pearson
 from .mitigation import TrainConfig
 from .reweight_opt import min_kl_table, table_to_csv
-from .synth_data import FeatureConfig, make_splits
+from .synth_data import FeatureConfig, make_splits, make_test_split
 
 __all__ = [
     "ExperimentSpec",
@@ -177,16 +177,21 @@ def compute_kl_rows(scheme_names, p_s0: float, p_s1: float) -> list:
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
     """Train and evaluate every (method, scheme, seed) cell.
 
-    The sweep runs seed by seed. Each seed draws its splits, trains ERM once
-    (ERM ignores the grouping, so its row is replicated across schemes), then
-    annotates train and val with one scheme at a time just before that
-    scheme's cells. Only one seed's splits and one scheme's annotation are
-    alive at a time, so memory does not grow with the number of seeds or
-    schemes. Cells run one after another: the work is Python and numpy
-    dispatch that holds the interpreter lock, so threads would not overlap
-    it. A cell that raises a SubshiftError is recorded as an error row and
-    skipped; any other exception is a bug and propagates. Error rows come
-    out in spec order (method, then scheme, then seed), not run order.
+    The sweep runs seed by seed, and each seed in two phases, fit then
+    score. The fit phase draws the seed's train and val splits, trains ERM
+    once (ERM ignores the grouping, so its row is replicated across
+    schemes), then annotates train and val with one scheme at a time just
+    before that scheme's cells, and records each model's validation AUC.
+    The score phase releases train, val and the annotations, draws the
+    seed's test split and evaluates every fitted model on it. A sweep thus
+    holds one seed's train/val while fitting, its test split while scoring,
+    and one scheme's annotation at a time, so memory does not grow with the
+    number of seeds or schemes. Cells run one after another: the work is
+    Python and numpy dispatch that holds the interpreter lock, so threads
+    would not overlap it. A cell that raises a SubshiftError in either phase
+    is recorded as one error row and skipped; any other exception is a bug
+    and propagates. Error rows come out in spec order (method, then scheme,
+    then seed), not run order.
     """
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
@@ -204,41 +209,26 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     errors = []  # (spec position, error row)
     grouped = [(m, method) for m, method in enumerate(spec.methods) if method != "erm"]
 
-    def run_cell(position, method, name, seed, train, val, test):
-        cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name or "-", seed))
-        ok, payload = _guarded(_train_and_score, method, cfg, train, val, test)
-        if not ok:
-            errors.append((position, {"method": method, "grouping": name or "-", "seed": seed, "error": payload}))
-            return
-        for scheme_name in spec.schemes if name is None else (name,):
-            kl = kl_by_scheme[scheme_name]
-            rows.append(
-                {
-                    "method": method,
-                    "seed": seed,
-                    **payload,
-                    "grouping": scheme_name,
-                    "min_kl_gdro": kl.kl_gdro,
-                    "min_kl_resampling": kl.kl_resampling,
-                }
-            )
+    def fail(position, method, name, seed, message):
+        errors.append((position, {"method": method, "grouping": name or "-", "seed": seed, "error": message}))
 
-    def run_seed(i, seed):
-        train, val, test = make_splits(
-            spec.feature,
-            spec.n_train,
-            spec.n_val,
-            spec.n_test,
-            spec.p_s0,
-            spec.p_s1,
-            seed=_derive_seed(spec.master_seed, "data", seed),
-        )
+    def fit_seed(i, seed, data_seed):
+        """Fit every cell of one seed; returns (position, method, name, model, val AUC) per fitted cell."""
+        fitted = []
+
+        def fit_cell(position, method, name, train, val):
+            cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name or "-", seed))
+            ok, payload = _guarded(_fit_cell, method, cfg, train, val)
+            if ok:
+                fitted.append((position, method, name, *payload))
+            else:
+                fail(position, method, name, seed, payload)
+
+        train, val = make_splits(spec.feature, spec.n_train, spec.n_val, spec.p_s0, spec.p_s1, seed=data_seed)
         for m, method in enumerate(spec.methods):
             if method == "erm":
-                run_cell((m, 0, i), method, None, seed, train, val, test)
-        if not grouped:
-            return
-        for j, name in enumerate(spec.schemes):
+                fit_cell((m, 0, i), method, None, train, val)
+        for j, name in enumerate(spec.schemes if grouped else ()):
             scheme = GroupingScheme.from_name(name)
             ann_train = annotate_samples(
                 train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
@@ -247,11 +237,35 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
                 val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
             )
             for m, method in grouped:
-                run_cell((m, j, i), method, name, seed, ann_train, ann_val, test)
+                fit_cell((m, j, i), method, name, ann_train, ann_val)
             del ann_train, ann_val  # before the next scheme annotates
+        return fitted
+
+    def score_seed(seed, data_seed, fitted):
+        test = make_test_split(spec.feature, spec.n_test, seed=data_seed)
+        for position, method, name, model, val_auc in fitted:
+            ok, payload = _guarded(_score_cell, model, test)
+            if not ok:
+                fail(position, method, name, seed, payload)
+                continue
+            for scheme_name in spec.schemes if name is None else (name,):
+                kl = kl_by_scheme[scheme_name]
+                rows.append(
+                    {
+                        "method": method,
+                        "seed": seed,
+                        "val_auc": val_auc,
+                        **payload,
+                        "grouping": scheme_name,
+                        "min_kl_gdro": kl.kl_gdro,
+                        "min_kl_resampling": kl.kl_resampling,
+                    }
+                )
 
     for i, seed in enumerate(spec.seeds):
-        run_seed(i, seed)
+        data_seed = _derive_seed(spec.master_seed, "data", seed)
+        fitted = fit_seed(i, seed, data_seed)  # train and val die when fit_seed returns
+        score_seed(seed, data_seed, fitted)
 
     rows.sort(key=lambda r: (r["method"], r["grouping"], r["seed"]))
     errors.sort(key=lambda e: e[0])
@@ -266,12 +280,15 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     )
 
 
-def _train_and_score(method, cfg, train, val, test) -> dict:
+def _fit_cell(method, cfg, train, val):
+    """Train one cell; returns the model and its validation AUC."""
     model = mitigation.train(method, train, cfg, val=val)
-    val_auc = auc(model.predict_scores(val.features), val.y)
+    return model, auc(model.predict_scores(val.features), val.y)
+
+
+def _score_cell(model, test) -> dict:
     report = evaluate(model, test)
     return {
-        "val_auc": val_auc,
         "test_auc": report.overall_auc,
         "min_acc_A": report.min_acc_A,
         "gap_A": report.gap_A,

@@ -164,8 +164,7 @@ def _check_y_free(dataset, k: int) -> None:
                 raise YBasedGrouping(f"{name} groups are a function of y")
             return
     for g in range(k):
-        labels = np.unique(dataset.y[dataset.group == g])
-        if len(labels) < 2:
+        if not np.bincount(dataset.y[dataset.group == g], minlength=2).all():
             raise YBasedGrouping(
                 f"group {g} contains a single class; grouping may encode y"
             )
@@ -250,11 +249,11 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
     def step(params, batch):
         g_b = groups[batch]
         sample_loss = nnet.per_sample_losses(params, x[batch], y[batch])
-        for g in np.unique(g_b):
+        counts = np.bincount(g_b, minlength=k).astype(float)
+        for g in np.flatnonzero(counts):
             mean_loss = float(sample_loss[g_b == g].mean())
             q[g] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[g]))
         q[:] /= q.sum()
-        counts = np.bincount(g_b, minlength=k).astype(float)
         w = len(batch) * q[g_b] / counts[g_b]
         return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w)
 

@@ -5,6 +5,12 @@ Gaussian feature blocks encode the three variables: block b is spherical
 noise centered at mu_b * (2v - 1) * ones(d_b) for the block's binary value
 v. With mu_a > mu_y the shortcut block is the larger-margin signal, which
 is what lets an unmitigated learner inherit the training correlation.
+
+One data seed yields three independent streams: make_splits draws the
+biased train and val splits from the first two, and make_test_split draws
+the uniform test split from the third. Drawing the test split on its own
+lets a caller fit on train and val, release them, and only then draw the
+data it scores.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from .dist_core import Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
 from .errors import OutOfRange
 
-__all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits"]
+__all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits", "make_test_split"]
 
 
 @dataclass(frozen=True)
@@ -85,19 +91,18 @@ def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) ->
     return Dataset(features=features, y=y, s=s, a=a)
 
 
-def make_splits(
-    cfg: FeatureConfig,
-    n_train: int,
-    n_val: int,
-    n_test: int,
-    p_s0: float,
-    p_s1: float,
-    seed: int,
-):
-    """Biased train/val plus a distribution-shifted uniform test split."""
+def _split_seeds(seed: int) -> tuple[int, int, int]:
+    """The train, val and test stream seeds of one data seed."""
+    return tuple(int(x) for x in np.random.SeedSequence(seed).generate_state(3))
+
+
+def make_splits(cfg: FeatureConfig, n_train: int, n_val: int, p_s0: float, p_s1: float, seed: int):
+    """Biased train and val splits of one data seed."""
     biased = biased_distribution(p_s0, p_s1)
-    s_train, s_val, s_test = (int(x) for x in np.random.SeedSequence(seed).generate_state(3))
-    train = sample_dataset(biased, n_train, cfg, s_train)
-    val = sample_dataset(biased, n_val, cfg, s_val)
-    test = sample_dataset(uniform_distribution(), n_test, cfg, s_test)
-    return train, val, test
+    s_train, s_val, _ = _split_seeds(seed)
+    return sample_dataset(biased, n_train, cfg, s_train), sample_dataset(biased, n_val, cfg, s_val)
+
+
+def make_test_split(cfg: FeatureConfig, n_test: int, seed: int) -> Dataset:
+    """The distribution-shifted uniform test split of one data seed."""
+    return sample_dataset(uniform_distribution(), n_test, cfg, _split_seeds(seed)[2])

@@ -182,6 +182,17 @@ def per_atom_annotation(dataset, scheme, seed, p_train):
     return groups
 
 
+def cdf_matrix_annotation(dataset, scheme, seed, p_train):
+    """The [n, k] formula annotate_samples used before it counted one CDF
+    column at a time: the number of CDF entries at or below u."""
+    grouping = atom_grouping(scheme, p_train)
+    atoms = dataset.atom_indices()
+    u = np.random.default_rng(seed).random(len(atoms))
+    cdf = np.cumsum(grouping.assign, axis=1)
+    cdf[:, -1] = 1.0
+    return (cdf[atoms] <= u[:, None]).sum(axis=1, dtype=np.int64)
+
+
 class TestAnnotateSamples:
     @pytest.mark.parametrize("kind", sorted(HARD_INDEX_SETS))
     def test_hard_ay_matches_cells(self, big_dataset, kind):
@@ -199,6 +210,7 @@ class TestAnnotateSamples:
             expected = per_atom_annotation(big_dataset, scheme, seed, p_train)
             assert got.dtype == np.int64
             assert np.array_equal(got, expected)
+            assert np.array_equal(got, cdf_matrix_annotation(big_dataset, scheme, seed, p_train))
 
     def test_deterministic_given_seed(self, p_train, big_dataset):
         a = annotate_samples(big_dataset, GroupingScheme("Random"), seed=42)

@@ -230,6 +230,53 @@ class TestRunSweep:
         four = traced_peak((0, 1, 2, 3))
         assert four <= 1.1 * one, (one, four)
 
+    def test_each_seed_draws_its_test_split_after_fitting(self, monkeypatch):
+        """Fit then score: a seed's test split is drawn only once every cell
+        of that seed has trained."""
+        spec = tiny_spec(seeds=(0, 1))
+        seed_of = {_derive_seed(spec.master_seed, "data", seed): seed for seed in spec.seeds}
+        for seed in spec.seeds:
+            seed_of[_derive_seed(spec.master_seed, "erm", "-", seed)] = seed
+            for name in spec.schemes:
+                seed_of[_derive_seed(spec.master_seed, "gdro", name, seed)] = seed
+        calls = []
+        real_train, real_test_split = mitigation.train, harness.make_test_split
+
+        def recording_train(method, dataset, cfg, val=None):
+            calls.append(("train", seed_of[cfg.seed]))
+            return real_train(method, dataset, cfg, val=val)
+
+        def recording_test_split(cfg, n_test, seed):
+            calls.append(("test", seed_of[seed]))
+            return real_test_split(cfg, n_test, seed)
+
+        monkeypatch.setattr(mitigation, "train", recording_train)
+        monkeypatch.setattr(harness, "make_test_split", recording_test_split)
+        record = run_sweep(spec)
+        assert record.errors == ()
+        cells = 1 + len(spec.schemes)  # ERM once, gdro per scheme
+        assert calls == [("train", 0)] * cells + [("test", 0)] + [("train", 1)] * cells + [("test", 1)]
+
+    def test_sweep_never_imports_numpy_ma(self):
+        """gDRO's step and the y-free check count groups with np.bincount;
+        np.unique would import numpy.ma on its first call."""
+        code = (
+            "import sys\n"
+            "from dataclasses import replace\n"
+            "from subshift import (ExperimentSpec, FeatureConfig, GroupingScheme, TrainConfig, annotate_samples,\n"
+            "                      biased_distribution, run_sweep, sample_dataset, train)\n"
+            "spec = ExperimentSpec(methods=('erm', 'gdro'), schemes=('A', 'AY'), seeds=(0,),\n"
+            "                      n_train=200, n_val=100, n_test=200, train=TrainConfig(epochs=1))\n"
+            "assert run_sweep(spec).errors == ()\n"
+            "tr = sample_dataset(biased_distribution(0.95, 0.8), 200, FeatureConfig(), seed=0)\n"
+            "unnamed = replace(annotate_samples(tr, GroupingScheme('A'), seed=0), group_scheme=None)\n"
+            "train('domain_ind', unnamed, TrainConfig(epochs=1))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_cell_seed_hashes_seed_value_not_position(self):
         # (gdro, AY, 1) is first in one sweep and in the middle of the other
         alone = run_sweep(tiny_spec(seeds=(1,), schemes=("AY",)))

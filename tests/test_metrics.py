@@ -6,7 +6,7 @@ from subshift.dist_core import uniform_distribution
 from subshift.errors import DegenerateInput, MissingCell, SingleClass
 from subshift.metrics import EvalReport, _average_ranks, _betainc, accuracy, auc, evaluate, pearson
 from subshift.mitigation import TrainConfig, train_erm
-from subshift.synth_data import Dataset, FeatureConfig, make_splits, sample_dataset
+from subshift.synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
 
 
 def pairwise_auc(scores, labels):
@@ -162,7 +162,8 @@ class TestEvaluate:
     def test_shortcut_model_disparity_shrinks_on_balanced_split(self):
         """The s gap comes from a-imbalance across s; the uniform test split
         balances a within each s value and the gap collapses."""
-        tr, va, te = make_splits(FeatureConfig(), 4000, 2000, 4000, 0.95, 0.8, seed=1)
+        tr, va = make_splits(FeatureConfig(), 4000, 2000, 0.95, 0.8, seed=1)
+        te = make_test_split(FeatureConfig(), 4000, seed=1)
         model = train_erm(tr, TrainConfig(seed=0))
         assert evaluate(model, va).gap_S > evaluate(model, te).gap_S
 

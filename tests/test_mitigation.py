@@ -21,7 +21,7 @@ from subshift.mitigation import (
     train_jtt,
     train_resampling,
 )
-from subshift.synth_data import Dataset, FeatureConfig, make_splits, sample_dataset
+from subshift.synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
 
 SHARED_BLOCKS = ("w1", "b1", "w_heads", "b_heads")
 
@@ -161,7 +161,8 @@ class TestErm:
 
     def test_no_shortcut_means_no_generalization_drop(self):
         """With the shortcut block silenced there is nothing spurious to learn."""
-        tr, va, te = make_splits(FeatureConfig(mu_a=0.0), 4000, 1000, 2000, 0.95, 0.8, seed=5)
+        tr, va = make_splits(FeatureConfig(mu_a=0.0), 4000, 1000, 0.95, 0.8, seed=5)
+        te = make_test_split(FeatureConfig(mu_a=0.0), 2000, seed=5)
         model = train_erm(tr, TrainConfig(seed=0))
         gap = auc(model.predict_scores(va.features), va.y) - auc(
             model.predict_scores(te.features), te.y
@@ -191,7 +192,7 @@ class TestGdro:
 
     def test_weight_drifts_toward_conflicting_groups(self):
         """At realistic scale the bias-conflicting pairs accumulate weight."""
-        tr, _, _ = make_splits(FeatureConfig(), 8000, 10, 10, 0.95, 0.8, seed=0)
+        tr, _ = make_splits(FeatureConfig(), 8000, 10, 0.95, 0.8, seed=0)
         ds = annotate_samples(tr, GroupingScheme("AY"), seed=0)
         model = train_gdro(ds, TrainConfig(seed=0))
         q = model.history[-1]["group_weights"]

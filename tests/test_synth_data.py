@@ -5,7 +5,7 @@ from subshift.dist_core import N_ATOMS, biased_distribution, uniform_distributio
 from subshift.errors import OutOfRange
 from subshift.metrics import auc
 from subshift.mitigation import TrainConfig, train
-from subshift.synth_data import FeatureConfig, make_splits, sample_dataset
+from subshift.synth_data import FeatureConfig, make_splits, make_test_split, sample_dataset
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ class TestMakeSplits:
     def test_sources(self):
         """Train and val are drawn from the biased distribution, test from the uniform one."""
         cfg = FeatureConfig(d_y=1, d_a=1, d_s=1)
-        splits = make_splits(cfg, 80_000, 80_000, 80_000, 0.95, 0.8, seed=0)
+        splits = (*make_splits(cfg, 80_000, 80_000, 0.95, 0.8, seed=0), make_test_split(cfg, 80_000, seed=0))
         biased = biased_distribution(0.95, 0.8).probs
         for ds, probs in zip(splits, (biased, biased, uniform_distribution().probs)):
             freq = np.bincount(ds.atom_indices(), minlength=N_ATOMS) / len(ds)
@@ -118,7 +118,8 @@ class TestMakeSplits:
 
     def test_child_seeds_distinct(self):
         cfg = FeatureConfig(d_y=1, d_a=1, d_s=1)
-        tr, va, te = make_splits(cfg, 100, 100, 100, 0.5, 0.5, seed=0)
+        tr, va = make_splits(cfg, 100, 100, 0.5, 0.5, seed=0)
+        te = make_test_split(cfg, 100, seed=0)
         # equal sizes and sources, so only the seed tells the splits apart
         assert not np.array_equal(tr.features, va.features)
         assert not np.array_equal(tr.features, te.features)
@@ -126,15 +127,32 @@ class TestMakeSplits:
 
     def test_deterministic(self):
         cfg = FeatureConfig(d_y=1, d_a=1, d_s=1)
-        a = make_splits(cfg, 200, 100, 200, 0.95, 0.8, seed=4)
-        b = make_splits(cfg, 200, 100, 200, 0.95, 0.8, seed=4)
+        a = (*make_splits(cfg, 200, 100, 0.95, 0.8, seed=4), make_test_split(cfg, 200, seed=4))
+        b = (*make_splits(cfg, 200, 100, 0.95, 0.8, seed=4), make_test_split(cfg, 200, seed=4))
         for da, db in zip(a, b):
             assert np.array_equal(da.features, db.features)
             assert np.array_equal(da.y, db.y)
 
+    def test_splits_draw_the_seed_sequence_streams(self):
+        """Train, val and test take the three SeedSequence(seed) streams in
+        order, whichever call draws them."""
+        cfg = FeatureConfig(d_y=1, d_a=1, d_s=1)
+        streams = [int(x) for x in np.random.SeedSequence(9).generate_state(3)]
+        biased = biased_distribution(0.95, 0.8)
+        expected = (
+            sample_dataset(biased, 120, cfg, streams[0]),
+            sample_dataset(biased, 60, cfg, streams[1]),
+            sample_dataset(uniform_distribution(), 90, cfg, streams[2]),
+        )
+        got = (*make_splits(cfg, 120, 60, 0.95, 0.8, seed=9), make_test_split(cfg, 90, seed=9))
+        for ds, want in zip(got, expected):
+            assert np.array_equal(ds.features, want.features)
+            assert np.array_equal(ds.atom_indices(), want.atom_indices())
+
     def test_no_shift_means_no_generalization_drop(self):
         """With matched train and test distributions the val to test gap closes."""
-        tr, va, te = make_splits(FeatureConfig(), 4000, 2000, 4000, 0.5, 0.5, seed=11)
+        tr, va = make_splits(FeatureConfig(), 4000, 2000, 0.5, 0.5, seed=11)
+        te = make_test_split(FeatureConfig(), 4000, seed=11)
         model = train("erm", tr, TrainConfig(epochs=10, seed=0))
         val_auc = auc(model.predict_scores(va.features), va.y)
         test_auc = auc(model.predict_scores(te.features), te.y)
