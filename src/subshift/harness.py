@@ -198,11 +198,17 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
     kl_by_scheme = {r.scheme: r for r in kl_rows}
 
+    # Train group g draws each sample with probability pi_g, so the expected
+    # number of empty groups, sum_g (1 - pi_g)^n_train, bounds the chance
+    # that any is empty; above 1% the sweep warns. A warning, not an error:
+    # an empty group only fails the cells it reaches, as error rows.
     for name in spec.schemes:
-        k = atom_grouping(GroupingScheme.from_name(name), p_train).k
-        if spec.n_train < 8 * k:
+        grouping = atom_grouping(GroupingScheme.from_name(name), p_train)
+        empty = float(np.sum((1.0 - p_train.probs @ grouping.assign) ** spec.n_train))
+        if empty > 0.01:
             warnings.warn(
-                f"n_train={spec.n_train} risks empty groups for {name} (k={k})"
+                f"n_train={spec.n_train} risks empty groups for {name} (k={grouping.k}): "
+                f"{empty:.2g} expected empty train groups"
             )
 
     rows = []

@@ -14,8 +14,9 @@ All of them train through one loop, ``_fit``. A method differs from another
 only in three things it hands that loop: how an epoch's batches are drawn
 (``batches(rng)``), what one step computes from a batch (``step(params,
 batch)``, which weights samples, routes heads or trains adversaries), and
-the model's shape (``n_heads``, ``adv_groups``). JTT runs ``_fit`` once for
-stage one and once per upweighting candidate.
+the model's shape (``n_heads``, ``adv_groups``). ``_fit`` owns the
+parameters, Adam's moments and the step count, and updates them in place.
+JTT runs ``_fit`` once for stage one and once per upweighting candidate.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
 label, since their mechanisms would leak y into inference; the check uses
@@ -26,6 +27,7 @@ test.
 from __future__ import annotations
 
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -80,7 +82,8 @@ class TrainConfig:
 
     def __post_init__(self):
         # A None JTT field means "tune it"; any value that is set must be in range.
-        # The comparisons are written so that NaN fails them.
+        # The comparisons are written so that NaN fails them, and a JSON
+        # integer too large for a float fails the finiteness test.
         for name in ("epochs", "batch_size", "hidden", "jtt_stage1_epochs"):
             value = getattr(self, name)
             if value is None:
@@ -89,11 +92,17 @@ class TrainConfig:
                 raise OutOfRange(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise OutOfRange(f"{name} must be >= 1, got {value}")
+        for name in (
+            "lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu", "jtt_upweight"
+        ):
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise OutOfRange(f"{name} must be finite, got {value}")
         for name in ("lr", "jtt_upweight", "lr_decay_factor"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise OutOfRange(f"{name} must be > 0, got {value}")
-        for name in ("weight_decay", "lr_decay_epoch"):
+        for name in ("weight_decay", "lr_decay_epoch", "gdro_eta", "gdro_size_adjust", "cfair_mu"):
             value = getattr(self, name)
             if not value >= 0:
                 raise OutOfRange(f"{name} must be >= 0, got {value}")
@@ -182,22 +191,24 @@ def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape):
     batches(rng) yields one epoch of row indices (default: a fresh
     permutation cut into cfg.batch_size slices). step(params, batch) returns
     (loss, grads), or ((bce, adversary_loss), grads) for cfair; Adam then
-    applies grads. model_shape (n_heads, adv_groups) goes to init_params. q
-    is the group-weight array gDRO's step updates in place; each epoch's
-    history row records a copy of it.
+    applies grads in place. model_shape (n_heads, adv_groups) goes to
+    init_params. q is the group-weight array gDRO's step updates in place;
+    each epoch's history row records a copy of it.
     """
     if batches is None:
         batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
     rng = np.random.default_rng(cfg.seed)
     params = nnet.init_params(dataset.features.shape[1], cfg.hidden, seed=cfg.seed, **model_shape)
-    state = nnet.adam_init(params)
+    moments = (np.zeros_like(params.flat), np.zeros_like(params.flat))
+    t = 0
     history = []
     for epoch in range(cfg.epochs):
         lr = _lr_at(cfg, epoch)
         losses = []
         for batch in batches(rng):
             loss, grads = step(params, batch)
-            params, state = nnet.sgd_adam_step(params, grads, state, lr, cfg.weight_decay)
+            t += 1
+            nnet.sgd_adam_step(params, grads, moments, t, lr, cfg.weight_decay)
             losses.append(loss)
         adv = None
         if losses and isinstance(losses[0], tuple):
@@ -235,7 +246,8 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
     q_g <- q_g * exp(eta * (mean batch loss of g + C / sqrt(n_g))) with n_g
     the full-train group size, then q renormalizes and every sample is
     weighted B * q_g / (batch count of g), which makes the weighted batch
-    loss equal sum_g q_g * (mean loss of g).
+    loss equal sum_g q_g * (mean loss of g). The q-update is the loss call's
+    weights function, so it reads the losses of the step's one forward pass.
     """
     k = _group_count(dataset)
     _indices_by_group(dataset, k)
@@ -248,14 +260,16 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
 
     def step(params, batch):
         g_b = groups[batch]
-        sample_loss = nnet.per_sample_losses(params, x[batch], y[batch])
         counts = np.bincount(g_b, minlength=k).astype(float)
-        for g in np.flatnonzero(counts):
-            mean_loss = float(sample_loss[g_b == g].mean())
-            q[g] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[g]))
-        q[:] /= q.sum()
-        w = len(batch) * q[g_b] / counts[g_b]
-        return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w)
+
+        def weights(sample_loss):
+            for g in np.flatnonzero(counts):
+                mean_loss = float(sample_loss[g_b == g].mean())
+                q[g] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[g]))
+            q[:] /= q.sum()
+            return len(batch) * q[g_b] / counts[g_b]
+
+        return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=weights)
 
     params, history = _fit(dataset, cfg, step, q=q)
     return TrainedModel(params=params, method="gdro", config=cfg, history=history)

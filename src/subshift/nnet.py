@@ -10,7 +10,9 @@ Parameters live in one contiguous float64 vector, ``ModelParams.flat``, in
 the block order w1, b1, w_heads, b_heads[, w_adv, b_adv]; the named blocks
 are reshaped views into it. Gradients share the layout: each loss function
 writes its blocks into a zeroed ``params.like(...)`` buffer through those
-views, and Adam updates the whole vector with one expression per moment.
+views. Both loss functions share one backward through heads and encoder,
+and Adam updates the vector and its two moments in place, with one
+expression each.
 
 Batch loss convention: loss = (1/B) * sum_i weight_i * bce_i. The batch
 size, not the weight total, normalizes, so scaling all weights scales the
@@ -20,7 +22,6 @@ loss and every gradient by the same factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +29,12 @@ from .errors import DimensionMismatch
 
 __all__ = [
     "ModelParams",
-    "AdamState",
     "init_params",
     "forward",
     "row_blocks",
     "expit",
     "bce_loss_and_grad",
-    "per_sample_losses",
     "cfair_loss_and_grad",
-    "adam_init",
     "sgd_adam_step",
 ]
 
@@ -157,30 +155,41 @@ def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z) - y * z
 
 
-def per_sample_losses(params: ModelParams, x, y, head_ids=None) -> np.ndarray:
-    logits, _ = forward(params, x)
-    if head_ids is not None and logits.ndim == 2:
-        logits = _routed_logits(logits, head_ids)
-    return _bce(logits, np.asarray(y, dtype=float))
+def _head_encoder_backward(params: ModelParams, grads: ModelParams, x, hidden, dlogits, d_hidden_off=None):
+    """Write grads' head and encoder blocks; d_hidden_off is subtracted at the hidden layer."""
+    grads.w_heads[...] = dlogits.T @ hidden
+    grads.b_heads[...] = dlogits.sum(axis=0)
+    d_hidden = dlogits @ params.w_heads
+    if d_hidden_off is not None:
+        d_hidden -= d_hidden_off
+    dz1 = d_hidden * (1.0 - hidden**2)
+    grads.w1[...] = x.T @ dz1
+    grads.b1[...] = dz1.sum(axis=0)
 
 
 def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=None):
     """Weighted batch BCE and exact gradients for encoder plus heads.
 
-    head_ids routes each sample through one head; required when the model
-    has several. Adversary parameters, if present, receive zero gradient.
+    sample_weights is an array of per-sample weights, or a function that
+    maps the batch's per-sample BCE, taken from this call's forward pass, to
+    that array. head_ids routes each sample through one head; required when
+    the model has several. Adversary parameters, if present, receive zero
+    gradient.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     b = len(y)
-    w = np.ones(b) if sample_weights is None else np.asarray(sample_weights, dtype=float)
     logits, hidden = forward(params, x)
     multi = logits.ndim == 2
     if multi and head_ids is None:
         raise DimensionMismatch("multi-head model needs head_ids")
     z = _routed_logits(logits, head_ids) if multi else logits
 
-    loss = float(np.sum(w * _bce(z, y)) / b)
+    bce = _bce(z, y)
+    if callable(sample_weights):
+        sample_weights = sample_weights(bce)
+    w = np.ones(b) if sample_weights is None else np.asarray(sample_weights, dtype=float)
+    loss = float(np.sum(w * bce) / b)
     dz = w * (expit(z) - y) / b
 
     if multi:
@@ -190,12 +199,7 @@ def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=N
         dlogits = dz[:, None]
 
     g = params.like(np.zeros_like(params.flat))
-    g.w_heads[...] = dlogits.T @ hidden
-    g.b_heads[...] = dlogits.sum(axis=0)
-    d_hidden = dlogits @ params.w_heads
-    dz1 = d_hidden * (1.0 - hidden**2)
-    g.w1[...] = x.T @ dz1
-    g.b1[...] = dz1.sum(axis=0)
+    _head_encoder_backward(params, g, x, hidden, dlogits)
     return loss, g
 
 
@@ -216,17 +220,11 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
     b = len(y)
 
     logits, hidden = forward(params, x)
-    z = logits
     yf = y.astype(float)
-    bce = float(np.sum(_bce(z, yf)) / b)
-    dz = (expit(z) - yf) / b
-    dlogits = dz[:, None]
+    bce = float(np.sum(_bce(logits, yf)) / b)
+    dz = (expit(logits) - yf) / b
 
     grads = params.like(np.zeros_like(params.flat))
-    grads.w_heads[...] = dlogits.T @ hidden
-    grads.b_heads[...] = dlogits.sum(axis=0)
-    d_hidden_bce = dlogits @ params.w_heads
-
     adv_loss = 0.0
     d_hidden_adv = np.zeros_like(hidden)
     for c in range(params.w_adv.shape[0]):
@@ -247,48 +245,33 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
         grads.b_adv[c] = dza.sum(axis=0)
         d_hidden_adv[idx] += dza @ params.w_adv[c]
 
-    d_hidden = d_hidden_bce - mu * d_hidden_adv
-    dz1 = d_hidden * (1.0 - hidden**2)
-    grads.w1[...] = x.T @ dz1
-    grads.b1[...] = dz1.sum(axis=0)
+    _head_encoder_backward(params, grads, x, hidden, dz[:, None], mu * d_hidden_adv)
     return bce, adv_loss, grads
-
-
-@dataclass(frozen=True)
-class AdamState:
-    """First and second moment estimates, laid out like ``ModelParams.flat``."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int
-
-
-def adam_init(params: ModelParams) -> AdamState:
-    zeros = np.zeros_like(params.flat)
-    return AdamState(m=zeros, v=zeros, t=0)
 
 
 def sgd_adam_step(
     params: ModelParams,
     grads: ModelParams,
-    state: AdamState,
+    moments: tuple,
+    t: int,
     lr: float,
     weight_decay: float = 0.0,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-):
-    """One Adam step with decoupled weight decay; returns new (params, state).
+) -> None:
+    """Adam step number t (counting from 1) with decoupled weight decay.
 
-    Every expression acts on the whole flat vector; the arithmetic per
-    element is that of a block-by-block update.
+    Updates ``params.flat`` and the moment vectors ``moments = (m, v)``,
+    laid out like it, in place. Every expression acts on the whole flat
+    vector; the arithmetic per element is that of a block-by-block update.
     """
-    t = state.t + 1
+    m, v = moments
     g = grads.flat
-    m = beta1 * state.m + (1.0 - beta1) * g
-    v = beta2 * state.v + (1.0 - beta2) * g**2
+    m[:] = beta1 * m + (1.0 - beta1) * g
+    v[:] = beta2 * v + (1.0 - beta2) * g**2
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     p = params.flat
-    return params.like(p - step - lr * weight_decay * p), AdamState(m=m, v=v, t=t)
+    p[:] = p - step - lr * weight_decay * p

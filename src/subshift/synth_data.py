@@ -15,6 +15,7 @@ data it scores.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +41,11 @@ class FeatureConfig:
     def __post_init__(self):
         if min(self.d_y, self.d_a, self.d_s) < 1:
             raise OutOfRange("every feature block needs at least one dimension")
-        if self.noise_sd <= 0.0:
+        # Written so that NaN fails them; a JSON integer too large for a float fails too.
+        for name in ("mu_y", "mu_a", "mu_s", "noise_sd"):
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                raise OutOfRange(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.noise_sd > 0.0:
             raise OutOfRange(f"noise_sd must be positive, got {self.noise_sd}")
 
     @property

@@ -180,6 +180,29 @@ class TestRunSweep:
         assert any(e["grouping"] == "YSA" and "EmptyGroup" in e["error"] for e in record.errors)
         assert ("gdro", "Y") in [(r["method"], r["grouping"]) for r in record.rows]
 
+    @pytest.mark.parametrize(
+        "n_train,schemes,warned",
+        [
+            (125, ("Y", "YSA"), "YSA (k=8): 0.42 expected"),  # gdro/YSA at seed 0 meets an empty group
+            (1000, DEFAULT_SCHEMES, None),  # criterion 10's small_n: YSA 6.9e-6
+            (100, ("Y", "AY", "S"), None),  # ablate's small_n on an 800-row spec: AY 3.1e-3
+        ],
+        ids=["ysa_125_warns", "default_1000_silent", "ablate_small_n_silent"],
+    )
+    def test_empty_group_warning_follows_group_probabilities(self, monkeypatch, n_train, schemes, warned):
+        def no_data(*args, **kwargs):
+            raise RuntimeError("data drawn")
+
+        monkeypatch.setattr(harness, "make_splits", no_data)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(RuntimeError, match="data drawn"):
+            warnings.simplefilter("always")
+            run_sweep(tiny_spec(schemes=schemes, n_train=n_train))
+        messages = [str(w.message) for w in caught]
+        if warned is None:
+            assert messages == []
+        else:
+            assert len(messages) == 1 and messages[0].startswith(f"n_train={n_train} risks empty groups for {warned}")
+
     def test_errors_come_out_in_spec_order(self, monkeypatch):
         # The sweep runs seed-major, so (gdro, S, 0) and (erm, -, 0) fail before
         # (gdro, A, 1); the record lists them by method, then scheme, then seed.
@@ -670,19 +693,28 @@ def _malformed_configs():
         st.sampled_from(["lr", "jtt_upweight", "lr_decay_factor"]), st.floats(max_value=0.0)
     )
     negative = st.one_of(
-        st.tuples(st.just("weight_decay"), st.floats(max_value=0.0, exclude_max=True)),
+        st.tuples(
+            st.sampled_from(["weight_decay", "gdro_eta", "gdro_size_adjust", "cfair_mu"]),
+            st.floats(max_value=0.0, exclude_max=True),
+        ),
         st.tuples(st.just("lr_decay_epoch"), st.integers(max_value=-1)),
     )
+    non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+    train_floats = ["lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu", "jtt_upweight"]
+    feature = st.one_of(
+        st.tuples(st.sampled_from(["mu_y", "mu_a", "mu_s", "noise_sd"]), non_finite),
+        st.tuples(st.just("noise_sd"), st.floats(max_value=0.0)),
+    ).map(lambda kv: {"feature": dict([kv])})
     train = st.one_of(
         below_one,
         not_positive,
         negative,
-        st.tuples(st.sampled_from(["lr", "weight_decay", "lr_decay_factor"]), st.just(float("nan"))),
+        st.tuples(st.sampled_from(train_floats), non_finite),
         st.tuples(st.just("jtt_stage1_epochs"), st.floats()),  # JSON floats never fit an int field
         st.tuples(st.just("domain_ind_rule"), names.filter(lambda n: n not in ("max_abs", "sum"))),
         st.tuples(st.just("seed"), st.integers().filter(bool)),  # cells derive seeds from master_seed
     ).map(lambda kv: {"train": {"epochs": 1, kv[0]: kv[1]}})
-    return st.one_of(unknown, repeated, st.one_of(small, bias).map(lambda kv: dict([kv])), train)
+    return st.one_of(unknown, repeated, st.one_of(small, bias).map(lambda kv: dict([kv])), feature, train)
 
 
 class TestMalformedSpecs:
@@ -695,6 +727,28 @@ class TestMalformedSpecs:
             cfg_path.write_text(json.dumps({**VALID_CONFIG, **malformed}))
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2, malformed
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("train", "gdro_eta", float("nan"), "gdro_eta must be finite, got nan"),
+            ("feature", "noise_sd", float("nan"), "noise_sd must be finite, got nan"),
+            ("feature", "mu_a", float("inf"), "mu_a must be finite, got inf"),
+            ("train", "cfair_mu", -5, "cfair_mu must be >= 0, got -5"),
+        ],
+        ids=["gdro_eta_nan", "noise_sd_nan", "mu_a_inf", "cfair_mu_negative"],
+    )
+    def test_non_finite_or_negative_strength_exits_2(self, tmp_path, capsys, section, key, value, message):
+        """JSON carries NaN and Infinity; each such value fails with one error line."""
+        cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({**VALID_CONFIG, section: {key: value}}))
+        reached = AssertionError("make_splits ran for a malformed spec")
+        with mock.patch.object(harness, "make_splits", side_effect=reached):
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert message in err
+        assert not out.exists()
 
     def test_valid_config_reaches_make_splits(self, tmp_path):
         cfg_path = tmp_path / "config.json"

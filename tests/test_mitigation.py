@@ -101,7 +101,7 @@ class TestHistory:
 # on the module at call time rather than binding them at import.
 NNET_USES = {
     "erm": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
-    "gdro": {"bce_loss_and_grad", "sgd_adam_step", "per_sample_losses", "forward"},
+    "gdro": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
     "resampling": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
     "domain_ind": {"bce_loss_and_grad", "sgd_adam_step", "forward"},
     "cfair": {"cfair_loss_and_grad", "sgd_adam_step", "forward"},
@@ -138,6 +138,12 @@ class TestTrainConfig:
             ("weight_decay", -1e-4, OutOfRange),
             ("weight_decay", float("nan"), OutOfRange),
             ("lr_decay_epoch", -1, OutOfRange),
+            ("lr", float("inf"), OutOfRange),
+            ("jtt_upweight", float("nan"), OutOfRange),
+            ("gdro_eta", float("nan"), OutOfRange),
+            ("gdro_eta", -0.01, OutOfRange),
+            ("gdro_size_adjust", float("-inf"), OutOfRange),
+            ("cfair_mu", -5.0, OutOfRange),
             ("domain_ind_rule", "vote", InvalidScheme),
         ],
     )
@@ -146,7 +152,10 @@ class TestTrainConfig:
             TrainConfig(**{field: value})
 
     def test_boundary_values_accepted(self):
-        cfg = TrainConfig(weight_decay=0.0, lr_decay_epoch=0, jtt_stage1_epochs=np.int64(2), domain_ind_rule="sum")
+        cfg = TrainConfig(
+            weight_decay=0.0, lr_decay_epoch=0, jtt_stage1_epochs=np.int64(2), domain_ind_rule="sum",
+            gdro_eta=0.0, gdro_size_adjust=0.0, cfair_mu=0.0,
+        )
         assert cfg.jtt_stage1_epochs == 2
 
 
@@ -177,6 +186,20 @@ class TestGdro:
             q = row["group_weights"]
             assert np.all(q >= 0)
             assert abs(q.sum() - 1.0) < 1e-10
+
+    def test_one_forward_per_batch(self, train_ay, monkeypatch):
+        """The q-update reads the per-sample losses of the step's own forward."""
+        calls = []
+        real_forward = nnet.forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(nnet, "forward", counted)
+        cfg = TrainConfig(epochs=1, seed=0)
+        train_gdro(train_ay, cfg)
+        assert len(calls) == -(-len(train_ay.y) // cfg.batch_size)
 
     def test_zero_eta_keeps_uniform_weights(self, train_ay):
         model = train_gdro(train_ay, TrainConfig(epochs=3, seed=0, gdro_eta=0.0))

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 from scipy import special
 
+from subshift.dist_core import biased_distribution
 from subshift.errors import DimensionMismatch
+from subshift.mitigation import TrainConfig, train
 from subshift.nnet import (
     ModelParams,
-    adam_init,
     bce_loss_and_grad,
     cfair_loss_and_grad,
     expit,
     forward,
     init_params,
-    per_sample_losses,
     sgd_adam_step,
 )
+from subshift.synth_data import FeatureConfig, sample_dataset
 
 PARAM_FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
 
@@ -166,33 +167,33 @@ class TestBceLoss:
         for f in PARAM_FIELDS[:4]:
             assert np.array_equal(getattr(g2, f), 2.0 * getattr(g1, f))
 
-    def test_per_sample_losses_match_formula(self, rng):
-        params = init_params(3, hidden=4, seed=5)
-        x, y, _ = random_batch(rng, 3, 6)
-        logits, _ = forward(params, x)
-        want = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0) - y * logits
-        assert np.allclose(per_sample_losses(params, x, y), want, atol=1e-12)
+    @pytest.mark.parametrize("n_heads", [1, 3], ids=["single_head", "routed"])
+    def test_weights_function_sees_per_sample_bce(self, rng, n_heads):
+        """A weights function receives each sample's BCE on its own head's
+        logit; weighting by ones reproduces the unweighted call bit for bit."""
+        params = init_params(3, hidden=4, n_heads=n_heads, seed=5)
+        x, y, g = random_batch(rng, 3, 8, n_groups=n_heads)
+        head_ids = g if n_heads > 1 else None
+        seen = []
 
-    def test_mean_of_per_sample_losses_is_unweighted_loss(self, rng):
-        params = init_params(3, hidden=4, seed=6)
-        x, y, _ = random_batch(rng, 3, 10)
-        loss, _ = bce_loss_and_grad(params, x, y)
-        assert loss == pytest.approx(float(per_sample_losses(params, x, y).mean()), abs=1e-15)
+        def ones(sample_loss):
+            seen.append(sample_loss.copy())
+            return np.ones_like(sample_loss)
+
+        loss, grads = bce_loss_and_grad(params, x, y, sample_weights=ones, head_ids=head_ids)
+        logits, _ = forward(params, x)
+        z = logits if n_heads == 1 else logits[np.arange(8), g]
+        want = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - y * z
+        assert len(seen) == 1
+        assert np.allclose(seen[0], want, atol=1e-12)
+        plain_loss, plain = bce_loss_and_grad(params, x, y, head_ids=head_ids)
+        assert loss == plain_loss == pytest.approx(float(want.mean()), abs=1e-15)
+        assert np.array_equal(grads.flat, plain.flat)
 
     def test_multi_head_requires_routing(self):
         params = init_params(3, hidden=4, n_heads=2, seed=0)
         with pytest.raises(DimensionMismatch):
             bce_loss_and_grad(params, np.zeros((2, 3)), np.array([0, 1]))
-
-    def test_routed_loss_uses_only_own_head(self, rng):
-        """Perturbing an unused head leaves routed losses unchanged."""
-        params = init_params(3, hidden=4, n_heads=3, seed=7)
-        x, y, _ = random_batch(rng, 3, 6)
-        head_ids = np.zeros(6, dtype=int)
-        base = per_sample_losses(params, x, y, head_ids=head_ids)
-        params.w_heads[2] += 10.0
-        bumped = per_sample_losses(params, x, y, head_ids=head_ids)
-        assert np.array_equal(base, bumped)
 
 
 class TestGradientChecks:
@@ -302,26 +303,29 @@ class TestGradReversal:
             cfair_loss_and_grad(params, np.zeros((2, 3)), [0, 1], [0, 1], mu=0.1)
 
 
+def zero_moments(params):
+    return np.zeros_like(params.flat), np.zeros_like(params.flat)
+
+
 class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         params = init_params(3, hidden=4, seed=0)
-        zeros = zeros_like(params)
-        new, _ = sgd_adam_step(params, zeros, adam_init(params), lr=0.1)
-        for f in PARAM_FIELDS[:4]:
-            assert np.array_equal(getattr(new, f), getattr(params, f))
+        before = params.flat.copy()
+        sgd_adam_step(params, zeros_like(params), zero_moments(params), 1, lr=0.1)
+        assert np.array_equal(params.flat, before)
 
     def test_weight_decay_is_decoupled(self):
         params = init_params(3, hidden=4, seed=0)
-        zeros = zeros_like(params)
-        new, _ = sgd_adam_step(params, zeros, adam_init(params), lr=0.1, weight_decay=0.5)
-        assert np.allclose(new.w1, params.w1 * (1.0 - 0.1 * 0.5), atol=1e-15)
+        w1 = params.w1.copy()
+        sgd_adam_step(params, zeros_like(params), zero_moments(params), 1, lr=0.1, weight_decay=0.5)
+        assert np.allclose(params.w1, w1 * (1.0 - 0.1 * 0.5), atol=1e-15)
 
     def test_quadratic_converges(self):
         """min 0.5*||p||^2: gradient is p itself."""
         params = init_params(2, hidden=3, seed=4)
-        state = adam_init(params)
-        for _ in range(500):
-            params, state = sgd_adam_step(params, params, state, lr=0.01)
+        moments = zero_moments(params)
+        for t in range(1, 501):
+            sgd_adam_step(params, params.like(params.flat.copy()), moments, t, lr=0.01)
         for f in PARAM_FIELDS[:4]:
             assert np.all(np.abs(getattr(params, f)) < 1e-3)
 
@@ -330,10 +334,10 @@ class TestAdam:
 
         def run():
             params = init_params(3, hidden=4, seed=7)
-            state = adam_init(params)
-            for _ in range(20):
+            moments = zero_moments(params)
+            for t in range(1, 21):
                 _, grads = bce_loss_and_grad(params, x, y)
-                params, state = sgd_adam_step(params, grads, state, lr=1e-3, weight_decay=1e-4)
+                sgd_adam_step(params, grads, moments, t, lr=1e-3, weight_decay=1e-4)
             return params
 
         a, b = run(), run()
@@ -346,12 +350,12 @@ class TestAdam:
         x = np.concatenate([rng.normal(-2.0, 0.5, size=(40, 2)), rng.normal(2.0, 0.5, size=(40, 2))])
         y = np.repeat([0, 1], 40)
         params = init_params(2, hidden=4, seed=1)
-        state = adam_init(params)
+        moments = zero_moments(params)
         losses = []
-        for _ in range(200):
+        for t in range(1, 201):
             loss, grads = bce_loss_and_grad(params, x, y)
             losses.append(loss)
-            params, state = sgd_adam_step(params, grads, state, lr=0.01)
+            sgd_adam_step(params, grads, moments, t, lr=0.01)
         for k in range(50, len(losses)):
             assert losses[k] <= losses[k - 1] + 1e-6
         assert losses[-1] < losses[0]
@@ -361,10 +365,10 @@ class TestAdam:
     )
     def test_flat_step_equals_blockwise_reference(self, shape):
         """50 steps with random gradients, learning rates and weight decay:
-        the flat update must equal the per-block one bit for bit."""
+        the in-place flat update must equal the per-block one bit for bit."""
         rng = np.random.default_rng(31)
         params = init_params(5, hidden=6, seed=3, **shape)
-        state = adam_init(params)
+        moments = zero_moments(params)
         fields = blocks_of(params)
         ref_p = {f: getattr(params, f).copy() for f in fields}
         ref_m = {f: np.zeros_like(ref_p[f]) for f in fields}
@@ -375,25 +379,23 @@ class TestAdam:
             grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.uniform(-4, 1)
             lr = float(rng.choice([1e-3, 1e-4, 0.05]))
             wd = float(rng.choice([0.0, 1e-4, 0.3]))
-            params, state = sgd_adam_step(params, grads, state, lr, weight_decay=wd)
+            sgd_adam_step(params, grads, moments, t + 1, lr, weight_decay=wd)
             ref_p, ref_m, ref_v, t = reference_adam_step(
                 ref_p, {f: getattr(grads, f) for f in fields}, ref_m, ref_v, t, lr, wd
             )
-            assert state.t == t
-            m, v = params.like(state.m), params.like(state.v)
+            m, v = params.like(moments[0]), params.like(moments[1])
             for f in fields:
                 assert np.array_equal(getattr(params, f), ref_p[f]), f
                 assert np.array_equal(getattr(m, f), ref_m[f]), f
                 assert np.array_equal(getattr(v, f), ref_v[f]), f
 
-    def test_step_returns_new_params(self):
-        params = init_params(3, hidden=4, seed=0)
-        before = params.flat.copy()
-        grads = zeros_like(params)
-        grads.flat[:] = 1.0
-        new, _ = sgd_adam_step(params, grads, adam_init(params), lr=0.1)
-        assert np.array_equal(params.flat, before)
-        assert not np.shares_memory(new.flat, params.flat)
+    def test_trained_models_do_not_share_params(self):
+        """Adam updates in place, so each fit must own its parameter vector."""
+        data = sample_dataset(biased_distribution(0.95, 0.8), 64, FeatureConfig(d_y=1, d_a=1, d_s=1), seed=0)
+        cfg = TrainConfig(epochs=1)
+        a, b = train("erm", data, cfg), train("erm", data, cfg)
+        assert not np.shares_memory(a.params.flat, b.params.flat)
+        assert np.array_equal(a.params.flat, b.params.flat)
 
 
 class TestFlatLayout:

@@ -35,6 +35,14 @@ class TestFeatureConfig:
         with pytest.raises(OutOfRange):
             FeatureConfig(noise_sd=0.0)
 
+    @pytest.mark.parametrize("field", ["mu_y", "mu_a", "mu_s", "noise_sd"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "int_1e400"]
+    )
+    def test_rejects_non_finite_float(self, field, value):
+        with pytest.raises(OutOfRange, match=f"{field} must be finite"):
+            FeatureConfig(**{field: value})
+
 
 class TestSampleDataset:
     def test_uniform_atom_frequencies(self, big_uniform):
