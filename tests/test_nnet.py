@@ -26,6 +26,19 @@ def zeros_like(params):
     return params.like(np.zeros_like(params.flat))
 
 
+def sample_losses_seen(params, x, y, head_ids=None):
+    """The per-sample BCE that bce_loss_and_grad hands a weights function."""
+    seen = []
+
+    def record(sample_loss):
+        seen.append(sample_loss.copy())
+        return np.ones_like(sample_loss)
+
+    bce_loss_and_grad(params, x, y, sample_weights=record, head_ids=head_ids)
+    assert len(seen) == 1
+    return seen[0]
+
+
 def blocks_of(params):
     return [f for f in PARAM_FIELDS if getattr(params, f) is not None]
 
@@ -166,6 +179,19 @@ class TestBceLoss:
         assert loss2 == 2.0 * loss1
         for f in PARAM_FIELDS[:4]:
             assert np.array_equal(getattr(g2, f), 2.0 * getattr(g1, f))
+
+    def test_per_sample_losses_match_formula(self, rng):
+        params = init_params(3, hidden=4, seed=5)
+        x, y, _ = random_batch(rng, 3, 6)
+        logits, _ = forward(params, x)
+        want = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0) - y * logits
+        assert np.allclose(sample_losses_seen(params, x, y), want, atol=1e-12)
+
+    def test_mean_of_per_sample_losses_is_unweighted_loss(self, rng):
+        params = init_params(3, hidden=4, seed=6)
+        x, y, _ = random_batch(rng, 3, 10)
+        loss, _ = bce_loss_and_grad(params, x, y)
+        assert loss == pytest.approx(float(sample_losses_seen(params, x, y).mean()), abs=1e-15)
 
     @pytest.mark.parametrize("n_heads", [1, 3], ids=["single_head", "routed"])
     def test_weights_function_sees_per_sample_bce(self, rng, n_heads):
