@@ -32,6 +32,7 @@ import numpy as np
 from . import mitigation
 from .dist_core import Distribution, biased_distribution, uniform_distribution
 from .errors import (
+    DegenerateInput,
     InsufficientSchemes,
     InvalidConfig,
     OutOfRange,
@@ -334,7 +335,7 @@ def relative_auc_csv(rows) -> str:
     erm_mean = {g: m for (meth, g), (m, _) in by_cell.items() if meth == "erm"}
     return _csv(
         "method,grouping,mean_test_auc,sd_test_auc,delta_auc_vs_erm",
-        ((*key, mean, sd, mean - erm_mean.get(key[1], mean)) for key, (mean, sd) in by_cell.items()),
+        ((*key, mean, sd, mean - erm_mean.get(key[1], float("nan"))) for key, (mean, sd) in by_cell.items()),
     )
 
 
@@ -378,6 +379,11 @@ def read_results_csv(path):
     return rows
 
 
+def _kl_field(method: str) -> str:
+    """The min-KL column a method's correlation reads."""
+    return "min_kl_resampling" if method == "resampling" else "min_kl_gdro"
+
+
 def correlate_results(rows):
     """Per-method Pearson r between scheme min divergence and mean test AUC.
 
@@ -387,14 +393,16 @@ def correlate_results(rows):
     by_cell = _aggregate(rows, "test_auc")
     report = {}
     for method in sorted({m for m, _ in by_cell} - {"erm"}):
-        kl_field = "min_kl_resampling" if method == "resampling" else "min_kl_gdro"
-        kl = {r["grouping"]: r[kl_field] for r in rows if r["method"] == method}
+        kl = {r["grouping"]: r[_kl_field(method)] for r in rows if r["method"] == method}
         if len(kl) < 3:
             raise InsufficientSchemes(f"{method}: need at least 3 schemes, have {len(kl)}")
         names = sorted(kl)
         x = [kl[n] for n in names]
         y = [by_cell[method, n][0] for n in names]
-        r_val, p_val = pearson(x, y)
+        try:
+            r_val, p_val = pearson(x, y)
+        except DegenerateInput as exc:
+            raise DegenerateInput(f"{method}: {exc}") from None
         report[method] = {
             "r": r_val,
             "p": p_val,
@@ -482,6 +490,28 @@ def cmd_correlate(args) -> int:
     return 0
 
 
+def _check_correlatable(name: str, spec: ExperimentSpec) -> None:
+    """Refuse a variant whose correlation is undefined by its spec alone.
+
+    Every non-ERM method needs at least three schemes and two distinct
+    values in the min-KL column correlate_results pairs it with.
+    """
+    kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
+    columns = {"min_kl_gdro": {r.kl_gdro for r in kl_rows}, "min_kl_resampling": {r.kl_resampling for r in kl_rows}}
+    for method in spec.methods:
+        if method == "erm":
+            continue
+        if len(kl_rows) < 3:
+            raise InsufficientSchemes(f"{method}: need at least 3 schemes, have {len(kl_rows)}")
+        field = _kl_field(method)
+        values = columns[field]
+        if len(values) < 2:
+            raise DegenerateInput(
+                f"{method}: every scheme has the same {field} ({min(values):.6f}) in the {name} variant "
+                f"(p_s0={spec.p_s0}, p_s1={spec.p_s1}), so its correlation is undefined"
+            )
+
+
 def cmd_ablate(args) -> int:
     spec = _spec_from_args(args)
     out = Path(args.out or "out")
@@ -490,6 +520,8 @@ def cmd_ablate(args) -> int:
         ("weak_shift", replace(spec, p_s0=0.85, p_s1=0.70)),
         ("small_n", replace(spec, n_train=max(spec.n_train // 8, 8))),
     ]
+    for name, variant_spec in variants:
+        _check_correlatable(name, variant_spec)
     base = None
     failed = False
     summary = []
@@ -503,7 +535,8 @@ def cmd_ablate(args) -> int:
         erm_drops = [r["val_auc"] - r["test_auc"] for r in record.rows if r["method"] == "erm"]
         erm_drop = float(np.mean(erm_drops)) if erm_drops else float("nan")
         for method, e in sorted(report.items()):
-            base_r = base[method]["r"]
+            # nan when every baseline cell of the method failed; nan's sign matches nothing
+            base_r = base[method]["r"] if method in base else float("nan")
             preserved = int(np.sign(e["r"]) == np.sign(base_r))
             summary.append((name, method, e["r"], f"{e['p']:.6g}", base_r, preserved, erm_drop))
     (out / "ablation_summary.csv").write_text(

@@ -15,8 +15,10 @@ only in three things it hands that loop: how an epoch's batches are drawn
 (``batches(rng)``), what one step computes from a batch (``step(params,
 batch)``, which weights samples, routes heads or trains adversaries), and
 the model's shape (``n_heads``, ``adv_groups``). ``_fit`` owns the
-parameters, Adam's moments and the step count, and updates them in place.
-JTT runs ``_fit`` once for stage one and once per upweighting candidate.
+parameters, Adam's moments and the step count, updates them in place, and
+returns the ``TrainedModel``. Grouped trainers count their groups once, in
+``_group_sizes``. JTT runs ``_fit`` for stage one and per upweighting
+candidate, and labels each candidate with ``replace(model, info=...)``.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
 label, since their mechanisms would leak y into inference; the check uses
@@ -37,7 +39,6 @@ import numpy as np
 from . import nnet
 from .errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
 from .grouping import GroupingScheme, is_y_free
-from .metrics import accuracy
 from .nnet import expit
 
 __all__ = [
@@ -137,27 +138,15 @@ class TrainedModel:
         return scores
 
 
-def _group_count(dataset) -> int:
+def _group_sizes(dataset) -> np.ndarray:
+    """Training samples per group, one bincount; refuses an unannotated split or an empty group."""
     if dataset.group is None:
         raise InvalidScheme("dataset has no group labels; annotate it first")
-    k = dataset.group_count
-    if k is None:
-        k = int(np.max(dataset.group)) + 1
-    return int(k)
-
-
-def _indices_by_group(dataset, k: int) -> list[np.ndarray]:
-    idx = [np.nonzero(dataset.group == g)[0] for g in range(k)]
-    for g, rows in enumerate(idx):
-        if len(rows) == 0:
-            raise EmptyGroup(f"group {g} has no training samples")
-    return idx
-
-
-def _lr_at(cfg: TrainConfig, epoch: int) -> float:
-    if epoch >= cfg.lr_decay_epoch:
-        return cfg.lr * cfg.lr_decay_factor
-    return cfg.lr
+    sizes = np.bincount(dataset.group, minlength=dataset.group_count or 0)
+    empty = np.flatnonzero(sizes == 0)
+    if len(empty):
+        raise EmptyGroup(f"group {empty[0]} has no training samples")
+    return sizes
 
 
 def _check_y_free(dataset, k: int) -> None:
@@ -172,11 +161,11 @@ def _check_y_free(dataset, k: int) -> None:
             if not is_y_free(scheme):
                 raise YBasedGrouping(f"{name} groups are a function of y")
             return
-    for g in range(k):
-        if not np.bincount(dataset.y[dataset.group == g], minlength=2).all():
-            raise YBasedGrouping(
-                f"group {g} contains a single class; grouping may encode y"
-            )
+    # Row g holds group g's count of each class.
+    by_class = np.bincount(2 * dataset.group + dataset.y, minlength=2 * k).reshape(-1, 2)
+    single = np.flatnonzero(~by_class.all(axis=1))
+    if len(single):
+        raise YBasedGrouping(f"group {single[0]} contains a single class; grouping may encode y")
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -185,15 +174,16 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape):
-    """The one training loop every method runs; returns (params, history).
+def _fit(method: str, dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape) -> TrainedModel:
+    """The one training loop every method runs; returns the trained model.
 
     batches(rng) yields one epoch of row indices (default: a fresh
     permutation cut into cfg.batch_size slices). step(params, batch) returns
     (loss, grads), or ((bce, adversary_loss), grads) for cfair; Adam then
     applies grads in place. model_shape (n_heads, adv_groups) goes to
     init_params. q is the group-weight array gDRO's step updates in place;
-    each epoch's history row records a copy of it.
+    each epoch's history row records a copy of it. Trainers count their
+    groups with _group_sizes before they call it.
     """
     if batches is None:
         batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
@@ -203,7 +193,7 @@ def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape):
     t = 0
     history = []
     for epoch in range(cfg.epochs):
-        lr = _lr_at(cfg, epoch)
+        lr = cfg.lr * cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else cfg.lr
         losses = []
         for batch in batches(rng):
             loss, grads = step(params, batch)
@@ -218,7 +208,7 @@ def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape):
         if adv is not None:
             row["adversary_loss"] = float(np.mean(adv))
         history.append(row)
-    return params, tuple(history)
+    return TrainedModel(params=params, method=method, config=cfg, history=tuple(history))
 
 
 def _bce_step(dataset, sample_weights=None, head_ids=None):
@@ -235,8 +225,7 @@ def _bce_step(dataset, sample_weights=None, head_ids=None):
 
 
 def train_erm(dataset, cfg: TrainConfig) -> TrainedModel:
-    params, history = _fit(dataset, cfg, _bce_step(dataset))
-    return TrainedModel(params=params, method="erm", config=cfg, history=history)
+    return _fit("erm", dataset, cfg, _bce_step(dataset))
 
 
 def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -249,12 +238,11 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
     loss equal sum_g q_g * (mean loss of g). The q-update is the loss call's
     weights function, so it reads the losses of the step's one forward pass.
     """
-    k = _group_count(dataset)
-    _indices_by_group(dataset, k)
+    n_g = _group_sizes(dataset).astype(float)
+    k = len(n_g)
     x = dataset.features
     y = dataset.y.astype(float)
     groups = dataset.group
-    n_g = np.array([(groups == g).sum() for g in range(k)], dtype=float)
     adjust = cfg.gdro_size_adjust / np.sqrt(n_g)
     q = np.full(k, 1.0 / k)
 
@@ -271,15 +259,14 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
 
         return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=weights)
 
-    params, history = _fit(dataset, cfg, step, q=q)
-    return TrainedModel(params=params, method="gdro", config=cfg, history=history)
+    return _fit("gdro", dataset, cfg, step, q=q)
 
 
 def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
     """Group-balanced sampling with replacement: batches pick a group
     uniformly, then a sample uniformly inside it."""
-    k = _group_count(dataset)
-    by_group = _indices_by_group(dataset, k)
+    k = len(_group_sizes(dataset))
+    by_group = [np.flatnonzero(dataset.group == g) for g in range(k)]
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
 
     def batches(rng):
@@ -293,8 +280,7 @@ def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
                     batch[mask] = by_group[g][rng.integers(0, len(by_group[g]), size=m)]
             yield batch
 
-    params, history = _fit(dataset, cfg, _bce_step(dataset), batches=batches)
-    return TrainedModel(params=params, method="resampling", config=cfg, history=history)
+    return _fit("resampling", dataset, cfg, _bce_step(dataset), batches=batches)
 
 
 def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -303,19 +289,16 @@ def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
     Inference has no group label, so scores come from the head with the
     largest |logit| (default) or from the sum of all head logits.
     """
-    k = _group_count(dataset)
-    _indices_by_group(dataset, k)
+    k = len(_group_sizes(dataset))
     _check_y_free(dataset, k)
-    params, history = _fit(dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
-    return TrainedModel(params=params, method="domain_ind", config=cfg, history=history)
+    return _fit("domain_ind", dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
 
 
 def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
     """Adversarial group removal: per-class discriminators predict the group
     from the hidden layer; their gradient reaches the encoder reversed and
     scaled by mu. All parameters update in the same optimizer step."""
-    k = _group_count(dataset)
-    _indices_by_group(dataset, k)
+    k = len(_group_sizes(dataset))
     _check_y_free(dataset, k)
     if k < 2:
         raise InvalidScheme("adversarial training needs at least two groups")
@@ -329,21 +312,17 @@ def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
         )
         return (bce, adv), grads
 
-    params, history = _fit(dataset, cfg, step, adv_groups=k)
-    return TrainedModel(params=params, method="cfair", config=cfg, history=history)
+    return _fit("cfair", dataset, cfg, step, adv_groups=k)
 
 
 def _selection_score(model: TrainedModel, val) -> float:
-    scores = model.predict_scores(val.features)
+    """Worst-group validation accuracy over the groups present, or overall accuracy without groups."""
+    correct = (model.predict_scores(val.features) >= 0.5).astype(int) == val.y
     if val.group is None:
-        return accuracy(scores, val.y)
-    k = int(np.max(val.group)) + 1 if val.group_count is None else val.group_count
-    accs = []
-    for g in range(k):
-        mask = val.group == g
-        if mask.any():
-            accs.append(accuracy(scores[mask], val.y[mask]))
-    return min(accs)
+        return float(correct.mean())
+    total = np.bincount(val.group)
+    present = total > 0
+    return float(np.min(np.bincount(val.group, weights=correct)[present] / total[present]))
 
 
 def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
@@ -367,12 +346,8 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
         for lam in up_grid:
             weights = np.where(wrong, float(lam), 1.0)
-            params, history = _fit(dataset, cfg, _bce_step(dataset, sample_weights=weights))
-            candidate = TrainedModel(
-                params=params,
-                method="jtt",
-                config=cfg,
-                history=history,
+            candidate = replace(
+                _fit("jtt", dataset, cfg, _bce_step(dataset, sample_weights=weights)),
                 info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
             )
             score = _selection_score(candidate, val)

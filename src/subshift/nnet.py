@@ -145,12 +145,6 @@ def expit(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _routed_logits(logits: np.ndarray, head_ids) -> np.ndarray:
-    if logits.ndim == 1:
-        return logits
-    return logits[np.arange(len(logits)), np.asarray(head_ids)]
-
-
 def _bce(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z) - y * z
 
@@ -183,7 +177,7 @@ def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=N
     multi = logits.ndim == 2
     if multi and head_ids is None:
         raise DimensionMismatch("multi-head model needs head_ids")
-    z = _routed_logits(logits, head_ids) if multi else logits
+    z = logits[np.arange(b), np.asarray(head_ids)] if multi else logits
 
     bce = _bce(z, y)
     if callable(sample_weights):

@@ -347,6 +347,12 @@ class TestCsvOutputs:
             float(gdro_ay.split(",")[2]) - erm_mean, abs=1e-6
         )
 
+    def test_delta_is_nan_without_erm(self, tiny_record):
+        rows = [r for r in tiny_record.rows if r["method"] == "gdro"]
+        lines = relative_auc_csv(rows).splitlines()
+        assert len(lines) == 4
+        assert all(l.split(",")[4] == "nan" for l in lines[1:])
+
     def test_disparity_table(self, tiny_record):
         lines = disparity_csv(tiny_record.rows).splitlines()
         assert lines[0] == "method,grouping,mean_min_acc_S,sd_min_acc_S,mean_gap_S,sd_gap_S"
@@ -461,6 +467,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'" in captured.err
+
+    def test_correlate_names_the_method_with_constant_kl(self, tmp_path, capsys):
+        rows = synthetic_rows("gdro", "min_kl_gdro", [0.5, 0.5, 0.5], lambda kl: 0.9 - kl)
+        filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
+        (tmp_path / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
+        assert main(["correlate", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: gdro: zero variance\n"
 
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {
@@ -633,6 +646,46 @@ class TestCli:
         assert len(failures) == len(ABLATE_VARIANTS)
         assert all("'gdro'" in l and "'A'" in l and "EmptyGroup: injected" in l for l in failures)
         assert len((out / "ablation_summary.csv").read_text().splitlines()) == 1 + len(ABLATE_VARIANTS)
+
+    @pytest.mark.parametrize(
+        "schemes,message",
+        [
+            (["A", "S"], "error: gdro: need at least 3 schemes, have 2"),
+            # all three have min KL 0.526755 at the default bias
+            (["A", "S", "Random"], "error: gdro: every scheme has the same min_kl_gdro (0.526755) in the baseline"),
+        ],
+        ids=["two_schemes", "equal_min_kl"],
+    )
+    def test_ablate_undefined_correlation_fails_before_any_data(self, tmp_path, capsys, schemes, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(dict(ABLATE_CONFIG, schemes=schemes)))
+        out = tmp_path / "out"
+        reached = AssertionError("make_splits ran for an ablation whose correlation is undefined")
+        with mock.patch.object(harness, "make_splits", side_effect=reached):
+            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(message)
+        assert not out.exists()
+
+    def test_ablate_without_a_baseline_correlation_reports_nan(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(ABLATE_CONFIG))
+        real_train = mitigation.train
+        gdro_calls = []
+
+        def failing_baseline(method, dataset, cfg, val=None):
+            if method == "gdro":
+                gdro_calls.append(1)
+                if len(gdro_calls) <= len(ABLATE_CONFIG["schemes"]):  # the baseline runs first
+                    raise EmptyGroup("injected")
+            return real_train(method, dataset, cfg, val=val)
+
+        monkeypatch.setattr(mitigation, "train", failing_baseline)
+        out = tmp_path / "out"
+        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        summary = [l.split(",") for l in (out / "ablation_summary.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in summary] == [["weak_shift", "gdro"], ["small_n", "gdro"]]
+        assert all(row[4] == "nan" and row[5] == "0" for row in summary)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from subshift import nnet
 from subshift.dist_core import biased_distribution, uniform_distribution
 from subshift.errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
 from subshift.grouping import GroupingScheme, annotate_samples
-from subshift.metrics import auc
+from subshift.metrics import accuracy, auc
 from subshift.mitigation import (
     JTT_STAGE1_GRID,
     JTT_UPWEIGHT_GRID,
+    NEEDS_Y_FREE,
     TrainConfig,
     TrainedModel,
     train,
@@ -179,6 +181,24 @@ class TestErm:
         assert gap < 0.02
 
 
+@pytest.mark.parametrize("method", ("gdro", "resampling", "domain_ind", "cfair"))
+def test_rejects_empty_group(method, small_train):
+    bad = small_train.with_groups(np.zeros(len(small_train), dtype=np.int64), None, 2)
+    with pytest.raises(EmptyGroup, match="group 1 has no training samples"):
+        train(method, bad, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("method", NEEDS_Y_FREE)
+def test_unnamed_grouping_names_its_single_class_group(method, small_train):
+    """Only group 1 holds a single class; groups 0 and 2 hold both."""
+    rows = np.arange(len(small_train))
+    groups = np.where(rows % 2 == 0, 0, 2)
+    groups[(small_train.y == 1) & (rows % 3 == 0)] = 1
+    ds = small_train.with_groups(groups, None, 3)
+    with pytest.raises(YBasedGrouping, match="^group 1 contains a single class"):
+        train(method, ds, TrainConfig(epochs=1))
+
+
 class TestGdro:
     def test_weights_stay_on_simplex(self, train_ay):
         model = train_gdro(train_ay, TrainConfig(epochs=5, seed=0))
@@ -225,11 +245,6 @@ class TestGdro:
         with pytest.raises(InvalidScheme):
             train_gdro(small_train, TrainConfig(epochs=1))
 
-    def test_rejects_empty_group(self, small_train):
-        bad = small_train.with_groups(np.zeros(len(small_train), dtype=np.int64), None, 2)
-        with pytest.raises(EmptyGroup):
-            train_gdro(bad, TrainConfig(epochs=1))
-
 
 class TestResampling:
     def test_group_frequencies_balance(self, monkeypatch):
@@ -263,11 +278,6 @@ class TestResampling:
     def test_single_group_runs(self, small_train):
         model = train_resampling(single_group(small_train), TrainConfig(epochs=2, seed=0))
         assert len(model.history) == 2
-
-    def test_rejects_empty_group(self, small_train):
-        bad = small_train.with_groups(np.zeros(len(small_train), dtype=np.int64), None, 3)
-        with pytest.raises(EmptyGroup):
-            train_resampling(bad, TrainConfig(epochs=1))
 
 
 class TestDomainInd:
@@ -414,6 +424,32 @@ class TestJtt:
         assert model.info["stage1_epochs"] in JTT_STAGE1_GRID
         assert model.info["upweight"] in JTT_UPWEIGHT_GRID
         assert len(model.history) == 3
+
+    @pytest.mark.parametrize("grouped", (True, False), ids=("absent_groups", "no_groups"))
+    def test_selects_the_candidate_a_reference_ranks_best(self, small_train, small_val, grouped):
+        """Groups 0 (bias-aligned) and 2 (bias-conflicting) of a declared 4 are
+        present, or the split has no groups. The two rules pick different
+        candidates: (1, 20.0) by worst group, (1, 5.0) overall."""
+        conflicting = (small_val.a != small_val.y).astype(np.int64)
+        val = small_val.with_groups(2 * conflicting, None, 4) if grouped else small_val
+
+        def reference_score(model):
+            scores = model.predict_scores(val.features)
+            if val.group is None:
+                return accuracy(scores, val.y)
+            return min(accuracy(scores[val.group == g], val.y[val.group == g]) for g in (0, 2))
+
+        cfg = TrainConfig(epochs=3, lr=0.01, seed=0)
+        candidates = [
+            train_jtt(small_train, val, replace(cfg, jtt_stage1_epochs=s1, jtt_upweight=lam))
+            for s1 in JTT_STAGE1_GRID
+            for lam in JTT_UPWEIGHT_GRID
+        ]
+        ranked = [reference_score(c) for c in candidates]
+        best = candidates[ranked.index(max(ranked))]  # the first of any tie, as the grid search keeps
+        chosen = train_jtt(small_train, val, cfg)
+        assert chosen.info == best.info
+        assert params_equal(chosen.params, best.params)
 
     def test_dispatcher_requires_val(self, small_train):
         with pytest.raises(InvalidScheme):
