@@ -183,16 +183,17 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     once (ERM ignores the grouping, so its row is replicated across
     schemes), then annotates train and val with one scheme at a time just
     before that scheme's cells, and records each model's validation AUC.
-    The score phase releases train, val and the annotations, draws the
-    seed's test split and evaluates every fitted model on it. A sweep thus
-    holds one seed's train/val while fitting, its test split while scoring,
-    and one scheme's annotation at a time, so memory does not grow with the
-    number of seeds or schemes. Cells run one after another: the work is
-    Python and numpy dispatch that holds the interpreter lock, so threads
-    would not overlap it. A cell that raises a SubshiftError in either phase
-    is recorded as one error row and skipped; any other exception is a bug
-    and propagates. Error rows come out in spec order (method, then scheme,
-    then seed), not run order.
+    The score phase releases train, val and the last annotation, draws the
+    seed's test split and evaluates every fitted model on it; the test split
+    is released before the next seed draws. A sweep thus holds one seed's
+    train/val while fitting, its test split while scoring, and one scheme's
+    annotation at a time, so memory does not grow with the number of seeds
+    or schemes. Cells run one after another: the work is Python and numpy
+    dispatch that holds the interpreter lock, so threads would not overlap
+    it. A cell whose training, validation AUC or evaluation raises a
+    SubshiftError is recorded as one error row and skipped; any other
+    exception is a bug and propagates. Error rows come out in spec order
+    (method, then scheme, then seed), not run order.
     """
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
@@ -213,102 +214,68 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
             )
 
     rows = []
-    errors = []  # (spec position, error row)
-    grouped = [(m, method) for m, method in enumerate(spec.methods) if method != "erm"]
-
-    def fail(position, method, name, seed, message):
-        errors.append((position, {"method": method, "grouping": name or "-", "seed": seed, "error": message}))
-
-    def fit_seed(i, seed, data_seed):
-        """Fit every cell of one seed; returns (position, method, name, model, val AUC) per fitted cell."""
-        fitted = []
-
-        def fit_cell(position, method, name, train, val):
-            cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name or "-", seed))
-            ok, payload = _guarded(_fit_cell, method, cfg, train, val)
-            if ok:
-                fitted.append((position, method, name, *payload))
-            else:
-                fail(position, method, name, seed, payload)
-
-        train, val = make_splits(spec.feature, spec.n_train, spec.n_val, spec.p_s0, spec.p_s1, seed=data_seed)
-        for m, method in enumerate(spec.methods):
-            if method == "erm":
-                fit_cell((m, 0, i), method, None, train, val)
-        for j, name in enumerate(spec.schemes if grouped else ()):
-            scheme = GroupingScheme.from_name(name)
-            ann_train = annotate_samples(
-                train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
-            )
-            ann_val = annotate_samples(
-                val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
-            )
-            for m, method in grouped:
-                fit_cell((m, j, i), method, name, ann_train, ann_val)
-            del ann_train, ann_val  # before the next scheme annotates
-        return fitted
-
-    def score_seed(seed, data_seed, fitted):
-        test = make_test_split(spec.feature, spec.n_test, seed=data_seed)
-        for position, method, name, model, val_auc in fitted:
-            ok, payload = _guarded(_score_cell, model, test)
-            if not ok:
-                fail(position, method, name, seed, payload)
-                continue
-            for scheme_name in spec.schemes if name is None else (name,):
-                kl = kl_by_scheme[scheme_name]
-                rows.append(
-                    {
-                        "method": method,
-                        "seed": seed,
-                        "val_auc": val_auc,
-                        **payload,
-                        "grouping": scheme_name,
-                        "min_kl_gdro": kl.kl_gdro,
-                        "min_kl_resampling": kl.kl_resampling,
-                    }
-                )
-
-    for i, seed in enumerate(spec.seeds):
+    errors = []
+    for seed in spec.seeds:
         data_seed = _derive_seed(spec.master_seed, "data", seed)
-        fitted = fit_seed(i, seed, data_seed)  # train and val die when fit_seed returns
-        score_seed(seed, data_seed, fitted)
+        fitted = []  # (method, scheme name or None for ERM, model, val AUC)
+        train, val = make_splits(spec.feature, spec.n_train, spec.n_val, spec.p_s0, spec.p_s1, seed=data_seed)
+        for name in (None, *spec.schemes):
+            methods = [m for m in spec.methods if (m == "erm") == (name is None)]
+            if not methods:
+                continue
+            cell_train, cell_val = train, val
+            if name is not None:
+                scheme = GroupingScheme.from_name(name)
+                cell_train = annotate_samples(
+                    train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
+                )
+                cell_val = annotate_samples(
+                    val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
+                )
+            for method in methods:
+                cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name or "-", seed))
+                try:
+                    model = mitigation.train(method, cell_train, cfg, val=cell_val)
+                    fitted.append((method, name, model, auc(model.predict_scores(cell_val.features), cell_val.y)))
+                except SubshiftError as exc:
+                    errors.append(_error_row(method, name, seed, exc))
+            del cell_train, cell_val  # before the next scheme annotates
+        del train, val  # before the test split is drawn
+
+        test = make_test_split(spec.feature, spec.n_test, seed=data_seed)
+        for method, name, model, val_auc in fitted:
+            try:
+                report = evaluate(model, test)
+            except SubshiftError as exc:
+                errors.append(_error_row(method, name, seed, exc))
+                continue
+            scores = (val_auc, report.overall_auc, report.min_acc_A, report.gap_A, report.min_acc_S, report.gap_S)
+            for grouping in spec.schemes if name is None else (name,):
+                kl = kl_by_scheme[grouping]
+                rows.append(dict(zip(RESULT_COLUMNS, (method, grouping, seed, *scores, kl.kl_gdro, kl.kl_resampling))))
+        del test  # before the next seed draws its splits
 
     rows.sort(key=lambda r: (r["method"], r["grouping"], r["seed"]))
-    errors.sort(key=lambda e: e[0])
+    errors.sort(
+        key=lambda e: (
+            spec.methods.index(e["method"]),
+            (*spec.schemes, "-").index(e["grouping"]),
+            spec.seeds.index(e["seed"]),
+        )
+    )
     return RunRecord(
         spec_hash=spec_hash(spec),
         rows=tuple(rows),
         kl_rows=tuple(kl_rows),
-        errors=tuple(e for _, e in errors),
+        errors=tuple(errors),
         started=started,
         finished=_now(),
         version=TOOL_VERSION,
     )
 
 
-def _fit_cell(method, cfg, train, val):
-    """Train one cell; returns the model and its validation AUC."""
-    model = mitigation.train(method, train, cfg, val=val)
-    return model, auc(model.predict_scores(val.features), val.y)
-
-
-def _score_cell(model, test) -> dict:
-    report = evaluate(model, test)
-    return {
-        "test_auc": report.overall_auc,
-        "min_acc_A": report.min_acc_A,
-        "gap_A": report.gap_A,
-        "min_acc_S": report.min_acc_S,
-        "gap_S": report.gap_S,
-    }
-
-
-def _guarded(fn, *args):
-    try:
-        return True, fn(*args)
-    except SubshiftError as exc:
-        return False, f"{type(exc).__name__}: {exc}"
+def _error_row(method, name, seed, exc) -> dict:
+    return {"method": method, "grouping": name or "-", "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _csv(header: str, rows) -> str:
@@ -384,6 +351,17 @@ def _kl_field(method: str) -> str:
     return "min_kl_resampling" if method == "resampling" else "min_kl_gdro"
 
 
+def _require_correlatable(method: str, values, where: str = "") -> None:
+    """Refuse a min-KL column that cannot be correlated: under 3 schemes, or one distinct value."""
+    if len(values) < 3:
+        raise InsufficientSchemes(f"{method}: need at least 3 schemes, have {len(values)}")
+    if len(set(values)) < 2:
+        raise DegenerateInput(
+            f"{method}: every scheme has the same {_kl_field(method)} ({values[0]:.6f}){where}, "
+            "so its correlation is undefined"
+        )
+
+
 def correlate_results(rows):
     """Per-method Pearson r between scheme min divergence and mean test AUC.
 
@@ -394,10 +372,9 @@ def correlate_results(rows):
     report = {}
     for method in sorted({m for m, _ in by_cell} - {"erm"}):
         kl = {r["grouping"]: r[_kl_field(method)] for r in rows if r["method"] == method}
-        if len(kl) < 3:
-            raise InsufficientSchemes(f"{method}: need at least 3 schemes, have {len(kl)}")
         names = sorted(kl)
         x = [kl[n] for n in names]
+        _require_correlatable(method, x)
         y = [by_cell[method, n][0] for n in names]
         try:
             r_val, p_val = pearson(x, y)
@@ -425,13 +402,22 @@ def write_correlation_outputs(report, out_dir) -> None:
         (out / f"scatter_{method}.csv").write_text(_csv("scheme,min_kl,mean_test_auc,sd_test_auc", scatter))
 
 
+def _correlate_dir(out) -> dict:
+    """Correlate out/results.csv, as written at six decimals, and write the correlation files beside it."""
+    results = Path(out) / "results.csv"
+    if not results.exists():
+        raise InvalidConfig(f"{results} not found; run the sweep first")
+    report = correlate_results(read_results_csv(results))
+    write_correlation_outputs(report, out)
+    return report
+
+
 def cmd_analyze_kl(args) -> int:
     spec = _spec_from_args(args)
-    schemes = args.scheme or list(spec.schemes)
     if args.check and (spec.p_s0 != DEFAULT_P_S0 or spec.p_s1 != DEFAULT_P_S1):
         print("error: --check only applies at the default bias levels", file=sys.stderr)
         return 2
-    rows = compute_kl_rows(schemes, spec.p_s0, spec.p_s1)
+    rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
     text = table_to_csv(rows)
     if args.out:
         out = Path(args.out)
@@ -472,44 +458,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    out = args.out or "out"
-    results = Path(out) / "results.csv"
-    if not results.exists():
-        print(f"error: {results} not found; run the sweep first", file=sys.stderr)
-        return 2
-    rows = read_results_csv(results)
-    try:
-        report = correlate_results(rows)
-    except SubshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    write_correlation_outputs(report, out)
+    report = _correlate_dir(args.out or "out")
     for method in sorted(report):
         entry = report[method]
         print(f"{method}: r={entry['r']:.3f} p={entry['p']:.3g} over {len(entry['schemes'])} schemes")
     return 0
-
-
-def _check_correlatable(name: str, spec: ExperimentSpec) -> None:
-    """Refuse a variant whose correlation is undefined by its spec alone.
-
-    Every non-ERM method needs at least three schemes and two distinct
-    values in the min-KL column correlate_results pairs it with.
-    """
-    kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
-    columns = {"min_kl_gdro": {r.kl_gdro for r in kl_rows}, "min_kl_resampling": {r.kl_resampling for r in kl_rows}}
-    for method in spec.methods:
-        if method == "erm":
-            continue
-        if len(kl_rows) < 3:
-            raise InsufficientSchemes(f"{method}: need at least 3 schemes, have {len(kl_rows)}")
-        field = _kl_field(method)
-        values = columns[field]
-        if len(values) < 2:
-            raise DegenerateInput(
-                f"{method}: every scheme has the same {field} ({min(values):.6f}) in the {name} variant "
-                f"(p_s0={spec.p_s0}, p_s1={spec.p_s1}), so its correlation is undefined"
-            )
 
 
 def cmd_ablate(args) -> int:
@@ -520,16 +473,21 @@ def cmd_ablate(args) -> int:
         ("weak_shift", replace(spec, p_s0=0.85, p_s1=0.70)),
         ("small_n", replace(spec, n_train=max(spec.n_train // 8, 8))),
     ]
+    # Refuse, before any data is drawn, a variant whose correlation is undefined
+    # by its spec alone, judged on the six-decimal min KL that results.csv holds.
     for name, variant_spec in variants:
-        _check_correlatable(name, variant_spec)
+        kl_rows = compute_kl_rows(variant_spec.schemes, variant_spec.p_s0, variant_spec.p_s1)
+        columns = {"min_kl_gdro": [r.kl_gdro for r in kl_rows], "min_kl_resampling": [r.kl_resampling for r in kl_rows]}
+        where = f" in the {name} variant (p_s0={variant_spec.p_s0}, p_s1={variant_spec.p_s1})"
+        for method in [m for m in variant_spec.methods if m != "erm"]:
+            _require_correlatable(method, [round(v, 6) for v in columns[_kl_field(method)]], where)
     base = None
     failed = False
     summary = []
     for name, variant_spec in variants:
         record = _run_and_write(variant_spec, out / name)
         failed = failed or bool(record.errors)
-        report = correlate_results(record.rows)
-        write_correlation_outputs(report, out / name)
+        report = _correlate_dir(out / name)
         if base is None:  # the baseline runs first
             base = report
         erm_drops = [r["val_auc"] - r["test_auc"] for r in record.rows if r["method"] == "erm"]
@@ -596,10 +554,12 @@ def _spec_from_args(args) -> ExperimentSpec:
 
     overrides = {}
     for name in ("seeds", "methods", "schemes", "p_s0", "p_s1", "n_train", "master_seed"):
-        value = getattr(args, name, None)  # analyze-kl has only the bias flags
+        value = getattr(args, name, None)  # analyze-kl has only the bias flags and --scheme
         if value in (None, ""):
             continue
-        overrides[name] = tuple(value.split(",")) if isinstance(value, str) else value
+        if isinstance(value, str):  # --seeds, --methods, --schemes: comma-separated
+            value = value.split(",")
+        overrides[name] = tuple(value) if isinstance(value, list) else value  # a list from --scheme too
     if "seeds" in overrides:
         try:
             overrides["seeds"] = tuple(int(s) for s in overrides["seeds"])
@@ -623,7 +583,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_kl = sub.add_parser("analyze-kl", help="minimum-divergence table per scheme")
     common(p_kl)
-    p_kl.add_argument("--scheme", action="append", help="restrict to a scheme (repeatable)")
+    p_kl.add_argument("--scheme", dest="schemes", action="append", help="restrict to a scheme (repeatable)")
     p_kl.add_argument("--check", action="store_true", help="assert against the frozen reference")
 
     for name in ("run", "ablate"):

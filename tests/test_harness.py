@@ -468,12 +468,21 @@ class TestCli:
         assert captured.out == ""
         assert "'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'" in captured.err
 
+    def test_analyze_kl_rejects_repeated_scheme(self, capsys):
+        """--scheme fills the spec's scheme list, so it is checked as --schemes is."""
+        assert main(["analyze-kl", "--scheme", "A", "--scheme", "A"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "schemes lists 'A' more than once" in captured.err
+
     def test_correlate_names_the_method_with_constant_kl(self, tmp_path, capsys):
         rows = synthetic_rows("gdro", "min_kl_gdro", [0.5, 0.5, 0.5], lambda kl: 0.9 - kl)
         filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
         (tmp_path / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
         assert main(["correlate", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: gdro: zero variance\n"
+        assert capsys.readouterr().err == (
+            "error: gdro: every scheme has the same min_kl_gdro (0.500000), so its correlation is undefined\n"
+        )
 
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {
@@ -622,6 +631,10 @@ class TestCli:
             for name in names:
                 assert f"{variant}/{name}.csv" in csvs["first"]
         assert csvs["first"] == csvs["second"]
+        for variant in ABLATE_VARIANTS:  # correlate rereads results.csv and rewrites the same bytes
+            assert main(["correlate", "--out", str(tmp_path / "first" / variant)]) == 0
+            rewritten = (tmp_path / "first" / variant / "correlation.csv").read_bytes()
+            assert rewritten == csvs["first"][f"{variant}/correlation.csv"], variant
         summary = csvs["first"]["ablation_summary.csv"].decode().splitlines()
         assert summary[0] == "variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop"
         assert [line.split(",")[:2] for line in summary[1:]] == [[v, "gdro"] for v in ABLATE_VARIANTS]
@@ -648,17 +661,26 @@ class TestCli:
         assert len((out / "ablation_summary.csv").read_text().splitlines()) == 1 + len(ABLATE_VARIANTS)
 
     @pytest.mark.parametrize(
-        "schemes,message",
+        "overrides,message",
         [
-            (["A", "S"], "error: gdro: need at least 3 schemes, have 2"),
+            ({"schemes": ["A", "S"]}, "error: gdro: need at least 3 schemes, have 2"),
             # all three have min KL 0.526755 at the default bias
-            (["A", "S", "Random"], "error: gdro: every scheme has the same min_kl_gdro (0.526755) in the baseline"),
+            (
+                {"schemes": ["A", "S", "Random"]},
+                "error: gdro: every scheme has the same min_kl_gdro (0.526755) in the baseline",
+            ),
+            # at this bias A's min KL differs from S's and Random's in the last bit only,
+            # and results.csv stores all three as 0.211924
+            (
+                {"schemes": ["A", "S", "Random"], "p_s0": 0.85, "p_s1": 0.70},
+                "error: gdro: every scheme has the same min_kl_gdro (0.211924) in the baseline",
+            ),
         ],
-        ids=["two_schemes", "equal_min_kl"],
+        ids=["two_schemes", "equal_min_kl", "equal_at_six_decimals"],
     )
-    def test_ablate_undefined_correlation_fails_before_any_data(self, tmp_path, capsys, schemes, message):
+    def test_ablate_undefined_correlation_fails_before_any_data(self, tmp_path, capsys, overrides, message):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(dict(ABLATE_CONFIG, schemes=schemes)))
+        cfg_path.write_text(json.dumps({**ABLATE_CONFIG, **overrides}))
         out = tmp_path / "out"
         reached = AssertionError("make_splits ran for an ablation whose correlation is undefined")
         with mock.patch.object(harness, "make_splits", side_effect=reached):
