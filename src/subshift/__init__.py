@@ -14,9 +14,7 @@ from .dist_core import (
     biased_distribution,
     kl_divergence,
     make_distribution,
-    pinsker_bound,
     reweighted_distribution,
-    tv_distance,
     uniform_distribution,
 )
 from .errors import (

@@ -8,7 +8,7 @@ indexed canonically as
 
 so a length-8 probability vector fully describes a joint distribution.
 This module builds the biased training distribution, reweights it through a
-grouping, and measures divergences between distributions.
+grouping (P^w = R @ w, R from group_conditionals), and measures KL divergence.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ __all__ = [
     "uniform_distribution",
     "biased_distribution",
     "kl_divergence",
-    "tv_distance",
-    "pinsker_bound",
+    "group_conditionals",
     "reweighted_distribution",
 ]
 
@@ -61,9 +60,6 @@ class Distribution:
     def __len__(self) -> int:
         return len(self.probs)
 
-    def __getitem__(self, j):
-        return self.probs[j]
-
 
 def make_distribution(probs) -> Distribution:
     """Validate and mildly repair a probability vector.
@@ -85,8 +81,8 @@ def make_distribution(probs) -> Distribution:
     return Distribution(p / total)
 
 
-def uniform_distribution(n_atoms: int = N_ATOMS) -> Distribution:
-    return Distribution(np.full(n_atoms, 1.0 / n_atoms))
+def uniform_distribution() -> Distribution:
+    return Distribution(np.full(N_ATOMS, 1.0 / N_ATOMS))
 
 
 def biased_distribution(p_s0: float, p_s1: float) -> Distribution:
@@ -124,20 +120,19 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     return float(np.sum(pv[pos] * np.log(pv[pos] / qv[pos])))
 
 
-def tv_distance(p: Distribution, q: Distribution) -> float:
-    """Total variation distance 0.5 * sum |p_j - q_j|."""
-    if len(p) != len(q):
-        raise SupportMismatch(f"length mismatch {len(p)} vs {len(q)}")
-    return float(0.5 * np.abs(p.probs - q.probs).sum())
+def group_conditionals(p: Distribution, assign):
+    """R[j, i] = share of group i's mass contributed by atom j, and which groups have mass.
 
-
-def pinsker_bound(train_err: float, kl: float) -> float:
-    """Upper bound on deployment error: train_err + sqrt(kl / 2)."""
-    if not 0.0 <= train_err <= 1.0:
-        raise OutOfRange(f"train_err must be in [0, 1], got {train_err}")
-    if kl < 0.0:
-        raise OutOfRange(f"kl must be non-negative, got {kl}")
-    return train_err + float(np.sqrt(kl / 2.0))
+    assign is the [n_atoms x k] matrix of conditionals P(group | atom). With
+    m_ji = p_j * assign[j, i] and M_i = sum_j m_ji, R[j, i] = m_ji / M_i, so
+    P^w = R @ w. A group with M_i = 0 gets a zero column and alive[i] False.
+    """
+    m = p.probs[:, None] * assign
+    mass = m.sum(axis=0)
+    alive = mass > 0.0
+    r = np.zeros_like(m)
+    r[:, alive] = m[:, alive] / mass[alive]
+    return r, alive
 
 
 def reweighted_distribution(p: Distribution, g, w) -> Distribution:
@@ -145,12 +140,9 @@ def reweighted_distribution(p: Distribution, g, w) -> Distribution:
 
     g is a SoftGrouping (or bare [n_atoms x k] matrix of conditionals
     P(group | atom)); w is a weight vector on the k-simplex. The result is
-
-        P^w[j] = sum_i w_i * m_ji / M_i,   m_ji = p_j * P(g_i | atom j),
-                                           M_i  = sum_j m_ji.
-
-    For a hard partition this reduces to scaling each group's conditional
-    distribution by its weight.
+    P^w = R @ w with R from group_conditionals. For a hard partition this
+    reduces to scaling each group's conditional distribution by its weight.
+    A positive weight on a group without mass raises EmptyGroup.
     """
     assign = np.asarray(getattr(g, "assign", g), dtype=float)
     wv = np.asarray(getattr(w, "w", w), dtype=float)
@@ -158,10 +150,8 @@ def reweighted_distribution(p: Distribution, g, w) -> Distribution:
         raise SupportMismatch(
             f"grouping shape {assign.shape} incompatible with {len(p)} atoms and {len(wv)} weights"
         )
-    m = p.probs[:, None] * assign
-    mass = m.sum(axis=0)
-    dead = mass <= 0.0
-    if np.any(dead & (wv > 0.0)):
-        raise EmptyGroup(f"groups {np.nonzero(dead & (wv > 0.0))[0].tolist()} have weight but no mass")
-    mass = np.where(dead, 1.0, mass)
-    return make_distribution((m / mass) @ wv)
+    r, alive = group_conditionals(p, assign)
+    dead = ~alive & (wv > 0.0)
+    if np.any(dead):
+        raise EmptyGroup(f"groups {np.nonzero(dead)[0].tolist()} have weight but no mass")
+    return make_distribution(r @ wv)

@@ -76,32 +76,25 @@ class TrainConfig:
     gdro_eta: float = 0.01
     gdro_size_adjust: float = 1.0
     cfair_mu: float = 0.1
-    jtt_stage1_epochs: int | None = None
-    jtt_upweight: float | None = None
     domain_ind_rule: str = "max_abs"
     seed: int = 0
 
     def __post_init__(self):
-        # A None JTT field means "tune it"; any value that is set must be in range.
         # The comparisons are written so that NaN fails them, and a JSON
         # integer too large for a float fails the finiteness test.
-        for name in ("epochs", "batch_size", "hidden", "jtt_stage1_epochs"):
+        for name in ("epochs", "batch_size", "hidden"):
             value = getattr(self, name)
-            if value is None:
-                continue
             if not isinstance(value, numbers.Integral):
                 raise OutOfRange(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise OutOfRange(f"{name} must be >= 1, got {value}")
-        for name in (
-            "lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu", "jtt_upweight"
-        ):
+        for name in ("lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu"):
             value = getattr(self, name)
-            if value is not None and not abs(value) <= sys.float_info.max:
+            if not abs(value) <= sys.float_info.max:
                 raise OutOfRange(f"{name} must be finite, got {value}")
-        for name in ("lr", "jtt_upweight", "lr_decay_factor"):
+        for name in ("lr", "lr_decay_factor"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
+            if not value > 0:
                 raise OutOfRange(f"{name} must be > 0, got {value}")
         for name in ("weight_decay", "lr_decay_epoch", "gdro_eta", "gdro_size_adjust", "cfair_mu"):
             value = getattr(self, name)
@@ -330,21 +323,18 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
 
     Stage one is a short ERM run; its training-set errors (threshold 0.5)
     get weight lambda in a from-scratch stage-two run. The (stage-1 epochs,
-    lambda) pair comes from a small grid tuned on validation data: by
-    worst-group accuracy when the validation split carries groups, by
-    overall accuracy otherwise. Pinning both fields in the config collapses
-    the grid to that single cell.
+    lambda) pair is the cell of JTT_STAGE1_GRID x JTT_UPWEIGHT_GRID that
+    scores best on validation data: by worst-group accuracy when the
+    validation split carries groups, by overall accuracy otherwise. The
+    grids are read when the function runs.
     """
-    s1_grid = JTT_STAGE1_GRID if cfg.jtt_stage1_epochs is None else (cfg.jtt_stage1_epochs,)
-    up_grid = JTT_UPWEIGHT_GRID if cfg.jtt_upweight is None else (cfg.jtt_upweight,)
-
     best = None
-    for s1 in s1_grid:
+    for s1 in JTT_STAGE1_GRID:
         stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)))
         wrong = (stage1.predict_scores(dataset.features) >= 0.5).astype(int) != dataset.y
         if not wrong.any():
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
-        for lam in up_grid:
+        for lam in JTT_UPWEIGHT_GRID:
             weights = np.where(wrong, float(lam), 1.0)
             candidate = replace(
                 _fit("jtt", dataset, cfg, _bce_step(dataset, sample_weights=weights)),

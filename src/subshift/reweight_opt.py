@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import Distribution, kl_divergence, reweighted_distribution
+from .dist_core import Distribution, group_conditionals, kl_divergence, reweighted_distribution
 from .errors import EmptyGroup, OutOfRange, SupportMismatch, TooManyGroups
 from .grouping import SoftGrouping, atom_grouping
 from .nnet import row_blocks
@@ -72,19 +72,6 @@ def resampling_weights(grouping: SoftGrouping) -> WeightVector:
     return WeightVector(np.full(grouping.k, 1.0 / grouping.k))
 
 
-def _ratio_matrix(p_train: Distribution, grouping: SoftGrouping):
-    """R[j, i] = share of group i's mass contributed by atom j.
-
-    P^w = R @ w. Zero-mass groups are reported so callers can drop them.
-    """
-    m = p_train.probs[:, None] * grouping.assign
-    mass = m.sum(axis=0)
-    alive = mass > 0.0
-    r = np.zeros_like(m)
-    r[:, alive] = m[:, alive] / mass[alive]
-    return r, alive
-
-
 def optimal_weights(
     p_train: Distribution,
     grouping: SoftGrouping,
@@ -106,7 +93,7 @@ def optimal_weights(
     here since the optimizer owns the weights. Target mass on an atom that
     no remaining group covers makes every P^w miss it: SupportMismatch.
     """
-    r_full, alive = _ratio_matrix(p_train, grouping)
+    r_full, alive = group_conditionals(p_train, grouping.assign)
     if not np.any(alive):
         raise EmptyGroup("every group has zero mass")
     if not np.all(alive):
@@ -171,7 +158,7 @@ def brute_force_min_kl(
     if not 0.0 < grid_step <= 0.5:
         raise OutOfRange(f"grid_step must be in (0, 0.5], got {grid_step}")
     n = int(round(1.0 / grid_step))
-    r, _ = _ratio_matrix(p_train, grouping)
+    r, _ = group_conditionals(p_train, grouping.assign)
     t = p_target.probs
     pos = t > 0.0
     t_pos = t[pos]

@@ -555,6 +555,7 @@ class TestCli:
             ({"epochs": 3}, "unknown top-level key 'epochs'"),
             ({"feature": {"mu": 1.0}}, "unknown feature key 'mu'"),
             ({"train": {"epochz": 3}}, "unknown train key 'epochz'"),
+            ({"train": {"jtt_upweight": 5.0}}, "unknown train key 'jtt_upweight'"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, config, message):
@@ -575,14 +576,9 @@ class TestCli:
             ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
             ('{"train": {"epochs": 0}}', "epochs must be >= 1, got 0"),
             ('{"train": {"hidden": 0}}', "hidden must be >= 1, got 0"),
-            ('{"train": {"jtt_stage1_epochs": 0}}', "jtt_stage1_epochs must be >= 1, got 0"),
-            ('{"train": {"jtt_upweight": 0}}', "jtt_upweight must be > 0, got 0"),
             ('{"train": {"lr": -1.0}}', "lr must be > 0, got -1.0"),
             ('{"train": {"domain_ind_rule": "vote"}}', "unknown inference rule 'vote'"),
-            (
-                '{"train": {"jtt_stage1_epochs": 1.5}}',
-                "train key 'jtt_stage1_epochs' in --config has the wrong type: 1.5",
-            ),
+            ('{"train": {"epochs": 1.5}}', "train key 'epochs' in --config has the wrong type: 1.5"),
             ('{"train": {"weight_decay": -0.1}}', "weight_decay must be >= 0, got -0.1"),
             ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
             ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
@@ -596,11 +592,9 @@ class TestCli:
             "batch_size_0",
             "epochs_0",
             "hidden_0",
-            "jtt_stage1_epochs_0",
-            "jtt_upweight_0",
             "lr_negative",
             "domain_ind_rule_unknown",
-            "jtt_stage1_epochs_float",
+            "epochs_float",
             "weight_decay_negative",
             "lr_decay_epoch_negative",
             "lr_decay_factor_0",
@@ -709,6 +703,28 @@ class TestCli:
         assert [row[:2] for row in summary] == [["weak_shift", "gdro"], ["small_n", "gdro"]]
         assert all(row[4] == "nan" and row[5] == "0" for row in summary)
 
+    def test_ablate_goes_on_past_a_variant_it_cannot_correlate(self, tmp_path, capsys):
+        """small_n trains on 50 samples, so its (gdro, YSA) cell meets an empty
+        group and leaves gdro two schemes to correlate."""
+        config = {
+            "methods": ["erm", "gdro"],
+            "schemes": ["YSA", "AY", "S"],
+            "seeds": [0],
+            "n_train": 400,
+            "n_val": 200,
+            "n_test": 400,
+            "train": {"epochs": 1},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="risks empty groups"):
+            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert "small_n: correlation failed: gdro: need at least 3 schemes, have 2" in err
+        summary = [l.split(",") for l in (out / "ablation_summary.csv").read_text().splitlines()[1:]]
+        assert [row[:2] for row in summary] == [["baseline", "gdro"], ["weak_shift", "gdro"]]
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "subshift", "analyze-kl", "--scheme", "YSA"],
@@ -761,12 +777,8 @@ def _malformed_configs():
         st.sampled_from(["p_s0", "p_s1"]),
         st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0)),
     )
-    below_one = st.tuples(
-        st.sampled_from(["epochs", "batch_size", "hidden", "jtt_stage1_epochs"]), st.integers(max_value=0)
-    )
-    not_positive = st.tuples(
-        st.sampled_from(["lr", "jtt_upweight", "lr_decay_factor"]), st.floats(max_value=0.0)
-    )
+    below_one = st.tuples(st.sampled_from(["epochs", "batch_size", "hidden"]), st.integers(max_value=0))
+    not_positive = st.tuples(st.sampled_from(["lr", "lr_decay_factor"]), st.floats(max_value=0.0))
     negative = st.one_of(
         st.tuples(
             st.sampled_from(["weight_decay", "gdro_eta", "gdro_size_adjust", "cfair_mu"]),
@@ -775,7 +787,7 @@ def _malformed_configs():
         st.tuples(st.just("lr_decay_epoch"), st.integers(max_value=-1)),
     )
     non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
-    train_floats = ["lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu", "jtt_upweight"]
+    train_floats = ["lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu"]
     feature = st.one_of(
         st.tuples(st.sampled_from(["mu_y", "mu_a", "mu_s", "noise_sd"]), non_finite),
         st.tuples(st.just("noise_sd"), st.floats(max_value=0.0)),
@@ -785,7 +797,7 @@ def _malformed_configs():
         not_positive,
         negative,
         st.tuples(st.sampled_from(train_floats), non_finite),
-        st.tuples(st.just("jtt_stage1_epochs"), st.floats()),  # JSON floats never fit an int field
+        st.tuples(st.just("epochs"), st.floats()),  # JSON floats never fit an int field
         st.tuples(st.just("domain_ind_rule"), names.filter(lambda n: n not in ("max_abs", "sum"))),
         st.tuples(st.just("seed"), st.integers().filter(bool)),  # cells derive seeds from master_seed
     ).map(lambda kv: {"train": {"epochs": 1, kv[0]: kv[1]}})

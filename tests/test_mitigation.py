@@ -1,10 +1,9 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subshift import nnet
+from subshift import mitigation, nnet
 from subshift.dist_core import biased_distribution, uniform_distribution
 from subshift.errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
 from subshift.grouping import GroupingScheme, annotate_samples
@@ -56,14 +55,26 @@ def single_group(ds):
     return ds.with_groups(np.zeros(len(ds), dtype=np.int64), None, 1)
 
 
+@pytest.fixture
+def pin_jtt_grid(monkeypatch):
+    """pin(stage1_epochs, upweight) collapses JTT's tuning grid to that one cell."""
+
+    def pin(stage1_epochs, upweight):
+        monkeypatch.setattr(mitigation, "JTT_STAGE1_GRID", (stage1_epochs,))
+        monkeypatch.setattr(mitigation, "JTT_UPWEIGHT_GRID", (upweight,))
+
+    return pin
+
+
 class TestDeterminism:
     """Same config and seed must reproduce final parameters bitwise."""
 
     CASES = ("erm", "gdro", "resampling", "domain_ind", "cfair", "jtt")
 
     @pytest.mark.parametrize("method", CASES)
-    def test_bitwise_repeatable(self, method, small_train, small_val, train_a, train_ay):
-        cfg = TrainConfig(epochs=3, seed=0, jtt_stage1_epochs=1, jtt_upweight=5.0)
+    def test_bitwise_repeatable(self, method, small_train, small_val, train_a, train_ay, pin_jtt_grid):
+        pin_jtt_grid(1, 5.0)
+        cfg = TrainConfig(epochs=3, seed=0)
         ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
             method, small_train
         )
@@ -76,7 +87,8 @@ class TestDeterminism:
 
 
 def fit_one(method, small_train, small_val, train_a, train_ay, epochs):
-    cfg = TrainConfig(epochs=epochs, seed=0, jtt_stage1_epochs=1, jtt_upweight=5.0)
+    """Train one method on its usual split; JTT's grid must be pinned to one cell first."""
+    cfg = TrainConfig(epochs=epochs, seed=0)
     ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
         method, small_train
     )
@@ -85,7 +97,10 @@ def fit_one(method, small_train, small_val, train_a, train_ay, epochs):
 
 class TestHistory:
     @pytest.mark.parametrize("method", TestDeterminism.CASES)
-    def test_history_is_a_tuple_of_epoch_rows(self, method, small_train, small_val, train_a, train_ay):
+    def test_history_is_a_tuple_of_epoch_rows(
+        self, method, small_train, small_val, train_a, train_ay, pin_jtt_grid
+    ):
+        pin_jtt_grid(1, 5.0)
         model = fit_one(method, small_train, small_val, train_a, train_ay, epochs=2)
         assert isinstance(model.history, tuple)
         assert [row["epoch"] for row in model.history] == [0, 1]
@@ -113,8 +128,9 @@ NNET_USES = {
 
 @pytest.mark.parametrize("method", TestDeterminism.CASES)
 def test_trainers_reach_patched_nnet_functions(
-    method, monkeypatch, small_train, small_val, train_a, train_ay
+    method, monkeypatch, small_train, small_val, train_a, train_ay, pin_jtt_grid
 ):
+    pin_jtt_grid(1, 5.0)
     calls = {}
     for name in set().union(*NNET_USES.values()):
         original = getattr(nnet, name)
@@ -133,7 +149,6 @@ class TestTrainConfig:
         "field,value,error",
         [
             ("epochs", 2.0, OutOfRange),
-            ("jtt_stage1_epochs", 1.5, OutOfRange),
             ("lr", float("nan"), OutOfRange),
             ("lr_decay_factor", 0.0, OutOfRange),
             ("lr_decay_factor", -0.1, OutOfRange),
@@ -141,7 +156,6 @@ class TestTrainConfig:
             ("weight_decay", float("nan"), OutOfRange),
             ("lr_decay_epoch", -1, OutOfRange),
             ("lr", float("inf"), OutOfRange),
-            ("jtt_upweight", float("nan"), OutOfRange),
             ("gdro_eta", float("nan"), OutOfRange),
             ("gdro_eta", -0.01, OutOfRange),
             ("gdro_size_adjust", float("-inf"), OutOfRange),
@@ -155,10 +169,10 @@ class TestTrainConfig:
 
     def test_boundary_values_accepted(self):
         cfg = TrainConfig(
-            weight_decay=0.0, lr_decay_epoch=0, jtt_stage1_epochs=np.int64(2), domain_ind_rule="sum",
+            weight_decay=0.0, lr_decay_epoch=0, epochs=np.int64(2), domain_ind_rule="sum",
             gdro_eta=0.0, gdro_size_adjust=0.0, cfair_mu=0.0,
         )
-        assert cfg.jtt_stage1_epochs == 2
+        assert cfg.epochs == 2
 
 
 class TestErm:
@@ -403,17 +417,19 @@ class TestCfair:
 
 
 class TestJtt:
-    def test_unit_upweight_equals_erm(self, small_train, small_val):
-        cfg = TrainConfig(epochs=5, seed=0, jtt_stage1_epochs=1, jtt_upweight=1.0)
+    def test_unit_upweight_equals_erm(self, small_train, small_val, pin_jtt_grid):
+        pin_jtt_grid(1, 1.0)
+        cfg = TrainConfig(epochs=5, seed=0)
         jt = train_jtt(small_train, small_val, cfg)
         erm = train_erm(small_train, cfg)
         assert params_equal(jt.params, erm.params)
 
-    def test_warns_on_empty_error_set(self, p_train):
+    def test_warns_on_empty_error_set(self, p_train, pin_jtt_grid):
         easy = FeatureConfig(mu_y=6.0, mu_a=0.5, mu_s=0.5, noise_sd=0.5)
         ds = sample_dataset(p_train, 512, easy, seed=3)
         val = sample_dataset(p_train, 256, easy, seed=4)
-        cfg = TrainConfig(epochs=6, seed=0, jtt_stage1_epochs=2, jtt_upweight=5.0)
+        pin_jtt_grid(2, 5.0)
+        cfg = TrainConfig(epochs=6, seed=0)
         with pytest.warns(UserWarning, match="no training errors"):
             model = train_jtt(ds, val, cfg)
         assert model.info["n_upweighted"] == 0
@@ -426,7 +442,9 @@ class TestJtt:
         assert len(model.history) == 3
 
     @pytest.mark.parametrize("grouped", (True, False), ids=("absent_groups", "no_groups"))
-    def test_selects_the_candidate_a_reference_ranks_best(self, small_train, small_val, grouped):
+    def test_selects_the_candidate_a_reference_ranks_best(
+        self, small_train, small_val, grouped, pin_jtt_grid
+    ):
         """Groups 0 (bias-aligned) and 2 (bias-conflicting) of a declared 4 are
         present, or the split has no groups. The two rules pick different
         candidates: (1, 20.0) by worst group, (1, 5.0) overall."""
@@ -440,14 +458,14 @@ class TestJtt:
             return min(accuracy(scores[val.group == g], val.y[val.group == g]) for g in (0, 2))
 
         cfg = TrainConfig(epochs=3, lr=0.01, seed=0)
-        candidates = [
-            train_jtt(small_train, val, replace(cfg, jtt_stage1_epochs=s1, jtt_upweight=lam))
-            for s1 in JTT_STAGE1_GRID
-            for lam in JTT_UPWEIGHT_GRID
-        ]
+        chosen = train_jtt(small_train, val, cfg)
+        candidates = []
+        for s1 in JTT_STAGE1_GRID:
+            for lam in JTT_UPWEIGHT_GRID:
+                pin_jtt_grid(s1, lam)
+                candidates.append(train_jtt(small_train, val, cfg))
         ranked = [reference_score(c) for c in candidates]
         best = candidates[ranked.index(max(ranked))]  # the first of any tie, as the grid search keeps
-        chosen = train_jtt(small_train, val, cfg)
         assert chosen.info == best.info
         assert params_equal(chosen.params, best.params)
 

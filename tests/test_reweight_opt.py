@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from subshift.dist_core import (
     biased_distribution,
+    group_conditionals,
     kl_divergence,
     make_distribution,
     reweighted_distribution,
@@ -23,7 +24,6 @@ from subshift.grouping import (
 )
 from subshift.reweight_opt import (
     WeightVector,
-    _ratio_matrix,
     brute_force_min_kl,
     min_kl_table,
     optimal_weights,
@@ -36,7 +36,7 @@ def reference_brute_force(p_train, grouping, p_target, grid_step):
     """The grid search as first written: one meshgrid block per leading coordinate."""
     k = grouping.k
     n = int(round(1.0 / grid_step))
-    r, _ = _ratio_matrix(p_train, grouping)
+    r, _ = group_conditionals(p_train, grouping.assign)
     t = p_target.probs
     pos = t > 0.0
     t_pos = t[pos]
