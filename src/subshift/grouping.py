@@ -2,17 +2,19 @@
 
 A grouping is an [n_atoms x k] matrix of conditionals P(group | atom). Hard
 partitions are the 0/1 special case; split, noisy and random schemes have
-soft rows. Each scheme is one entry in one table below: a hard partition
-(_HARD), an equal-mass split of one (_SPLIT), a noisy annotation of one
-(_NOISY), or Random. Its serialized name, its groups and whether it is
-y-free follow from that entry: a scheme is y-free, and so accepted by
-model-based mitigation methods, when every group of its noise-free grouping
-holds both classes. The module also annotates sampled datasets with group ids.
+soft rows. A scheme is its serialized name, and each name is one entry in
+one table below, keyed by that name: a hard partition (_HARD), an
+equal-mass split of one (_SPLIT), a noisy annotation of one (_NOISY, whose
+name ends in its noise level, e.g. 'Noisy_AY_0.10'), or Random. The
+scheme's matrix and whether it is y-free follow from that entry: a scheme
+is y-free, and so accepted by model-based mitigation methods, when every
+group of its noise-free grouping holds both classes. The module also
+annotates sampled datasets with group ids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,66 +36,57 @@ __all__ = [
 # Noise sweep used by the standard scheme lists.
 NOISE_LEVELS = (0.01, 0.05, 0.10, 0.25, 0.50)
 
-# kind -> (serialized name, group of atom (y, s, a), group names)
+# name -> group of atom (y, s, a)
 _HARD = {
-    "Y": ("Y", lambda y, s, a: y, ("y0", "y1")),
-    "A": ("A", lambda y, s, a: a, ("a0", "a1")),
-    "S": ("S", lambda y, s, a: s, ("s0", "s1")),
-    "AY": ("AY", lambda y, s, a: 2 * y + a, ("a0_y0", "a1_y0", "a0_y1", "a1_y1")),
-    "SY": ("SY", lambda y, s, a: 2 * y + s, ("s0_y0", "s1_y0", "s0_y1", "s1_y1")),
-    "YSA": (
-        "YSA",
-        lambda y, s, a: 4 * y + 2 * s + a,
-        tuple(f"y{y}_s{s}_a{a}" for y in (0, 1) for s in (0, 1) for a in (0, 1)),
-    ),
-    "SCnoSC": ("SC_noSC", lambda y, s, a: int(y != a), ("aligned", "conflicting")),
-    "AS": ("AS", lambda y, s, a: 2 * s + a, ("a0_s0", "a1_s0", "a0_s1", "a1_s1")),
+    "Y": lambda y, s, a: y,
+    "A": lambda y, s, a: a,
+    "S": lambda y, s, a: s,
+    "AY": lambda y, s, a: 2 * y + a,
+    "SY": lambda y, s, a: 2 * y + s,
+    "YSA": lambda y, s, a: 4 * y + 2 * s + a,
+    "SC_noSC": lambda y, s, a: int(y != a),
+    "AS": lambda y, s, a: 2 * s + a,
 }
-# kind -> (serialized name, hard parent whose groups are split in two)
-_SPLIT = {"AY8": ("AY_8", "AY"), "SY8": ("SY_8", "SY"), "A4": ("A_4", "A"), "S4": ("S_4", "S")}
-# kind -> (serialized name prefix, hard parent); the noise level completes the name
-_NOISY = {"NoisyAY": ("Noisy_AY_", "AY"), "NoisyA": ("Noisy_A_", "A")}
+# name -> hard parent whose groups are split in two
+_SPLIT = {"AY_8": "AY", "SY_8": "SY", "A_4": "A", "S_4": "S"}
+# name prefix -> hard parent; the noise level, at two decimals, completes the name
+_NOISY = {"Noisy_AY_": "AY", "Noisy_A_": "A"}
 _RANDOM_K = 4  # groups of the Random scheme, each drawn uniformly per sample
 
-_FIXED_NAMES = {kind: entry[0] for kind, entry in (_HARD | _SPLIT).items()} | {"Random": "Random"}
-_NAME_TO_KIND = {name: kind for kind, name in _FIXED_NAMES.items()}
+
+def _noisy(name: str) -> tuple[str, float] | None:
+    """The name prefix and noise level of a noisy scheme's name; None for any other name."""
+    for prefix in _NOISY:
+        if name.startswith(prefix):
+            try:
+                return prefix, float(name[len(prefix):])
+            except ValueError:
+                raise InvalidScheme(f"bad noise fraction in {name!r}") from None
+    return None
 
 
 @dataclass(frozen=True)
 class GroupingScheme:
-    """A named scheme; noise applies to NoisyAY/NoisyA."""
+    """A scheme, identified by its serialized name, e.g. 'AY_8' or 'Noisy_AY_0.05'.
 
-    kind: str
-    noise: float = 0.0
+    Only the canonical spelling is accepted: result rows and KL rows are
+    keyed by the name, so one scheme has one name.
+    """
+
+    name: str
 
     def __post_init__(self):
-        if self.kind not in _FIXED_NAMES and self.kind not in _NOISY:
-            raise InvalidScheme(f"unknown kind {self.kind!r}")
-        if self.kind in _NOISY and not 0.0 <= self.noise < 1.0:
-            raise InvalidScheme(f"noise fraction {self.noise} outside [0, 1)")
-
-    @property
-    def name(self) -> str:
-        """Serialized name used in result files, e.g. 'AY_8', 'Noisy_AY_0.05'."""
-        if self.kind in _NOISY:
-            return f"{_NOISY[self.kind][0]}{self.noise:.2f}"
-        return _FIXED_NAMES[self.kind]
-
-    @staticmethod
-    def from_name(name: str) -> "GroupingScheme":
-        """The scheme serialized as name; only its canonical spelling is accepted."""
-        if name in _NAME_TO_KIND:
-            return GroupingScheme(_NAME_TO_KIND[name])
-        for kind, (prefix, _) in _NOISY.items():
-            if name.startswith(prefix):
-                try:
-                    scheme = GroupingScheme(kind, noise=float(name[len(prefix):]))
-                except ValueError:
-                    raise InvalidScheme(f"bad noise fraction in {name!r}") from None
-                if scheme.name != name:  # result rows and KL rows are keyed by the canonical name
-                    raise InvalidScheme(f"scheme {name!r} must be written {scheme.name!r}")
-                return scheme
-        raise InvalidScheme(f"unknown scheme name {name!r}")
+        if self.name in _HARD or self.name in _SPLIT or self.name == "Random":
+            return
+        noisy = _noisy(self.name)
+        if noisy is None:
+            raise InvalidScheme(f"unknown scheme name {self.name!r}")
+        prefix, noise = noisy
+        if not 0.0 <= noise < 1.0:
+            raise InvalidScheme(f"noise fraction {noise} outside [0, 1)")
+        canonical = f"{prefix}{noise:.2f}"
+        if canonical != self.name:
+            raise InvalidScheme(f"scheme {self.name!r} must be written {canonical!r}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,6 @@ class SoftGrouping:
     """Conditional assignment matrix P(group | atom), rows on the simplex."""
 
     assign: np.ndarray
-    group_names: tuple
-    scheme_id: str
 
     def __post_init__(self):
         a = np.asarray(self.assign, dtype=float)
@@ -110,8 +101,6 @@ class SoftGrouping:
         a.setflags(write=False)
         if a.ndim != 2 or a.shape[1] < 1:
             raise InvalidScheme(f"assign must be [n_atoms x k], got {a.shape}")
-        if a.shape[1] != len(self.group_names):
-            raise InvalidScheme("group_names length disagrees with k")
         if np.any(a < 0.0) or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
             raise InvalidScheme("rows must be conditional distributions")
 
@@ -124,10 +113,9 @@ class SoftGrouping:
         return bool(np.all((self.assign == 0.0) | (self.assign == 1.0)))
 
 
-def _partition(kind: str) -> SoftGrouping:
-    name, group_of, names = _HARD[kind]
-    labels = [group_of((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(N_ATOMS)]
-    return SoftGrouping(np.eye(len(names))[labels], names, name)
+def _partition(name: str) -> SoftGrouping:
+    labels = [_HARD[name]((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(N_ATOMS)]
+    return SoftGrouping(np.eye(max(labels) + 1)[labels])
 
 
 def refine(grouping: SoftGrouping) -> SoftGrouping:
@@ -141,8 +129,7 @@ def refine(grouping: SoftGrouping) -> SoftGrouping:
     out = np.zeros((a.shape[0], 2 * a.shape[1]))
     out[:, 0::2] = 0.5 * a
     out[:, 1::2] = 0.5 * a
-    names = tuple(f"{n}_{half}" for n in grouping.group_names for half in (0, 1))
-    return SoftGrouping(out, names, f"{grouping.scheme_id}_refined")
+    return SoftGrouping(out)
 
 
 def atom_grouping(scheme: GroupingScheme, p_train: Distribution | None = None) -> SoftGrouping:
@@ -151,22 +138,22 @@ def atom_grouping(scheme: GroupingScheme, p_train: Distribution | None = None) -
     Noisy schemes need p_train to shape the misannotation profile; all
     other schemes ignore it.
     """
-    if scheme.kind in _HARD:
-        return _partition(scheme.kind)
-    if scheme.kind in _SPLIT:
-        name, parent = _SPLIT[scheme.kind]
-        return replace(refine(_partition(parent)), scheme_id=name)
-    if scheme.kind == "Random":
-        assign = np.full((N_ATOMS, _RANDOM_K), 1.0 / _RANDOM_K)
-        return SoftGrouping(assign, tuple(f"r{i}" for i in range(_RANDOM_K)), "Random")
+    name = scheme.name
+    if name in _HARD:
+        return _partition(name)
+    if name in _SPLIT:
+        return refine(_partition(_SPLIT[name]))
+    if name == "Random":
+        return SoftGrouping(np.full((N_ATOMS, _RANDOM_K), 1.0 / _RANDOM_K))
     if p_train is None:
-        raise InvalidScheme(f"{scheme.kind} requires p_train for the noise profile")
-    parent = _partition(_NOISY[scheme.kind][1])
+        raise InvalidScheme(f"{name} requires p_train for the noise profile")
+    prefix, noise = _noisy(name)
+    parent = _partition(_NOISY[prefix])
     # A corrupted annotation is redrawn from the clean groups' mass profile,
     # so every row mixes the clean one-hot with the group marginals.
     marginal = p_train.probs @ parent.assign
-    assign = (1.0 - scheme.noise) * parent.assign + scheme.noise * np.tile(marginal, (N_ATOMS, 1))
-    return SoftGrouping(assign, parent.group_names, scheme.name)
+    assign = (1.0 - noise) * parent.assign + noise * np.tile(marginal, (N_ATOMS, 1))
+    return SoftGrouping(assign)
 
 
 def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distribution | None = None):
@@ -185,23 +172,23 @@ def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distri
     groups = np.zeros(len(atoms), dtype=np.int64)
     for c in range(grouping.k - 1):  # the last column is 1 > u and never counts
         groups += cdf[atoms, c] <= u
-    return dataset.with_groups(groups, scheme.name, grouping.k)
+    return dataset.with_groups(groups, scheme, grouping.k)
 
 
 def is_y_free(scheme: GroupingScheme) -> bool:
     """Whether every group of the noise-free grouping holds both classes."""
-    kind = _NOISY[scheme.kind][1] if scheme.kind in _NOISY else scheme.kind
-    assign = atom_grouping(GroupingScheme(kind)).assign
+    noisy = _noisy(scheme.name)
+    assign = (_partition(_NOISY[noisy[0]]) if noisy else atom_grouping(scheme)).assign
     return bool(assign.reshape(2, N_ATOMS // 2, -1).any(axis=1).all())  # atoms 0-3 have y = 0, 4-7 y = 1
 
 
 def reweighting_schemes() -> list:
     """The 15 schemes accepted by reweighting methods, in reference order."""
-    base = [GroupingScheme(k) for k in ("A", "Y", "S", "AY", "SY", "YSA", "SCnoSC", "AY8", "SY8", "Random")]
-    return base + [GroupingScheme("NoisyAY", noise=b) for b in NOISE_LEVELS]
+    names = ["A", "Y", "S", "AY", "SY", "YSA", "SC_noSC", "AY_8", "SY_8", "Random"]
+    return [GroupingScheme(n) for n in names + [f"Noisy_AY_{b:.2f}" for b in NOISE_LEVELS]]
 
 
 def model_based_schemes() -> list:
     """The 12 label-free schemes accepted by model-based methods."""
-    base = [GroupingScheme(k) for k in ("A", "S", "SCnoSC", "Random", "A4", "S4", "AS")]
-    return base + [GroupingScheme("NoisyA", noise=b) for b in NOISE_LEVELS]
+    names = ["A", "S", "SC_noSC", "Random", "A_4", "S_4", "AS"]
+    return [GroupingScheme(n) for n in names + [f"Noisy_A_{b:.2f}" for b in NOISE_LEVELS]]

@@ -125,7 +125,7 @@ class ExperimentSpec:
             raise InvalidConfig(
                 f"unknown method {unknown[0]!r}; choose from {', '.join(mitigation.METHODS)}"
             )
-        schemes = [GroupingScheme.from_name(name) for name in self.schemes]
+        schemes = [GroupingScheme(name) for name in self.schemes]
         for field_name in ("methods", "schemes", "seeds"):
             values = getattr(self, field_name)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
@@ -171,7 +171,7 @@ def _now() -> str:
 
 def compute_kl_rows(scheme_names, p_s0: float, p_s1: float) -> list:
     p_train = biased_distribution(p_s0, p_s1)
-    return min_kl_table([GroupingScheme.from_name(n) for n in scheme_names], p_train, uniform_distribution())
+    return min_kl_table([GroupingScheme(n) for n in scheme_names], p_train, uniform_distribution())
 
 
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
@@ -204,7 +204,7 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     # that any is empty; above 1% the sweep warns. A warning, not an error:
     # an empty group only fails the cells it reaches, as error rows.
     for name in spec.schemes:
-        grouping = atom_grouping(GroupingScheme.from_name(name), p_train)
+        grouping = atom_grouping(GroupingScheme(name), p_train)
         empty = float(np.sum((1.0 - p_train.probs @ grouping.assign) ** spec.n_train))
         if empty > 0.01:
             warnings.warn(
@@ -224,7 +224,7 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
                 continue
             cell_train, cell_val = train, val
             if name is not None:
-                scheme = GroupingScheme.from_name(name)
+                scheme = GroupingScheme(name)
                 cell_train = annotate_samples(
                     train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
                 )

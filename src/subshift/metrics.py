@@ -60,8 +60,6 @@ def accuracy(scores, labels, threshold: float = 0.5) -> float:
 @dataclass(frozen=True)
 class EvalReport:
     overall_auc: float
-    acc_by_a: dict
-    acc_by_s: dict
     min_acc_A: float
     gap_A: float
     min_acc_S: float
@@ -79,19 +77,10 @@ def evaluate(model, dataset) -> EvalReport:
             if not np.any((dataset.a == a_val) & (dataset.s == s_val)):
                 raise MissingCell(f"no samples with a={a_val}, s={s_val}")
     scores = model.predict_scores(dataset.features)
-    acc_by_a = {}
-    acc_by_s = {}
-    for v in (0, 1):
-        mask_a = dataset.a == v
-        mask_s = dataset.s == v
-        acc_by_a[f"a{v}"] = accuracy(scores[mask_a], dataset.y[mask_a])
-        acc_by_s[f"s{v}"] = accuracy(scores[mask_s], dataset.y[mask_s])
-    a_vals = list(acc_by_a.values())
-    s_vals = list(acc_by_s.values())
+    a_vals = [accuracy(scores[dataset.a == v], dataset.y[dataset.a == v]) for v in (0, 1)]
+    s_vals = [accuracy(scores[dataset.s == v], dataset.y[dataset.s == v]) for v in (0, 1)]
     return EvalReport(
         overall_auc=auc(scores, dataset.y),
-        acc_by_a=acc_by_a,
-        acc_by_s=acc_by_s,
         min_acc_A=min(a_vals),
         gap_A=max(a_vals) - min(a_vals),
         min_acc_S=min(s_vals),

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import nnet
 from .errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
-from .grouping import GroupingScheme, is_y_free
+from .grouping import is_y_free
 from .nnet import expit
 
 __all__ = [
@@ -144,16 +144,11 @@ def _group_sizes(dataset) -> np.ndarray:
 
 def _check_y_free(dataset, k: int) -> None:
     """Refuse groupings that encode the label."""
-    name = dataset.group_scheme
-    if name is not None:
-        try:
-            scheme = GroupingScheme.from_name(name)
-        except InvalidScheme:
-            scheme = None
-        if scheme is not None:
-            if not is_y_free(scheme):
-                raise YBasedGrouping(f"{name} groups are a function of y")
-            return
+    scheme = dataset.group_scheme
+    if scheme is not None:
+        if not is_y_free(scheme):
+            raise YBasedGrouping(f"{scheme.name} groups are a function of y")
+        return
     # Row g holds group g's count of each class.
     by_class = np.bincount(2 * dataset.group + dataset.y, minlength=2 * k).reshape(-1, 2)
     single = np.flatnonzero(~by_class.all(axis=1))

@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dist_core import Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
 from .errors import OutOfRange
+
+if TYPE_CHECKING:
+    from .grouping import GroupingScheme
 
 __all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits", "make_test_split"]
 
@@ -55,14 +59,19 @@ class FeatureConfig:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Column-oriented sample store; group annotation is optional."""
+    """Column-oriented sample store; group annotation is optional.
+
+    An annotated split holds each sample's group id, the GroupingScheme the
+    ids were drawn from and its group count k. Group ids assigned by hand
+    carry no scheme.
+    """
 
     features: np.ndarray
     y: np.ndarray
     s: np.ndarray
     a: np.ndarray
     group: np.ndarray | None = None
-    group_scheme: str | None = None
+    group_scheme: GroupingScheme | None = None
     group_count: int | None = None
 
     def __len__(self) -> int:
@@ -71,8 +80,8 @@ class Dataset:
     def atom_indices(self) -> np.ndarray:
         return atom_index(self.y, self.s, self.a)
 
-    def with_groups(self, groups: np.ndarray, scheme_name: str, k: int) -> "Dataset":
-        return replace(self, group=groups, group_scheme=scheme_name, group_count=k)
+    def with_groups(self, groups: np.ndarray, scheme: GroupingScheme | None, k: int) -> "Dataset":
+        return replace(self, group=groups, group_scheme=scheme, group_count=k)
 
 
 def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) -> Dataset:

@@ -142,7 +142,7 @@ def test_criterion_03_noise_model_has_power():
     # uniformly over groups. The check must accept the first and reject the
     # second on the most corrupted resampling cell.
     ref = {name: kl_res for name, _, kl_res in REFERENCE_TABLE}["Noisy_AY_0.50"]
-    correct = atom_grouping(GroupingScheme("NoisyAY", noise=0.50), P_TRAIN)
+    correct = atom_grouping(GroupingScheme("Noisy_AY_0.50"), P_TRAIN)
     kl_correct = kl_divergence(
         UNIFORM, reweighted_distribution(P_TRAIN, correct, resampling_weights(correct))
     )
@@ -150,7 +150,7 @@ def test_criterion_03_noise_model_has_power():
 
     parent = atom_grouping(GroupingScheme("AY"))
     wrong_assign = 0.5 * parent.assign + 0.5 * np.full_like(parent.assign, 0.25)
-    wrong = SoftGrouping(wrong_assign, parent.group_names, "uniform_mix_probe")
+    wrong = SoftGrouping(wrong_assign)
     kl_wrong = kl_divergence(
         UNIFORM, reweighted_distribution(P_TRAIN, wrong, resampling_weights(wrong))
     )
@@ -327,7 +327,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
 def test_criterion_12_refinement_and_pinsker():
     tight = dict(tol=1e-11, max_iters=500_000)
     kl_ay = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY")), UNIFORM, **tight)
-    kl_ay8 = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY8")), UNIFORM, **tight)
+    kl_ay8 = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY_8")), UNIFORM, **tight)
     assert abs(kl_ay8.achieved_kl - kl_ay.achieved_kl) < EQUALITY_TOL
 
     for scheme in reweighting_schemes():

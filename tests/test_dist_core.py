@@ -159,7 +159,7 @@ class TestReweightedDistribution:
     def test_single_group_identity(self, p_train):
         from subshift.grouping import SoftGrouping
 
-        g = SoftGrouping(np.ones((8, 1)), ("all",), "single")
+        g = SoftGrouping(np.ones((8, 1)))
         pw = reweighted_distribution(p_train, g, np.array([1.0]))
         assert np.allclose(pw.probs, p_train.probs, atol=1e-15)
 

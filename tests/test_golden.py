@@ -1,0 +1,47 @@
+"""Byte-identical outputs: rerun the jobs of golden.json and compare digests.
+
+golden.json maps each job (analyze-kl, or a named run) to the --config it
+reads and the sha256 of every file it writes. The default run takes about
+30 s, so CI's numpy-only job checks it instead of this file. A change that
+alters output bits on purpose updates golden.json in the same diff.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from subshift.grouping import model_based_schemes, reweighting_schemes
+from subshift.harness import DEFAULT_SCHEMES, main
+from subshift.mitigation import METHODS
+
+GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
+SMALL_RUNS = sorted(name for name in GOLDEN["run"] if name != "default")
+
+
+def rerun(tmp_path, command, entry) -> dict:
+    """Run `subshift <command>` on the entry's config; return the sha256 of each file the entry lists."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(entry["config"]))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in entry["sha256"]}
+
+
+@pytest.mark.parametrize("name", SMALL_RUNS)
+def test_run_matches_golden(tmp_path, name):
+    entry = GOLDEN["run"][name]
+    assert rerun(tmp_path, "run", entry) == entry["sha256"]
+
+
+def test_kl_table_matches_golden(tmp_path):
+    entry = GOLDEN["analyze-kl"]
+    assert rerun(tmp_path, "analyze-kl", entry) == entry["sha256"]
+
+
+def test_small_runs_cover_every_scheme_and_method():
+    configs = [GOLDEN["run"][name]["config"] for name in SMALL_RUNS]
+    assert {s for c in configs for s in c.get("schemes", DEFAULT_SCHEMES)} == {
+        s.name for s in reweighting_schemes() + model_based_schemes()
+    }
+    assert {m for c in configs for m in c["methods"]} == set(METHODS)

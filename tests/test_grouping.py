@@ -26,12 +26,17 @@ HARD_INDEX_SETS = {
     "AY": [{0, 2}, {1, 3}, {4, 6}, {5, 7}],
     "SY": [{0, 1}, {2, 3}, {4, 5}, {6, 7}],
     "YSA": [{i} for i in range(8)],
-    "SCnoSC": [{0, 2, 5, 7}, {1, 3, 4, 6}],
+    "SC_noSC": [{0, 2, 5, 7}, {1, 3, 4, 6}],
     "AS": [{0, 4}, {1, 5}, {2, 6}, {3, 7}],
 }
 
 # the 23 distinct scheme names of the two standard lists
 ALL_SCHEME_NAMES = tuple(dict.fromkeys(s.name for s in reweighting_schemes() + model_based_schemes()))
+
+
+def compact_id(value):
+    """Test ids spell scheme names without underscores (SCnoSC, AY8)."""
+    return value.replace("_", "") if isinstance(value, str) else None
 
 
 def hard_groups(g: SoftGrouping) -> list:
@@ -56,11 +61,13 @@ class TestSchemeNames:
 
     def test_round_trip(self):
         for scheme in reweighting_schemes() + model_based_schemes():
-            assert GroupingScheme.from_name(scheme.name) == scheme
+            assert GroupingScheme(scheme.name) == scheme
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(InvalidScheme):
-            GroupingScheme.from_name("BOGUS")
+        # compact spellings of SC_noSC, AY_8 and Noisy_AY_b are not names
+        for name in ("BOGUS", "SCnoSC", "AY8", "NoisyAY"):
+            with pytest.raises(InvalidScheme, match=re.escape(f"unknown scheme name {name!r}")):
+                GroupingScheme(name)
 
     @pytest.mark.parametrize(
         "name,canonical",
@@ -69,24 +76,24 @@ class TestSchemeNames:
     def test_noncanonical_name_rejected(self, name, canonical):
         # result rows and KL rows are keyed by the name, so one scheme has one spelling
         with pytest.raises(InvalidScheme, match=re.escape(f"scheme {name!r} must be written {canonical!r}")):
-            GroupingScheme.from_name(name)
+            GroupingScheme(name)
 
     def test_noise_range(self):
         with pytest.raises(InvalidScheme):
-            GroupingScheme("NoisyAY", noise=1.0)
+            GroupingScheme("Noisy_AY_1.00")
         with pytest.raises(InvalidScheme):
-            GroupingScheme("NoisyAY", noise=-0.1)
+            GroupingScheme("Noisy_AY_-0.10")
 
 
 class TestHardGroupings:
-    @pytest.mark.parametrize("kind,expected", sorted(HARD_INDEX_SETS.items()))
-    def test_index_sets(self, kind, expected):
-        g = atom_grouping(GroupingScheme(kind))
+    @pytest.mark.parametrize("name,expected", sorted(HARD_INDEX_SETS.items()), ids=compact_id)
+    def test_index_sets(self, name, expected):
+        g = atom_grouping(GroupingScheme(name))
         assert hard_groups(g) == expected
 
-    @pytest.mark.parametrize("kind", sorted(HARD_INDEX_SETS))
-    def test_rows_are_one_hot(self, kind):
-        g = atom_grouping(GroupingScheme(kind))
+    @pytest.mark.parametrize("name", sorted(HARD_INDEX_SETS), ids=compact_id)
+    def test_rows_are_one_hot(self, name):
+        g = atom_grouping(GroupingScheme(name))
         assert g.is_hard
         assert np.allclose(g.assign.sum(axis=1), 1.0)
         assert set(np.unique(g.assign)) <= {0.0, 1.0}
@@ -95,7 +102,7 @@ class TestHardGroupings:
 class TestSplitGroupings:
     def test_ay8_duplicates_parents(self):
         parent = atom_grouping(GroupingScheme("AY"))
-        child = atom_grouping(GroupingScheme("AY8"))
+        child = atom_grouping(GroupingScheme("AY_8"))
         assert child.k == 8
         # each parent column split into two half-mass columns
         assert np.allclose(child.assign[:, 0::2] + child.assign[:, 1::2], parent.assign)
@@ -103,18 +110,18 @@ class TestSplitGroupings:
 
     def test_refine_matches_ay8(self):
         refined = refine(atom_grouping(GroupingScheme("AY")))
-        child = atom_grouping(GroupingScheme("AY8"))
+        child = atom_grouping(GroupingScheme("AY_8"))
         assert np.array_equal(refined.assign, child.assign)
 
     def test_refine_single_group(self):
-        g = SoftGrouping(np.ones((8, 1)), ("all",), "single")
+        g = SoftGrouping(np.ones((8, 1)))
         r = refine(g)
         assert r.k == 2
         assert np.allclose(r.assign, 0.5)
 
-    @pytest.mark.parametrize("kind,parent", [("SY8", "SY"), ("A4", "A"), ("S4", "S")])
-    def test_other_splits(self, kind, parent):
-        child = atom_grouping(GroupingScheme(kind))
+    @pytest.mark.parametrize("name,parent", [("SY_8", "SY"), ("A_4", "A"), ("S_4", "S")], ids=compact_id)
+    def test_other_splits(self, name, parent):
+        child = atom_grouping(GroupingScheme(name))
         par = atom_grouping(GroupingScheme(parent))
         assert child.k == 2 * par.k
         assert np.allclose(child.assign[:, 0::2] + child.assign[:, 1::2], par.assign)
@@ -130,13 +137,13 @@ class TestRandomGrouping:
 class TestNoisyGroupings:
     def test_zero_noise_equals_clean(self, p_train):
         clean = atom_grouping(GroupingScheme("AY"))
-        noisy = atom_grouping(GroupingScheme("NoisyAY", noise=0.0), p_train)
+        noisy = atom_grouping(GroupingScheme("Noisy_AY_0.00"), p_train)
         assert np.array_equal(noisy.assign, clean.assign)
 
     @pytest.mark.parametrize("b", NOISE_LEVELS)
     def test_exact_mixture_form(self, b, p_train):
         clean = atom_grouping(GroupingScheme("AY"))
-        noisy = atom_grouping(GroupingScheme("NoisyAY", noise=b), p_train)
+        noisy = atom_grouping(GroupingScheme(f"Noisy_AY_{b:.2f}"), p_train)
         masses = clean.assign.T @ p_train.probs
         expected = (1 - b) * clean.assign + b * np.tile(masses, (8, 1))
         assert np.allclose(noisy.assign, expected, atol=1e-15)
@@ -146,16 +153,16 @@ class TestNoisyGroupings:
         clean = atom_grouping(GroupingScheme("AY"))
         masses = clean.assign.T @ p_train.probs
         for b in NOISE_LEVELS:
-            noisy = atom_grouping(GroupingScheme("NoisyAY", noise=b), p_train)
+            noisy = atom_grouping(GroupingScheme(f"Noisy_AY_{b:.2f}"), p_train)
             assert np.allclose(noisy.assign.T @ p_train.probs, masses, atol=1e-15)
 
     def test_requires_source_distribution(self):
         with pytest.raises(InvalidScheme):
-            atom_grouping(GroupingScheme("NoisyAY", noise=0.25))
+            atom_grouping(GroupingScheme("Noisy_AY_0.25"))
 
     def test_noisy_a_mixes_a_partition(self, p_train):
         clean = atom_grouping(GroupingScheme("A"))
-        noisy = atom_grouping(GroupingScheme("NoisyA", noise=0.1), p_train)
+        noisy = atom_grouping(GroupingScheme("Noisy_A_0.10"), p_train)
         masses = clean.assign.T @ p_train.probs
         expected = 0.9 * clean.assign + 0.1 * np.tile(masses, (8, 1))
         assert np.allclose(noisy.assign, expected, atol=1e-15)
@@ -194,17 +201,17 @@ def cdf_matrix_annotation(dataset, scheme, seed, p_train):
 
 
 class TestAnnotateSamples:
-    @pytest.mark.parametrize("kind", sorted(HARD_INDEX_SETS))
-    def test_hard_ay_matches_cells(self, big_dataset, kind):
-        ds = annotate_samples(big_dataset, GroupingScheme(kind), seed=0)
+    @pytest.mark.parametrize("name", sorted(HARD_INDEX_SETS), ids=compact_id)
+    def test_hard_ay_matches_cells(self, big_dataset, name):
+        ds = annotate_samples(big_dataset, GroupingScheme(name), seed=0)
         label = np.empty(8, dtype=np.int64)
-        for g, atoms in enumerate(HARD_INDEX_SETS[kind]):
+        for g, atoms in enumerate(HARD_INDEX_SETS[name]):
             label[sorted(atoms)] = g
         assert np.array_equal(ds.group, label[ds.atom_indices()])
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
     def test_matches_per_atom_reference(self, p_train, big_dataset, name):
-        scheme = GroupingScheme.from_name(name)
+        scheme = GroupingScheme(name)
         for seed in (0, 11):
             got = annotate_samples(big_dataset, scheme, seed, p_train).group
             expected = per_atom_annotation(big_dataset, scheme, seed, p_train)
@@ -229,7 +236,7 @@ class TestAnnotateSamples:
         # clean group, so the expected keep fraction is
         # (1-b) + b * sum_g mass_g^2, not 1-b itself.
         b = 0.25
-        ds = annotate_samples(big_dataset, GroupingScheme("NoisyAY", noise=b), seed=3, p_train=p_train)
+        ds = annotate_samples(big_dataset, GroupingScheme(f"Noisy_AY_{b:.2f}"), seed=3, p_train=p_train)
         clean = 2 * ds.y + ds.a
         kept = float((ds.group == clean).mean())
         masses = np.array([0.4375, 0.0625, 0.0625, 0.4375])
@@ -238,13 +245,13 @@ class TestAnnotateSamples:
         assert kept == pytest.approx(expected, abs=0.01)
 
     def test_labels_untouched(self, p_train, big_dataset):
-        ds = annotate_samples(big_dataset, GroupingScheme("NoisyAY", noise=0.5), seed=3, p_train=p_train)
+        ds = annotate_samples(big_dataset, GroupingScheme("Noisy_AY_0.50"), seed=3, p_train=p_train)
         assert np.array_equal(ds.y, big_dataset.y)
         assert np.array_equal(ds.s, big_dataset.s)
         assert np.array_equal(ds.a, big_dataset.a)
 
     def test_split_scheme_halves_parent(self, p_train, big_dataset):
-        ds = annotate_samples(big_dataset, GroupingScheme("AY8"), seed=9)
+        ds = annotate_samples(big_dataset, GroupingScheme("AY_8"), seed=9)
         parent = 2 * ds.y + ds.a
         assert np.array_equal(ds.group // 2, parent)
         child_is_odd = (ds.group % 2).mean()
@@ -253,9 +260,9 @@ class TestAnnotateSamples:
 
 class TestYFreedom:
     def test_kind_classification(self):
-        y_based = {"Y", "AY", "SY", "YSA", "AY8", "SY8"}
+        y_based = {"Y", "AY", "SY", "YSA", "AY_8", "SY_8"}
         for scheme in reweighting_schemes():
-            expected = scheme.kind in y_based or scheme.kind == "NoisyAY"
+            expected = scheme.name in y_based or scheme.name.startswith("Noisy_AY_")
             assert is_y_free(scheme) == (not expected)
 
     def test_model_based_schemes_are_y_free(self):

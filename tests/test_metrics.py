@@ -118,8 +118,6 @@ class TestEvaluate:
         ds = tiny_dataset(self.Y, self.S, self.A)
         report = evaluate(FixedScores(self.SCORES), ds)
         assert report.overall_auc == pytest.approx(9.0 / 16.0, abs=1e-12)
-        assert report.acc_by_a == {"a0": 0.75, "a1": 0.5}
-        assert report.acc_by_s == {"s0": 0.75, "s1": 0.5}
         assert report.min_acc_A == 0.5
         assert report.gap_A == pytest.approx(0.25)
         assert report.min_acc_S == 0.5
