@@ -45,6 +45,7 @@ from .grouping import (
     reweighting_schemes,
 )
 from .harness import ExperimentSpec, RunRecord, REFERENCE_TABLE, main, run_sweep, spec_hash
+from .harness import TOOL_VERSION as __version__
 from .metrics import EvalReport, accuracy, auc, evaluate, pearson
 from .mitigation import TrainConfig, TrainedModel, train
 from .reweight_opt import (
@@ -58,5 +59,3 @@ from .reweight_opt import (
     table_to_csv,
 )
 from .synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
-
-__version__ = "0.1.0"

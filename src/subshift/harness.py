@@ -118,8 +118,6 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # Reject a spec the sweep cannot run before any table or data is built.
-        if len(self.seeds) == 0:
-            raise OutOfRange("at least one seed is required")
         unknown = [m for m in self.methods if m not in mitigation.METHODS]
         if unknown:
             raise InvalidConfig(
@@ -128,6 +126,8 @@ class ExperimentSpec:
         schemes = [GroupingScheme(name) for name in self.schemes]
         for field_name in ("methods", "schemes", "seeds"):
             values = getattr(self, field_name)
+            if not values:
+                raise OutOfRange(f"at least one {field_name[:-1]} is required")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise InvalidConfig(f"{field_name} lists {repeated[0]!r} more than once")
@@ -146,13 +146,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
-    spec_hash: str
     rows: tuple
     kl_rows: tuple
     errors: tuple
     started: str
     finished: str
-    version: str
 
 
 def spec_hash(spec: ExperimentSpec) -> str:
@@ -263,13 +261,7 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
         )
     )
     return RunRecord(
-        spec_hash=spec_hash(spec),
-        rows=tuple(rows),
-        kl_rows=tuple(kl_rows),
-        errors=tuple(errors),
-        started=started,
-        finished=_now(),
-        version=TOOL_VERSION,
+        rows=tuple(rows), kl_rows=tuple(kl_rows), errors=tuple(errors), started=started, finished=_now()
     )
 
 
@@ -322,8 +314,8 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
     (out / "disparity.csv").write_text(disparity_csv(record.rows))
     manifest = {
         "spec": asdict(spec),
-        "spec_hash": record.spec_hash,
-        "version": record.version,
+        "spec_hash": spec_hash(spec),
+        "version": TOOL_VERSION,
         "started": record.started,
         "finished": record.finished,
         "n_rows": len(record.rows),
@@ -548,25 +540,21 @@ def _from_config(cls, data, section: str):
 
 
 def _spec_from_args(args) -> ExperimentSpec:
+    """Lay the command-line flags over the --config dict, then build and check the spec once."""
     data = _load_config(args.config) if args.config else {}
-    feature = _from_config(FeatureConfig, data.pop("feature", {}), "feature")
-    train = _from_config(TrainConfig, data.pop("train", {}), "train")
-    spec = _from_config(ExperimentSpec, dict(data, feature=feature, train=train), "top-level")
-
-    overrides = {}
     for name in ("seeds", "methods", "schemes", "p_s0", "p_s1", "n_train", "master_seed"):
         value = getattr(args, name, None)  # analyze-kl has only the bias flags and --scheme
         if value in (None, ""):
             continue
-        if isinstance(value, str):  # --seeds, --methods, --schemes: comma-separated
-            value = value.split(",")
-        overrides[name] = tuple(value) if isinstance(value, list) else value  # a list from --scheme too
-    if "seeds" in overrides:
+        data[name] = value.split(",") if isinstance(value, str) else value  # --seeds, --methods, --schemes
+    if getattr(args, "seeds", None):
         try:
-            overrides["seeds"] = tuple(int(s) for s in overrides["seeds"])
+            data["seeds"] = [int(s) for s in data["seeds"]]
         except ValueError:
             raise InvalidConfig(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
-    return replace(spec, **overrides) if overrides else spec
+    feature = _from_config(FeatureConfig, data.pop("feature", {}), "feature")
+    train = _from_config(TrainConfig, data.pop("train", {}), "train")
+    return _from_config(ExperimentSpec, dict(data, feature=feature, train=train), "top-level")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -51,10 +51,11 @@ def auc(scores, labels) -> float:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(scores, labels, threshold: float = 0.5) -> float:
+def accuracy(scores, labels) -> float:
+    """Share of rows whose score, thresholded at 0.5 inclusive, equals the label."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    return float(((scores >= threshold).astype(int) == labels).mean())
+    return float(((scores >= 0.5).astype(int) == labels).mean())
 
 
 @dataclass(frozen=True)

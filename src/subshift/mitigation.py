@@ -21,9 +21,9 @@ returns the ``TrainedModel``. Grouped trainers count their groups once, in
 candidate, and labels each candidate with ``replace(model, info=...)``.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
-label, since their mechanisms would leak y into inference; the check uses
-the scheme name when the dataset carries one and falls back to a structural
-test.
+label, since their mechanisms would leak y into inference; the check asks
+``is_y_free`` of the ``GroupingScheme`` the dataset was annotated with, and
+falls back to a structural test for hand-assigned groups.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainedModel:
     params: nnet.ModelParams
-    method: str
     config: TrainConfig
     history: tuple
     info: dict = field(default_factory=dict)
@@ -115,15 +114,15 @@ class TrainedModel:
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
         """Scores for every row of x, computed _SCORE_BLOCK rows at a time.
 
-        Several heads reduce to one logit per row by the largest |logit|, or
-        by their sum for domain_ind under the "sum" rule.
+        Several heads, which only domain_ind trains, reduce to one logit per
+        row by config.domain_ind_rule: the largest |logit|, or their sum.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         scores = np.empty(len(x))
         for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
             logits, _ = nnet.forward(self.params, x[start:stop])
             if logits.ndim == 2:
-                if self.method == "domain_ind" and self.config.domain_ind_rule == "sum":
+                if self.config.domain_ind_rule == "sum":
                     logits = logits.sum(axis=1)
                 else:
                     logits = logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)]
@@ -162,8 +161,9 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _fit(method: str, dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape) -> TrainedModel:
-    """The one training loop every method runs; returns the trained model.
+def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape) -> TrainedModel:
+    """The one training loop every method runs; returns the trained model,
+    which carries no method name: only its head count changes how it scores.
 
     batches(rng) yields one epoch of row indices (default: a fresh
     permutation cut into cfg.batch_size slices). step(params, batch) returns
@@ -196,7 +196,7 @@ def _fit(method: str, dataset, cfg: TrainConfig, step, batches=None, q=None, **m
         if adv is not None:
             row["adversary_loss"] = float(np.mean(adv))
         history.append(row)
-    return TrainedModel(params=params, method=method, config=cfg, history=tuple(history))
+    return TrainedModel(params=params, config=cfg, history=tuple(history))
 
 
 def _bce_step(dataset, sample_weights=None, head_ids=None):
@@ -213,7 +213,7 @@ def _bce_step(dataset, sample_weights=None, head_ids=None):
 
 
 def train_erm(dataset, cfg: TrainConfig) -> TrainedModel:
-    return _fit("erm", dataset, cfg, _bce_step(dataset))
+    return _fit(dataset, cfg, _bce_step(dataset))
 
 
 def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -247,7 +247,7 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
 
         return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=weights)
 
-    return _fit("gdro", dataset, cfg, step, q=q)
+    return _fit(dataset, cfg, step, q=q)
 
 
 def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -268,7 +268,7 @@ def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
                     batch[mask] = by_group[g][rng.integers(0, len(by_group[g]), size=m)]
             yield batch
 
-    return _fit("resampling", dataset, cfg, _bce_step(dataset), batches=batches)
+    return _fit(dataset, cfg, _bce_step(dataset), batches=batches)
 
 
 def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -279,7 +279,7 @@ def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
     """
     k = len(_group_sizes(dataset))
     _check_y_free(dataset, k)
-    return _fit("domain_ind", dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
+    return _fit(dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
 
 
 def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
@@ -300,7 +300,7 @@ def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
         )
         return (bce, adv), grads
 
-    return _fit("cfair", dataset, cfg, step, adv_groups=k)
+    return _fit(dataset, cfg, step, adv_groups=k)
 
 
 def _selection_score(model: TrainedModel, val) -> float:
@@ -332,7 +332,7 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
         for lam in JTT_UPWEIGHT_GRID:
             weights = np.where(wrong, float(lam), 1.0)
             candidate = replace(
-                _fit("jtt", dataset, cfg, _bce_step(dataset, sample_weights=weights)),
+                _fit(dataset, cfg, _bce_step(dataset, sample_weights=weights)),
                 info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
             )
             score = _selection_score(candidate, val)

@@ -40,6 +40,9 @@ __all__ = [
 
 _FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
 
+# Adam's moment decay rates and denominator guard, the published defaults.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class ModelParams:
     """Named blocks stored back to back in one contiguous float64 vector.
@@ -244,15 +247,7 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
 
 
 def sgd_adam_step(
-    params: ModelParams,
-    grads: ModelParams,
-    moments: tuple,
-    t: int,
-    lr: float,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ModelParams, grads: ModelParams, moments: tuple, t: int, lr: float, weight_decay: float = 0.0
 ) -> None:
     """Adam step number t (counting from 1) with decoupled weight decay.
 
@@ -262,10 +257,10 @@ def sgd_adam_step(
     """
     m, v = moments
     g = grads.flat
-    m[:] = beta1 * m + (1.0 - beta1) * g
-    v[:] = beta2 * v + (1.0 - beta2) * g**2
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    step = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    m[:] = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+    v[:] = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
+    bc1 = 1.0 - _ADAM_BETA1**t
+    bc2 = 1.0 - _ADAM_BETA2**t
+    step = lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
     p = params.flat
     p[:] = p - step - lr * weight_decay * p

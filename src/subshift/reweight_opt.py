@@ -216,7 +216,11 @@ def min_kl_table(
     p_train: Distribution,
     p_target: Distribution,
 ) -> list:
-    """Per-scheme minimum and uniform-weight divergences of GroupingSchemes, in input order."""
+    """Per-scheme minimum and uniform-weight divergences of GroupingSchemes, in input order.
+
+    A solve that runs out of iterations warns, naming the scheme; its row
+    keeps the last iterate's divergence, which the warning's gap bounds.
+    """
     if not schemes:
         raise OutOfRange("schemes list is empty")
     rows = []
@@ -225,6 +229,12 @@ def min_kl_table(
         uniform = resampling_weights(grouping)
         kl_res = kl_divergence(p_target, reweighted_distribution(p_train, grouping, uniform))
         opt = optimal_weights(p_train, grouping, p_target)
+        if not opt.converged:
+            warnings.warn(
+                f"{scheme.name}: the min-KL solve stopped after {opt.iterations} iterations "
+                f"with gap {opt.gap:.3g} nats, above its tolerance",
+                stacklevel=2,
+            )
         rows.append(MinKlRow(scheme=scheme.name, kl_gdro=opt.achieved_kl, kl_resampling=kl_res))
     return rows
 

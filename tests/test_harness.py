@@ -162,7 +162,6 @@ class TestRunSweep:
     def test_repeat_is_byte_identical(self, tiny_record):
         again = run_sweep(tiny_spec())
         assert results_csv(again.rows) == results_csv(tiny_record.rows)
-        assert again.spec_hash == tiny_record.spec_hash
 
     def test_y_based_scheme_for_y_free_method_fails_before_any_data(self, monkeypatch):
         def no_data(*args, **kwargs):
@@ -550,6 +549,33 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "config,message,flag,value",
+        [
+            # no schemes key: the default scheme list holds Y, which the flag replaces
+            ({"methods": ["erm", "cfair"]}, "cfair needs y-free groups", "schemes", ["A", "S", "SC_noSC"]),
+            ({"schemes": ["A"], "seeds": [0, 0]}, "seeds lists 0 more than once", "seeds", [1]),
+        ],
+        ids=["schemes_flag", "seeds_flag"],
+    )
+    def test_flags_repair_a_config_refused_on_its_own(self, tmp_path, capsys, config, message, flag, value):
+        """Flags are laid over --config before the spec is built and checked, once."""
+        small = {"seeds": [0], "n_train": 64, "n_val": 32, "n_test": 64, "train": {"epochs": 1}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**small, **config}))
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 2
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), f"--{flag}", ",".join(map(str, value))]
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["spec"][flag] == value
+
+    def test_flag_only_spec_keeps_its_hash(self):
+        argv = ["run", "--seeds", "0,1,2", "--methods", "erm,gdro,resampling", "--p-s0", "0.95"]
+        spec = harness._spec_from_args(harness._build_parser().parse_args(argv))
+        assert spec == ExperimentSpec()
+        assert spec_hash(spec) == "734de53be90d27ed24237c022f3f3da203d2fd64e3072ea234f08a30397f277a"
+
+    @pytest.mark.parametrize(
         "config,message",
         [
             ({"epochs": 3}, "unknown top-level key 'epochs'"),
@@ -583,6 +609,7 @@ class TestCli:
             ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
             ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
             ('{"train": {"seed": 12345}}', "train.seed is unused (got 12345); set master_seed instead"),
+            ('{"methods": []}', "at least one method is required"),
         ],
         ids=[
             "missing_file",
@@ -599,6 +626,7 @@ class TestCli:
             "lr_decay_epoch_negative",
             "lr_decay_factor_0",
             "train_seed_nonzero",
+            "methods_empty",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):

@@ -333,18 +333,11 @@ class TestDomainInd:
             b_heads=np.array([2.0, -3.0]),
         )
         x = np.zeros((1, 3))
-        max_abs = TrainedModel(
-            params=params, method="domain_ind", config=TrainConfig(), history=()
-        )
+        max_abs = TrainedModel(params=params, config=TrainConfig(), history=())
         from scipy.special import expit
 
         assert max_abs.predict_scores(x)[0] == pytest.approx(expit(-3.0))
-        summed = TrainedModel(
-            params=params,
-            method="domain_ind",
-            config=TrainConfig(domain_ind_rule="sum"),
-            history=(),
-        )
+        summed = TrainedModel(params=params, config=TrainConfig(domain_ind_rule="sum"), history=())
         assert summed.predict_scores(x)[0] == pytest.approx(expit(-1.0))
 
 
@@ -359,9 +352,7 @@ class TestPredictScores:
         params = nnet.init_params(15, hidden=16, n_heads=n_heads, seed=1)
         params.flat[:] += rng.normal(size=params.flat.shape)  # spread the logits
         x = rng.normal(size=(n, 15))
-        model = TrainedModel(
-            params=params, method="domain_ind", config=TrainConfig(domain_ind_rule=rule), history=()
-        )
+        model = TrainedModel(params=params, config=TrainConfig(domain_ind_rule=rule), history=())
         logits, _ = nnet.forward(params, x)
         if n_heads > 1 and rule == "sum":
             logits = logits.sum(axis=1)
@@ -373,7 +364,7 @@ class TestPredictScores:
         """Scoring holds the [n] score vector and one block's activations,
         never an [n, hidden] activation of the whole split."""
         x = rng.normal(size=(200_000, 15))
-        model = TrainedModel(params=nnet.init_params(15, seed=0), method="erm", config=TrainConfig(), history=())
+        model = TrainedModel(params=nnet.init_params(15, seed=0), config=TrainConfig(), history=())
         model.predict_scores(x)  # one-time allocations
         tracemalloc.start()
         try:

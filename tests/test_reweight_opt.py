@@ -334,6 +334,14 @@ class TestMinKlTable:
         with pytest.raises(OutOfRange):
             min_kl_table([], p_train, p_uniform)
 
+    def test_unconverged_solve_warns(self, p_uniform):
+        """At this bias Cover's iteration on Noisy_AY_0.80 runs out of
+        iterations; the row keeps the value its gap still certifies."""
+        p = biased_distribution(0.53, 0.72)
+        with pytest.warns(UserWarning, match=r"^Noisy_AY_0\.80: .* after 100000 iterations with gap \S+ nats"):
+            rows = min_kl_table([GroupingScheme("Noisy_AY_0.80")], p, p_uniform)
+        assert f"{rows[0].kl_gdro:.6f}" == "0.022426"
+
     def test_csv_format(self, p_train, p_uniform):
         rows = min_kl_table([GroupingScheme("YSA")], p_train, p_uniform)
         text = table_to_csv(rows)
