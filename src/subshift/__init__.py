@@ -51,7 +51,6 @@ from .mitigation import TrainConfig, TrainedModel, train
 from .reweight_opt import (
     MinKlRow,
     OptimizationResult,
-    WeightVector,
     brute_force_min_kl,
     min_kl_table,
     optimal_weights,

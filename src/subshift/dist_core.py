@@ -77,7 +77,7 @@ def make_distribution(probs) -> Distribution:
     p = np.clip(p, 0.0, None)
     total = p.sum()
     if abs(total - 1.0) > _INPUT_SLACK:
-        raise NonNormalizable(f"mass {total!r} deviates from 1 by more than {_INPUT_SLACK}")
+        raise NonNormalizable(f"mass {float(total)} deviates from 1 by more than {_INPUT_SLACK}")
     return Distribution(p / total)
 
 
@@ -139,17 +139,21 @@ def reweighted_distribution(p: Distribution, g, w) -> Distribution:
     """Redistribute mass across groups while preserving within-group ratios.
 
     g is a SoftGrouping (or bare [n_atoms x k] matrix of conditionals
-    P(group | atom)); w is a weight vector on the k-simplex. The result is
-    P^w = R @ w with R from group_conditionals. For a hard partition this
-    reduces to scaling each group's conditional distribution by its weight.
-    A positive weight on a group without mass raises EmptyGroup.
+    P(group | atom)); w is an array of k weights, which must lie on the
+    simplex: an entry below 0 or a sum more than 1e-10 from 1 (NaN included)
+    raises OutOfRange. The result is P^w = R @ w with R from
+    group_conditionals. For a hard partition this reduces to scaling each
+    group's conditional distribution by its weight. A positive weight on a
+    group without mass raises EmptyGroup.
     """
     assign = np.asarray(getattr(g, "assign", g), dtype=float)
-    wv = np.asarray(getattr(w, "w", w), dtype=float)
-    if assign.shape != (len(p), len(wv)):
+    wv = np.asarray(w, dtype=float)
+    if wv.ndim != 1 or assign.shape != (len(p), len(wv)):
         raise SupportMismatch(
-            f"grouping shape {assign.shape} incompatible with {len(p)} atoms and {len(wv)} weights"
+            f"grouping shape {assign.shape} incompatible with {len(p)} atoms and weights of shape {wv.shape}"
         )
+    if not (np.all(wv >= 0.0) and abs(wv.sum() - 1.0) <= 1e-10):
+        raise OutOfRange(f"weights must lie on the simplex, got {wv.tolist()} with sum {float(wv.sum())}")
     r, alive = group_conditionals(p, assign)
     dead = ~alive & (wv > 0.0)
     if np.any(dead):

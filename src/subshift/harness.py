@@ -38,7 +38,7 @@ from .errors import (
     SubshiftError,
     YBasedGrouping,
 )
-from .grouping import GroupingScheme, annotate_samples, atom_grouping, is_y_free, reweighting_schemes
+from .grouping import GroupingScheme, annotate_samples, atom_grouping, is_y_free, model_based_schemes, reweighting_schemes
 from .metrics import auc, evaluate, pearson
 from .mitigation import TrainConfig
 from .reweight_opt import min_kl_table, table_to_csv
@@ -117,13 +117,15 @@ class ExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        # Reject a spec the sweep cannot run before any table or data is built.
+        # Reject, field by field, a spec the sweep cannot run before any table or data is built.
+        # Pairing methods with schemes is left to run_sweep, since analyze-kl reads no methods.
         unknown = [m for m in self.methods if m not in mitigation.METHODS]
         if unknown:
             raise InvalidConfig(
                 f"unknown method {unknown[0]!r}; choose from {', '.join(mitigation.METHODS)}"
             )
-        schemes = [GroupingScheme(name) for name in self.schemes]
+        for name in self.schemes:
+            GroupingScheme(name)  # refuses an unknown or non-canonical name
         for field_name in ("methods", "schemes", "seeds"):
             values = getattr(self, field_name)
             if not values:
@@ -131,12 +133,6 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise InvalidConfig(f"{field_name} lists {repeated[0]!r} more than once")
-        y_based = [s.name for s in schemes if not is_y_free(s)]
-        for method in mitigation.NEEDS_Y_FREE:
-            if method in self.methods and y_based:
-                raise YBasedGrouping(
-                    f"{method} needs y-free groups, but {y_based[0]} groups are a function of y"
-                )
         for field_name in ("n_train", "n_val", "n_test"):
             if getattr(self, field_name) < 1:
                 raise OutOfRange(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
@@ -190,8 +186,14 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     it. A cell whose training, validation AUC or evaluation raises a
     SubshiftError is recorded as one error row and skipped; any other
     exception is a bug and propagates. Error rows come out in spec order
-    (method, then scheme, then seed), not run order.
+    (method, then scheme, then seed), not run order. A method in
+    NEEDS_Y_FREE paired with a y-based scheme raises YBasedGrouping before
+    any table or data is built.
     """
+    y_based = [name for name in spec.schemes if not is_y_free(GroupingScheme(name))]
+    for method in mitigation.NEEDS_Y_FREE:
+        if method in spec.methods and y_based:
+            raise YBasedGrouping(f"{method} needs y-free groups, but {y_based[0]} groups are a function of y")
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
@@ -552,6 +554,11 @@ def _spec_from_args(args) -> ExperimentSpec:
             data["seeds"] = [int(s) for s in data["seeds"]]
         except ValueError:
             raise InvalidConfig(f"--seeds takes comma-separated integers, got {args.seeds!r}") from None
+    # A sweep with a method that needs y-free groups, and no scheme list, takes the y-free list.
+    methods = data.get("methods", [])
+    if args.command != "analyze-kl" and "schemes" not in data and isinstance(methods, list):
+        if any(m in mitigation.NEEDS_Y_FREE for m in methods):
+            data["schemes"] = [s.name for s in model_based_schemes()]
     feature = _from_config(FeatureConfig, data.pop("feature", {}), "feature")
     train = _from_config(TrainConfig, data.pop("train", {}), "train")
     return _from_config(ExperimentSpec, dict(data, feature=feature, train=train), "top-level")

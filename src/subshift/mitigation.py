@@ -239,9 +239,9 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
         counts = np.bincount(g_b, minlength=k).astype(float)
 
         def weights(sample_loss):
-            for g in np.flatnonzero(counts):
-                mean_loss = float(sample_loss[g_b == g].mean())
-                q[g] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[g]))
+            present = counts > 0
+            mean_loss = np.bincount(g_b, weights=sample_loss, minlength=k)[present] / counts[present]
+            q[present] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[present]))
             q[:] /= q.sum()
             return len(batch) * q[g_b] / counts[g_b]
 

@@ -29,7 +29,6 @@ from .grouping import SoftGrouping, atom_grouping
 from .nnet import row_blocks
 
 __all__ = [
-    "WeightVector",
     "OptimizationResult",
     "resampling_weights",
     "optimal_weights",
@@ -44,32 +43,19 @@ _GRID_BLOCK = 1024
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    w: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.w, dtype=float)
-        object.__setattr__(self, "w", v)
-        v.setflags(write=False)
-        if np.any(v < 0.0) or abs(v.sum() - 1.0) > 1e-10:
-            raise OutOfRange(f"weights must lie on the simplex, got sum {v.sum()!r}")
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
-    weights: WeightVector
+    weights: np.ndarray  # read-only, on the simplex
     achieved_kl: float
     iterations: int
     converged: bool
     gap: float
 
 
-def resampling_weights(grouping: SoftGrouping) -> WeightVector:
-    """Uniform weights 1/k: what uniform group sampling induces."""
-    return WeightVector(np.full(grouping.k, 1.0 / grouping.k))
+def resampling_weights(grouping: SoftGrouping) -> np.ndarray:
+    """Uniform weights 1/k, read-only: what uniform group sampling induces."""
+    w = np.full(grouping.k, 1.0 / grouping.k)
+    w.setflags(write=False)
+    return w
 
 
 def optimal_weights(
@@ -122,8 +108,9 @@ def optimal_weights(
 
     full = np.zeros(len(alive))
     full[alive] = w
+    full.setflags(write=False)
     return OptimizationResult(
-        weights=WeightVector(full),
+        weights=full,
         achieved_kl=float(np.sum(t * np.log(t / pw))),
         iterations=iterations,
         converged=gap <= tol,

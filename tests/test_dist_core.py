@@ -64,6 +64,10 @@ class TestMakeDistribution:
         with pytest.raises(NonNormalizable):
             make_distribution([0.2] * 8)
 
+    def test_bad_sum_message_prints_a_plain_float(self):
+        with pytest.raises(NonNormalizable, match=r"^mass 1\.2 deviates from 1 by more than 1e-09$"):
+            make_distribution([1.2, 0, 0, 0, 0, 0, 0, 0])
+
     def test_rejects_negative(self):
         with pytest.raises(NonNormalizable):
             make_distribution([-0.1, 1.1, 0, 0, 0, 0, 0, 0])
@@ -195,6 +199,26 @@ class TestReweightedDistribution:
         # same matrix fed through the generic soft path as a bare array
         generic = reweighted_distribution(p_train, np.asarray(g.assign, dtype=float), w).probs
         assert np.array_equal(direct, generic)
+
+    def test_rejects_off_simplex_weights(self, p_train):
+        g = atom_grouping(GroupingScheme("Y"))
+        for w in ([0.5, 0.6], [-0.1, 1.1], [np.nan, 1.0]):
+            with pytest.raises(OutOfRange, match="weights must lie on the simplex"):
+                reweighted_distribution(p_train, g, np.array(w))
+
+    def test_negative_weight_summing_to_one_is_rejected(self, p_train):
+        # Random's groups all span every atom, so this P^w is a valid
+        # distribution (p_train itself); only the weight check stops it.
+        g = atom_grouping(GroupingScheme("Random"))
+        w = np.array([1.2, -0.2, 0.0, 0.0])
+        message = r"^weights must lie on the simplex, got \[1\.2, -0\.2, 0\.0, 0\.0\] with sum 1\.0$"
+        with pytest.raises(OutOfRange, match=message):
+            reweighted_distribution(p_train, g, w)
+
+    def test_rejects_weights_that_are_not_a_vector(self, p_train):
+        g = atom_grouping(GroupingScheme("Y"))
+        with pytest.raises(SupportMismatch):
+            reweighted_distribution(p_train, g, np.array([[0.5], [0.5]]))
 
     def test_empty_group_weight_rejected(self):
         p = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])

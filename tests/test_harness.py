@@ -467,6 +467,41 @@ class TestCli:
         assert captured.out == ""
         assert "'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'" in captured.err
 
+    def test_analyze_kl_config_skips_only_the_method_scheme_pairing(self, tmp_path, capsys):
+        """The table reads the schemes and the bias levels, never the methods."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"methods": ["cfair"], "schemes": ["A", "Y"]}))
+        assert main(["analyze-kl", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "scheme,kl_gdro,kl_resampling",
+            "A,0.526755,0.526755",
+            "Y,0.526755,0.526755",
+        ]
+        cfg_path.write_text(json.dumps({"methods": ["cfair"]}))  # no model-based default either
+        assert main(["analyze-kl", "--config", str(cfg_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(",")[0] for line in rows] == list(DEFAULT_SCHEMES)
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"methods": ["cfair"], "schemes": ["A", "Y"], "epochs": 3}, "unknown top-level key 'epochs'"),
+            ({"methods": ["cfair"], "schemes": "A"}, "top-level key 'schemes' in --config has the wrong type"),
+            ({"methods": ["cfair"], "schemes": ["A", "NOPE"]}, "unknown scheme name 'NOPE'"),
+            ({"methods": ["cfair"], "schemes": ["A", "Y", "A"]}, "schemes lists 'A' more than once"),
+            ({"methods": ["cfair"], "schemes": ["A", "Y"], "p_s0": 1.0}, "p_s0 must lie strictly inside (0, 1)"),
+            ({"methods": ["cfair"], "schemes": ["A", "Y"], "p_s1": 0}, "p_s1 must lie strictly inside (0, 1)"),
+        ],
+        ids=["unknown_key", "wrong_type", "unknown_scheme", "repeated_scheme", "p_s0_1", "p_s1_0"],
+    )
+    def test_analyze_kl_config_keeps_its_other_checks(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["analyze-kl", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and message in captured.err
+
     def test_analyze_kl_rejects_repeated_scheme(self, capsys):
         """--scheme fills the spec's scheme list, so it is checked as --schemes is."""
         assert main(["analyze-kl", "--scheme", "A", "--scheme", "A"]) == 2
@@ -551,8 +586,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "config,message,flag,value",
         [
-            # no schemes key: the default scheme list holds Y, which the flag replaces
-            ({"methods": ["erm", "cfair"]}, "cfair needs y-free groups", "schemes", ["A", "S", "SC_noSC"]),
+            # the config's Y, which the flag replaces, is a function of y
+            (
+                {"methods": ["erm", "cfair"], "schemes": ["A", "Y"]},
+                "cfair needs y-free groups, but Y groups",
+                "schemes",
+                ["A", "S", "SC_noSC"],
+            ),
             ({"schemes": ["A"], "seeds": [0, 0]}, "seeds lists 0 more than once", "seeds", [1]),
         ],
         ids=["schemes_flag", "seeds_flag"],
@@ -568,6 +608,31 @@ class TestCli:
         argv = ["run", "--config", str(cfg_path), "--out", str(out), f"--{flag}", ",".join(map(str, value))]
         assert main(argv) == 0
         assert json.loads((out / "manifest.json").read_text())["spec"][flag] == value
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("methods", ["cfair", "erm,domain_ind"])
+    def test_y_free_method_without_schemes_takes_the_model_based_list(self, command, methods):
+        def schemes(*flags):
+            return harness._spec_from_args(harness._build_parser().parse_args([command, *flags])).schemes
+
+        assert schemes("--methods", methods) == tuple(s.name for s in model_based_schemes())
+        assert schemes("--methods", methods, "--schemes", "A,S,SC_noSC") == ("A", "S", "SC_noSC")
+        assert schemes("--methods", "erm,gdro") == DEFAULT_SCHEMES
+
+    def test_y_free_config_without_schemes_runs_on_the_model_based_list(self, tmp_path, capsys):
+        config = {"methods": ["cfair", "domain_ind"], "seeds": [0], "n_train": 64, "n_val": 32, "n_test": 64}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**config, "train": {"epochs": 1}}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        names = [s.name for s in model_based_schemes()]
+        assert json.loads((out / "manifest.json").read_text())["spec"]["schemes"] == names
+        rows = read_results_csv(out / "results.csv")
+        assert sorted((r["method"], r["grouping"]) for r in rows) == sorted(
+            (m, n) for m in config["methods"] for n in names
+        )
 
     def test_flag_only_spec_keeps_its_hash(self):
         argv = ["run", "--seeds", "0,1,2", "--methods", "erm,gdro,resampling", "--p-s0", "0.95"]

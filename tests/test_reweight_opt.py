@@ -23,7 +23,6 @@ from subshift.grouping import (
     reweighting_schemes,
 )
 from subshift.reweight_opt import (
-    WeightVector,
     brute_force_min_kl,
     min_kl_table,
     optimal_weights,
@@ -89,31 +88,26 @@ def probe_is_no_better(p_train, grouping, p_target, best_kl, n_probes, seed):
         assert best_kl <= kl + 1e-9
 
 
-class TestWeightVector:
-    def test_valid(self):
-        wv = WeightVector(np.array([0.25, 0.25, 0.25, 0.25]))
-        assert len(wv) == 4
-
-    def test_rejects_off_simplex(self):
-        with pytest.raises(OutOfRange):
-            WeightVector(np.array([0.5, 0.6]))
-        with pytest.raises(OutOfRange):
-            WeightVector(np.array([-0.1, 1.1]))
-
-
 class TestResamplingWeights:
     def test_k4(self):
         g = atom_grouping(GroupingScheme("AY"))
-        assert np.allclose(resampling_weights(g).w, 0.25)
+        assert np.allclose(resampling_weights(g), 0.25)
 
     def test_k2(self):
         g = atom_grouping(GroupingScheme("Y"))
-        assert np.allclose(resampling_weights(g).w, 0.5)
+        assert np.allclose(resampling_weights(g), 0.5)
+
+    def test_weights_are_read_only_arrays(self, p_train, p_uniform):
+        g = atom_grouping(GroupingScheme("AY"))
+        for w in (resampling_weights(g), optimal_weights(p_train, g, p_uniform).weights):
+            assert type(w) is np.ndarray and w.shape == (4,)
+            with pytest.raises(ValueError):
+                w[0] = 1.0
 
     def test_ysa_uniform_weights_give_zero_kl(self, p_train, p_uniform):
         g = atom_grouping(GroupingScheme("YSA"))
         w = resampling_weights(g)
-        assert np.allclose(w.w, 0.125)
+        assert np.allclose(w, 0.125)
         pw = reweighted_distribution(p_train, g, w)
         assert kl_divergence(p_uniform, pw) == pytest.approx(0.0, abs=1e-12)
 
@@ -123,7 +117,7 @@ class TestOptimalWeights:
         g = atom_grouping(GroupingScheme("AY"))
         res = optimal_weights(p_train, g, p_uniform)
         assert res.converged
-        assert np.allclose(res.weights.w, 0.25, atol=1e-3)
+        assert np.allclose(res.weights, 0.25, atol=1e-3)
         assert res.achieved_kl == pytest.approx(0.113, abs=5e-4)
         pw = reweighted_distribution(p_train, g, res.weights)
         expected = [0.136, 0.050, 0.114, 0.200, 0.050, 0.136, 0.200, 0.114]
@@ -157,8 +151,8 @@ class TestOptimalWeights:
         with pytest.warns(UserWarning):
             res = optimal_weights(p, g, target)
         assert res.achieved_kl == pytest.approx(0.0, abs=1e-8)
-        assert np.allclose(res.weights.w[2:], 0.0)
-        assert res.weights.w[:2] == pytest.approx([0.3, 0.7], abs=1e-4)
+        assert np.allclose(res.weights[2:], 0.0)
+        assert res.weights[:2] == pytest.approx([0.3, 0.7], abs=1e-4)
 
     @pytest.mark.parametrize("name", ["Y", "YSA"])
     def test_target_outside_training_support_rejected(self, p_uniform, name):
@@ -171,7 +165,7 @@ class TestOptimalWeights:
         for name in ("AY", "SY", "Random"):
             g = atom_grouping(GroupingScheme(name), p_train)
             res = optimal_weights(p_train, g, p_uniform)
-            assert (res.weights.w > 0).all()
+            assert (res.weights > 0).all()
 
 
 class TestBruteForce:
