@@ -10,6 +10,7 @@ with the divergence bound.
 from .dist_core import (
     Distribution,
     N_ATOMS,
+    SoftGrouping,
     atom_index,
     biased_distribution,
     kl_divergence,
@@ -36,7 +37,6 @@ from .errors import (
 from .grouping import (
     GroupingScheme,
     NOISE_LEVELS,
-    SoftGrouping,
     annotate_samples,
     atom_grouping,
     is_y_free,

@@ -7,8 +7,11 @@ indexed canonically as
     index = 4*y + 2*s + a
 
 so a length-8 probability vector fully describes a joint distribution.
-This module builds the biased training distribution, reweights it through a
-grouping (P^w = R @ w, R from group_conditionals), and measures KL divergence.
+The module owns both atom-space types, Distribution and the grouping matrix
+SoftGrouping (grouping.py builds one from a scheme name), and each refuses a
+wrong shape when built. It builds the biased training distribution,
+reweights it through a grouping (P^w = R @ w, R from group_conditionals),
+and measures KL divergence.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroup, NonNormalizable, OutOfRange, SupportMismatch
+from .errors import EmptyGroup, InvalidScheme, NonNormalizable, OutOfRange, SupportMismatch
 
 __all__ = [
     "N_ATOMS",
     "Distribution",
+    "SoftGrouping",
     "make_distribution",
     "uniform_distribution",
     "biased_distribution",
@@ -45,10 +49,10 @@ def atom_index(y, s, a):
 
 @dataclass(frozen=True)
 class Distribution:
-    """A validated probability vector over atoms.
+    """A probability vector over atoms: entries non-negative, summing to 1 within 1e-12.
 
-    Entries are non-negative and sum to 1 within 1e-12. Construct through
-    make_distribution; the raw constructor performs no checks.
+    The raw constructor checks only the shape, (N_ATOMS,), and raises
+    NonNormalizable for any other; make_distribution also checks the values.
     """
 
     probs: np.ndarray
@@ -56,20 +60,41 @@ class Distribution:
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         self.probs.setflags(write=False)
+        if self.probs.shape != (N_ATOMS,):
+            raise NonNormalizable(f"expected a vector of {N_ATOMS} atoms, got shape {self.probs.shape}")
 
-    def __len__(self) -> int:
-        return len(self.probs)
+
+@dataclass(frozen=True)
+class SoftGrouping:
+    """Conditional assignment matrix P(group | atom): N_ATOMS rows on the simplex."""
+
+    assign: np.ndarray
+
+    def __post_init__(self):
+        a = np.asarray(self.assign, dtype=float)
+        object.__setattr__(self, "assign", a)
+        a.setflags(write=False)
+        if a.ndim != 2 or len(a) != N_ATOMS:
+            raise InvalidScheme(f"assign must be [{N_ATOMS} x k], got {a.shape}")
+        if np.any(a < 0.0) or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
+            raise InvalidScheme("rows must be conditional distributions")
+
+    @property
+    def k(self) -> int:
+        return self.assign.shape[1]
+
+    @property
+    def is_hard(self) -> bool:
+        return bool(np.all((self.assign == 0.0) | (self.assign == 1.0)))
 
 
 def make_distribution(probs) -> Distribution:
     """Validate and mildly repair a probability vector.
 
-    Entries below -1e-12 or a total mass off by more than 1e-9 are
-    configuration errors, not rounding noise, and raise NonNormalizable.
+    Entries below -1e-12, a total mass off by more than 1e-9 or a shape other
+    than (N_ATOMS,) are configuration errors and raise NonNormalizable.
     """
     p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or len(p) != N_ATOMS:
-        raise NonNormalizable(f"expected a vector of {N_ATOMS} atoms, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise NonNormalizable("non-finite entries")
     if np.any(p < _NEG_SLACK):
@@ -112,22 +137,23 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
     SupportMismatch error rather than +inf, to surface configuration bugs.
     """
     pv, qv = p.probs, q.probs
-    if len(pv) != len(qv):
-        raise SupportMismatch(f"length mismatch {len(pv)} vs {len(qv)}")
     pos = pv > 0.0
     if np.any(qv[pos] == 0.0):
         raise SupportMismatch("p has mass where q is zero")
     return float(np.sum(pv[pos] * np.log(pv[pos] / qv[pos])))
 
 
-def group_conditionals(p: Distribution, assign):
+def group_conditionals(p: Distribution, g: SoftGrouping):
     """R[j, i] = share of group i's mass contributed by atom j, and which groups have mass.
 
-    assign is the [n_atoms x k] matrix of conditionals P(group | atom). With
-    m_ji = p_j * assign[j, i] and M_i = sum_j m_ji, R[j, i] = m_ji / M_i, so
-    P^w = R @ w. A group with M_i = 0 gets a zero column and alive[i] False.
+    g is a SoftGrouping, the conditionals P(group | atom); anything else
+    raises InvalidScheme. With m_ji = p_j * P(group i | atom j) and
+    M_i = sum_j m_ji, R[j, i] = m_ji / M_i, so P^w = R @ w. A group with
+    M_i = 0 gets a zero column and alive[i] False.
     """
-    m = p.probs[:, None] * assign
+    if not isinstance(g, SoftGrouping):
+        raise InvalidScheme(f"expected a SoftGrouping, got {type(g).__name__}")
+    m = p.probs[:, None] * g.assign
     mass = m.sum(axis=0)
     alive = mass > 0.0
     r = np.zeros_like(m)
@@ -135,26 +161,23 @@ def group_conditionals(p: Distribution, assign):
     return r, alive
 
 
-def reweighted_distribution(p: Distribution, g, w) -> Distribution:
+def reweighted_distribution(p: Distribution, g: SoftGrouping, w) -> Distribution:
     """Redistribute mass across groups while preserving within-group ratios.
 
-    g is a SoftGrouping (or bare [n_atoms x k] matrix of conditionals
-    P(group | atom)); w is an array of k weights, which must lie on the
+    g is a SoftGrouping (anything else raises InvalidScheme); w is an array
+    of shape (g.k,), else SupportMismatch, whose entries must lie on the
     simplex: an entry below 0 or a sum more than 1e-10 from 1 (NaN included)
     raises OutOfRange. The result is P^w = R @ w with R from
     group_conditionals. For a hard partition this reduces to scaling each
     group's conditional distribution by its weight. A positive weight on a
     group without mass raises EmptyGroup.
     """
-    assign = np.asarray(getattr(g, "assign", g), dtype=float)
+    r, alive = group_conditionals(p, g)
     wv = np.asarray(w, dtype=float)
-    if wv.ndim != 1 or assign.shape != (len(p), len(wv)):
-        raise SupportMismatch(
-            f"grouping shape {assign.shape} incompatible with {len(p)} atoms and weights of shape {wv.shape}"
-        )
+    if wv.shape != (g.k,):
+        raise SupportMismatch(f"weights of shape {wv.shape} do not fit {g.k} groups")
     if not (np.all(wv >= 0.0) and abs(wv.sum() - 1.0) <= 1e-10):
         raise OutOfRange(f"weights must lie on the simplex, got {wv.tolist()} with sum {float(wv.sum())}")
-    r, alive = group_conditionals(p, assign)
     dead = ~alive & (wv > 0.0)
     if np.any(dead):
         raise EmptyGroup(f"groups {np.nonzero(dead)[0].tolist()} have weight but no mass")

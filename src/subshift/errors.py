@@ -42,7 +42,7 @@ class MissingCell(SubshiftError):
 
 
 class DegenerateInput(SubshiftError):
-    """Correlation undefined: too few points or zero variance."""
+    """Correlation or AUC undefined: too few points, zero variance, or non-finite scores."""
 
 
 class YBasedGrouping(SubshiftError):

@@ -1,15 +1,16 @@
 """Subgrouping schemes over (y, s, a) atoms.
 
-A grouping is an [n_atoms x k] matrix of conditionals P(group | atom). Hard
-partitions are the 0/1 special case; split, noisy and random schemes have
-soft rows. A scheme is its serialized name, and each name is one entry in
-one table below, keyed by that name: a hard partition (_HARD), an
-equal-mass split of one (_SPLIT), a noisy annotation of one (_NOISY, whose
-name ends in its noise level, e.g. 'Noisy_AY_0.10'), or Random. The
-scheme's matrix and whether it is y-free follow from that entry: a scheme
-is y-free, and so accepted by model-based mitigation methods, when every
-group of its noise-free grouping holds both classes. The module also
-annotates sampled datasets with group ids.
+A grouping is a dist_core.SoftGrouping, the [n_atoms x k] matrix of
+conditionals P(group | atom); this module builds it from a scheme's name
+and re-exports the type. Hard partitions are the 0/1 special case; split,
+noisy and random schemes have soft rows. A scheme is its serialized name,
+and each name is one entry in one table below, keyed by that name: a hard
+partition (_HARD), an equal-mass split of one (_SPLIT), a noisy annotation
+of one (_NOISY, whose name ends in its noise level, e.g. 'Noisy_AY_0.10'),
+or Random. The scheme's matrix and whether it is y-free follow from that
+entry: a scheme is y-free, and so accepted by model-based mitigation
+methods, when every group of its noise-free grouping holds both classes.
+The module also annotates sampled datasets with group ids.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import Distribution, N_ATOMS
+from .dist_core import Distribution, N_ATOMS, SoftGrouping
 from .errors import InvalidScheme
 
 __all__ = [
@@ -87,30 +88,6 @@ class GroupingScheme:
         canonical = f"{prefix}{noise:.2f}"
         if canonical != self.name:
             raise InvalidScheme(f"scheme {self.name!r} must be written {canonical!r}")
-
-
-@dataclass(frozen=True)
-class SoftGrouping:
-    """Conditional assignment matrix P(group | atom), rows on the simplex."""
-
-    assign: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.assign, dtype=float)
-        object.__setattr__(self, "assign", a)
-        a.setflags(write=False)
-        if a.ndim != 2 or a.shape[1] < 1:
-            raise InvalidScheme(f"assign must be [n_atoms x k], got {a.shape}")
-        if np.any(a < 0.0) or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
-            raise InvalidScheme("rows must be conditional distributions")
-
-    @property
-    def k(self) -> int:
-        return self.assign.shape[1]
-
-    @property
-    def is_hard(self) -> bool:
-        return bool(np.all((self.assign == 0.0) | (self.assign == 1.0)))
 
 
 def _partition(name: str) -> SoftGrouping:

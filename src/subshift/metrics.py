@@ -24,10 +24,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks where each run of tied values shares its mean position.
 
     These are scipy.stats.rankdata's "average" ranks: integers and
-    half-integers, so exact in float64. Any NaN makes every rank NaN.
+    half-integers, so exact in float64. Values must be finite.
     """
-    if np.isnan(values).any():
-        return np.full(len(values), np.nan)
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
@@ -38,8 +36,10 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def auc(scores, labels) -> float:
-    """Mann-Whitney AUC from average ranks; ties count half."""
+    """Mann-Whitney AUC from average ranks; ties count half. A non-finite score raises DegenerateInput."""
     scores = np.asarray(scores, dtype=float)
+    if not np.all(np.isfinite(scores)):
+        raise DegenerateInput("AUC needs finite scores")
     labels = np.asarray(labels)
     pos = labels == 1
     n_pos = int(pos.sum())

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import Distribution, group_conditionals, kl_divergence, reweighted_distribution
+from .dist_core import Distribution, SoftGrouping, group_conditionals, kl_divergence, reweighted_distribution
 from .errors import EmptyGroup, OutOfRange, SupportMismatch, TooManyGroups
-from .grouping import SoftGrouping, atom_grouping
+from .grouping import atom_grouping
 from .nnet import row_blocks
 
 __all__ = [
@@ -79,7 +79,7 @@ def optimal_weights(
     here since the optimizer owns the weights. Target mass on an atom that
     no remaining group covers makes every P^w miss it: SupportMismatch.
     """
-    r_full, alive = group_conditionals(p_train, grouping.assign)
+    r_full, alive = group_conditionals(p_train, grouping)
     if not np.any(alive):
         raise EmptyGroup("every group has zero mass")
     if not np.all(alive):
@@ -139,13 +139,13 @@ def brute_force_min_kl(
     product over the whole prefix would, so the result does not depend on
     the block size.
     """
+    r, _ = group_conditionals(p_train, grouping)
     k = grouping.k
     if k > 4:
         raise TooManyGroups(f"grid search over a {k}-simplex is not tractable")
     if not 0.0 < grid_step <= 0.5:
         raise OutOfRange(f"grid_step must be in (0, 0.5], got {grid_step}")
     n = int(round(1.0 / grid_step))
-    r, _ = group_conditionals(p_train, grouping.assign)
     t = p_target.probs
     pos = t > 0.0
     t_pos = t[pos]

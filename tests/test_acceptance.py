@@ -2,7 +2,8 @@
 
 Each test states its full claim and budget inline so a red line here is a
 release blocker with an unambiguous reading. Criteria 7-9 share one default
-sweep (module fixture) so the whole gate stays within a few minutes.
+sweep (a session fixture in conftest.py) so the whole gate stays within a
+few minutes.
 """
 
 import time
@@ -95,16 +96,6 @@ def _trend_report(rows):
         report[method, "AY"] = _mean(rows, method, "AY") - erm_test
         report[method, "S"] = _mean(rows, method, "S") - erm_test
     return report
-
-
-@pytest.fixture(scope="module")
-def default_sweep():
-    """Full default sweep, timed for the budget checks."""
-    start = time.perf_counter()
-    record = run_sweep(ExperimentSpec())
-    elapsed = time.perf_counter() - start
-    assert record.errors == ()
-    return record, elapsed
 
 
 def test_criterion_01_divergence_table_matches_reference():

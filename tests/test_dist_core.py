@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from subshift.dist_core import (
     N_ATOMS,
+    Distribution,
+    SoftGrouping,
     atom_index,
     biased_distribution,
     kl_divergence,
@@ -12,7 +14,7 @@ from subshift.dist_core import (
     reweighted_distribution,
     uniform_distribution,
 )
-from subshift.errors import EmptyGroup, NonNormalizable, OutOfRange, SupportMismatch
+from subshift.errors import EmptyGroup, InvalidScheme, NonNormalizable, OutOfRange, SupportMismatch
 from subshift.grouping import GroupingScheme, atom_grouping
 
 P_TRAIN_PROBS = [0.95 / 4, 0.05 / 4, 0.8 / 4, 0.2 / 4, 0.05 / 4, 0.95 / 4, 0.2 / 4, 0.8 / 4]
@@ -75,6 +77,11 @@ class TestMakeDistribution:
     def test_rejects_wrong_length(self):
         with pytest.raises(NonNormalizable):
             make_distribution([0.5, 0.5])
+
+    @pytest.mark.parametrize("probs", [[0.5, 0.5], np.full((2, 4), 0.125), 1.0])
+    def test_raw_constructor_rejects_wrong_shape(self, probs):
+        with pytest.raises(NonNormalizable, match=r"expected a vector of 8 atoms"):
+            Distribution(np.array(probs))
 
     def test_immutable(self):
         d = uniform_distribution()
@@ -148,6 +155,13 @@ class TestKlDivergence:
             assert kl > 0.0 or 0.5 * np.abs(p.probs - q.probs).sum() < 1e-9
 
 
+class TestSoftGrouping:
+    @pytest.mark.parametrize("assign", [np.eye(3), np.ones(8), np.ones((8, 0)), np.ones((8, 2))])
+    def test_rejects_wrong_shape_or_rows(self, assign):
+        with pytest.raises(InvalidScheme):
+            SoftGrouping(assign)
+
+
 class TestReweightedDistribution:
     def test_y_partition_uniform_weights_is_identity(self, p_train):
         g = atom_grouping(GroupingScheme("Y"))
@@ -161,8 +175,6 @@ class TestReweightedDistribution:
         assert np.allclose(pw.probs, expected, atol=5e-4)
 
     def test_single_group_identity(self, p_train):
-        from subshift.grouping import SoftGrouping
-
         g = SoftGrouping(np.ones((8, 1)))
         pw = reweighted_distribution(p_train, g, np.array([1.0]))
         assert np.allclose(pw.probs, p_train.probs, atol=1e-15)
@@ -175,7 +187,7 @@ class TestReweightedDistribution:
             assign /= assign.sum(axis=1, keepdims=True)
             w = rng.random(k)
             w /= w.sum()
-            pw = reweighted_distribution(p, assign, w)
+            pw = reweighted_distribution(p, SoftGrouping(assign), w)
             assert abs(pw.probs.sum() - 1.0) < 1e-12
 
     def test_within_group_ratio_preserved(self, p_train, rng):
@@ -195,10 +207,21 @@ class TestReweightedDistribution:
         g = atom_grouping(GroupingScheme("SY"))
         w = rng.random(4)
         w /= w.sum()
-        direct = reweighted_distribution(p_train, g, w).probs
-        # same matrix fed through the generic soft path as a bare array
-        generic = reweighted_distribution(p_train, np.asarray(g.assign, dtype=float), w).probs
-        assert np.array_equal(direct, generic)
+        # a hard partition scales each group's conditional distribution by its weight
+        labels = np.argmax(g.assign, axis=1)
+        mass = np.bincount(labels, weights=p_train.probs)
+        direct = w[labels] * p_train.probs / mass[labels]
+        generic = reweighted_distribution(p_train, g, w).probs
+        assert np.allclose(direct, generic, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "assign",
+        [np.ones((8, 2)), np.tile([1.5, -0.5], (8, 1)), np.repeat(np.eye(2), 4, axis=0)],
+        ids=["rows_sum_to_2", "negative_column", "valid_matrix"],
+    )
+    def test_rejects_a_bare_matrix(self, p_train, assign):
+        with pytest.raises(InvalidScheme, match=r"^expected a SoftGrouping, got ndarray$"):
+            reweighted_distribution(p_train, assign, np.array([0.5, 0.5]))
 
     def test_rejects_off_simplex_weights(self, p_train):
         g = atom_grouping(GroupingScheme("Y"))

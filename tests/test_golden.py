@@ -2,8 +2,10 @@
 
 golden.json maps each job (analyze-kl, or a named run) to the --config it
 reads and the sha256 of every file it writes. The default run takes about
-30 s, so CI's numpy-only job checks it instead of this file. A change that
-alters output bits on purpose updates golden.json in the same diff.
+30 s, so its test writes the outputs of the default_sweep fixture
+(conftest.py), which the acceptance gate runs anyway, rather than running
+it again. A change that alters output bits on purpose updates golden.json
+in the same diff.
 """
 
 import hashlib
@@ -13,25 +15,37 @@ from pathlib import Path
 import pytest
 
 from subshift.grouping import model_based_schemes, reweighting_schemes
-from subshift.harness import DEFAULT_SCHEMES, main
+from subshift.harness import DEFAULT_SCHEMES, ExperimentSpec, main, write_run_outputs
 from subshift.mitigation import METHODS
 
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 SMALL_RUNS = sorted(name for name in GOLDEN["run"] if name != "default")
 
 
+def digests(out: Path, entry) -> dict:
+    """The sha256 of each file the entry lists, as written under out."""
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in entry["sha256"]}
+
+
 def rerun(tmp_path, command, entry) -> dict:
-    """Run `subshift <command>` on the entry's config; return the sha256 of each file the entry lists."""
+    """Run `subshift <command>` on the entry's config; return the digests of the files the entry lists."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(entry["config"]))
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() for name in entry["sha256"]}
+    return digests(tmp_path / "out", entry)
 
 
 @pytest.mark.parametrize("name", SMALL_RUNS)
 def test_run_matches_golden(tmp_path, name):
     entry = GOLDEN["run"][name]
     assert rerun(tmp_path, "run", entry) == entry["sha256"]
+
+
+def test_default_run_matches_golden(default_sweep, tmp_path):
+    entry = GOLDEN["run"]["default"]
+    assert entry["config"] == {}  # the fixture's spec is ExperimentSpec()
+    write_run_outputs(default_sweep[0], ExperimentSpec(), tmp_path)
+    assert digests(tmp_path, entry) == entry["sha256"]
 
 
 def test_kl_table_matches_golden(tmp_path):

@@ -540,6 +540,30 @@ class TestCli:
         assert (out / "correlation.csv").exists()
         assert (out / "scatter_gdro.csv").exists()
 
+    def test_diverged_model_is_an_error_row_not_a_nan_result(self, tmp_path, capsys):
+        # an enormous gDRO step overflows q, so the model's scores are NaN
+        config = {
+            "methods": ["erm", "gdro"],
+            "schemes": ["A", "AY", "S"],
+            "seeds": [0],
+            "n_train": 64,
+            "n_val": 32,
+            "n_test": 64,
+            "train": {"epochs": 1, "gdro_eta": 1e300},
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(), pytest.warns(UserWarning, match="risks empty groups for AY"):
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = json.loads((out / "manifest.json").read_text())["errors"]
+        assert [(e["method"], e["grouping"]) for e in errors] == [("gdro", "A"), ("gdro", "AY"), ("gdro", "S")]
+        assert all(e["error"] == "DegenerateInput: AUC needs finite scores" for e in errors)
+        results = (out / "results.csv").read_text()
+        assert "nan" not in results
+        assert [line.split(",")[0] for line in results.splitlines()[1:]] == ["erm"] * 3
+
     def test_cli_overrides_beat_config(self, tmp_path, capsys):
         config = {
             "methods": ["erm", "gdro"],

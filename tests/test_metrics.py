@@ -94,8 +94,11 @@ class TestAuc:
     def test_average_ranks_equal_scipy_rankdata_on_heavy_ties(self, rng):
         values = rng.integers(0, 4, size=500) / 3.0
         assert np.array_equal(_average_ranks(values), stats.rankdata(values))
-        values[7] = np.nan
-        assert np.array_equal(_average_ranks(values), stats.rankdata(values), equal_nan=True)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(DegenerateInput, match="AUC needs finite scores"):
+            auc([0.1, bad, 0.9], [0, 1, 1])
 
 
 class TestAccuracy:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift.dist_core import (
+    Distribution,
     biased_distribution,
     group_conditionals,
     kl_divergence,
@@ -13,10 +14,17 @@ from subshift.dist_core import (
     reweighted_distribution,
     uniform_distribution,
 )
-from subshift.errors import OutOfRange, SupportMismatch, TooManyGroups
+from subshift.errors import (
+    InvalidScheme,
+    NonNormalizable,
+    OutOfRange,
+    SupportMismatch,
+    TooManyGroups,
+)
 from subshift.grouping import (
     GroupingScheme,
     SoftGrouping,
+    annotate_samples,
     atom_grouping,
     model_based_schemes,
     refine,
@@ -29,13 +37,14 @@ from subshift.reweight_opt import (
     resampling_weights,
     table_to_csv,
 )
+from subshift.synth_data import FeatureConfig, sample_dataset
 
 
 def reference_brute_force(p_train, grouping, p_target, grid_step):
     """The grid search as first written: one meshgrid block per leading coordinate."""
     k = grouping.k
     n = int(round(1.0 / grid_step))
-    r, _ = group_conditionals(p_train, grouping.assign)
+    r, _ = group_conditionals(p_train, grouping)
     t = p_target.probs
     pos = t > 0.0
     t_pos = t[pos]
@@ -342,3 +351,80 @@ class TestMinKlTable:
         lines = text.strip().split("\n")
         assert lines[0] == "scheme,kl_gdro,kl_resampling"
         assert lines[1] == "YSA,0.000000,0.000000"
+
+
+P_TRAIN = biased_distribution(0.95, 0.8)
+UNIFORM = uniform_distribution()
+A_GROUPS = atom_grouping(GroupingScheme("A"))
+
+
+def two_atoms():
+    return Distribution(np.array([0.5, 0.5]))
+
+
+def three_atoms():
+    return SoftGrouping(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        pytest.param(lambda: kl_divergence(two_atoms(), UNIFORM), NonNormalizable, id="kl_divergence-p"),
+        pytest.param(lambda: kl_divergence(UNIFORM, two_atoms()), NonNormalizable, id="kl_divergence-q"),
+        pytest.param(lambda: group_conditionals(two_atoms(), A_GROUPS), NonNormalizable, id="group_conditionals-p"),
+        pytest.param(lambda: group_conditionals(P_TRAIN, three_atoms()), InvalidScheme, id="group_conditionals-g"),
+        pytest.param(lambda: group_conditionals(P_TRAIN, np.ones((8, 2))), InvalidScheme, id="group_conditionals-bare"),
+        pytest.param(
+            lambda: reweighted_distribution(two_atoms(), A_GROUPS, np.array([0.5, 0.5])),
+            NonNormalizable,
+            id="reweighted_distribution-p",
+        ),
+        pytest.param(
+            lambda: reweighted_distribution(P_TRAIN, three_atoms(), np.full(3, 1 / 3)),
+            InvalidScheme,
+            id="reweighted_distribution-g",
+        ),
+        pytest.param(
+            lambda: reweighted_distribution(P_TRAIN, A_GROUPS, np.full(3, 1 / 3)),
+            SupportMismatch,
+            id="reweighted_distribution-w",
+        ),
+        pytest.param(lambda: optimal_weights(two_atoms(), A_GROUPS, UNIFORM), NonNormalizable, id="optimal_weights-p"),
+        pytest.param(lambda: optimal_weights(P_TRAIN, three_atoms(), UNIFORM), InvalidScheme, id="optimal_weights-g"),
+        pytest.param(lambda: optimal_weights(P_TRAIN, A_GROUPS, two_atoms()), NonNormalizable, id="optimal_weights-t"),
+        pytest.param(
+            lambda: optimal_weights(P_TRAIN, np.ones((8, 2)), UNIFORM), InvalidScheme, id="optimal_weights-bare"
+        ),
+        pytest.param(
+            lambda: brute_force_min_kl(two_atoms(), A_GROUPS, UNIFORM), NonNormalizable, id="brute_force_min_kl-p"
+        ),
+        pytest.param(
+            lambda: brute_force_min_kl(P_TRAIN, three_atoms(), UNIFORM), InvalidScheme, id="brute_force_min_kl-g"
+        ),
+        pytest.param(
+            lambda: brute_force_min_kl(P_TRAIN, np.ones((8, 2)), UNIFORM), InvalidScheme, id="brute_force_min_kl-bare"
+        ),
+        pytest.param(
+            lambda: min_kl_table([GroupingScheme("A")], two_atoms(), UNIFORM), NonNormalizable, id="min_kl_table-p"
+        ),
+        pytest.param(
+            lambda: min_kl_table([GroupingScheme("A")], P_TRAIN, two_atoms()), NonNormalizable, id="min_kl_table-t"
+        ),
+        pytest.param(
+            lambda: annotate_samples(
+                sample_dataset(P_TRAIN, 16, FeatureConfig(), seed=0), GroupingScheme("Noisy_AY_0.10"), 0, two_atoms()
+            ),
+            NonNormalizable,
+            id="annotate_samples-p",
+        ),
+    ],
+)
+def test_wrong_shape_input_raises_a_subshift_error(call, error):
+    """A wrong-shape input fails as a SubshiftError, never as a numpy broadcast error.
+
+    A Distribution or SoftGrouping checks its shape when built, so the error
+    comes from building the argument; only a bare matrix, which
+    group_conditionals refuses, and the weights reach the function.
+    """
+    with pytest.raises(error):
+        call()
