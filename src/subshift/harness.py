@@ -136,8 +136,6 @@ class ExperimentSpec:
         for field_name in ("n_train", "n_val", "n_test"):
             if getattr(self, field_name) < 1:
                 raise OutOfRange(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
-        if self.train.seed != 0:  # run_sweep would replace it in every cell
-            raise InvalidConfig(f"train.seed is unused (got {self.train.seed}); set master_seed instead")
 
 
 @dataclass(frozen=True)
@@ -232,9 +230,9 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
                     val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
                 )
             for method in methods:
-                cfg = replace(spec.train, seed=_derive_seed(spec.master_seed, method, name or "-", seed))
+                cell_seed = _derive_seed(spec.master_seed, method, name or "-", seed)
                 try:
-                    model = mitigation.train(method, cell_train, cfg, val=cell_val)
+                    model = mitigation.train(method, cell_train, spec.train, cell_seed, val=cell_val)
                     fitted.append((method, name, model, auc(model.predict_scores(cell_val.features), cell_val.y)))
                 except SubshiftError as exc:
                     errors.append(_error_row(method, name, seed, exc))

@@ -76,8 +76,6 @@ class TrainConfig:
     gdro_eta: float = 0.01
     gdro_size_adjust: float = 1.0
     cfair_mu: float = 0.1
-    domain_ind_rule: str = "max_abs"
-    seed: int = 0
 
     def __post_init__(self):
         # The comparisons are written so that NaN fails them, and a JSON
@@ -100,14 +98,11 @@ class TrainConfig:
             value = getattr(self, name)
             if not value >= 0:
                 raise OutOfRange(f"{name} must be >= 0, got {value}")
-        if self.domain_ind_rule not in ("max_abs", "sum"):
-            raise InvalidScheme(f"unknown inference rule {self.domain_ind_rule!r}")
 
 
 @dataclass(frozen=True)
 class TrainedModel:
     params: nnet.ModelParams
-    config: TrainConfig
     history: tuple
     info: dict = field(default_factory=dict)
 
@@ -115,17 +110,14 @@ class TrainedModel:
         """Scores for every row of x, computed _SCORE_BLOCK rows at a time.
 
         Several heads, which only domain_ind trains, reduce to one logit per
-        row by config.domain_ind_rule: the largest |logit|, or their sum.
+        row: the one with the largest |logit|.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         scores = np.empty(len(x))
         for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
             logits, _ = nnet.forward(self.params, x[start:stop])
             if logits.ndim == 2:
-                if self.config.domain_ind_rule == "sum":
-                    logits = logits.sum(axis=1)
-                else:
-                    logits = logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)]
+                logits = logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)]
             scores[start:stop] = expit(logits)
         return scores
 
@@ -161,10 +153,11 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape) -> TrainedModel:
+def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, q=None, **model_shape) -> TrainedModel:
     """The one training loop every method runs; returns the trained model,
     which carries no method name: only its head count changes how it scores.
 
+    seed starts both the batch RNG and the parameter initialisation.
     batches(rng) yields one epoch of row indices (default: a fresh
     permutation cut into cfg.batch_size slices). step(params, batch) returns
     (loss, grads), or ((bce, adversary_loss), grads) for cfair; Adam then
@@ -175,8 +168,8 @@ def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape) -
     """
     if batches is None:
         batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
-    rng = np.random.default_rng(cfg.seed)
-    params = nnet.init_params(dataset.features.shape[1], cfg.hidden, seed=cfg.seed, **model_shape)
+    rng = np.random.default_rng(seed)
+    params = nnet.init_params(dataset.features.shape[1], cfg.hidden, seed=seed, **model_shape)
     moments = (np.zeros_like(params.flat), np.zeros_like(params.flat))
     t = 0
     history = []
@@ -196,7 +189,7 @@ def _fit(dataset, cfg: TrainConfig, step, batches=None, q=None, **model_shape) -
         if adv is not None:
             row["adversary_loss"] = float(np.mean(adv))
         history.append(row)
-    return TrainedModel(params=params, config=cfg, history=tuple(history))
+    return TrainedModel(params=params, history=tuple(history))
 
 
 def _bce_step(dataset, sample_weights=None, head_ids=None):
@@ -212,19 +205,21 @@ def _bce_step(dataset, sample_weights=None, head_ids=None):
     return step
 
 
-def train_erm(dataset, cfg: TrainConfig) -> TrainedModel:
-    return _fit(dataset, cfg, _bce_step(dataset))
+def train_erm(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
+    return _fit(dataset, cfg, seed, _bce_step(dataset))
 
 
-def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
+def train_gdro(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     """Online group DRO.
 
     Group weights q live on the simplex. Each batch, groups present update
     q_g <- q_g * exp(eta * (mean batch loss of g + C / sqrt(n_g))) with n_g
     the full-train group size, then q renormalizes and every sample is
     weighted B * q_g / (batch count of g), which makes the weighted batch
-    loss equal sum_g q_g * (mean loss of g). The q-update is the loss call's
-    weights function, so it reads the losses of the step's one forward pass.
+    loss equal sum_g q_g * (mean loss of g). The update runs on log q,
+    shifted so its largest entry is 0 before exp, so q stays finite for
+    any eta whose step is finite. The q-update is the loss call's weights
+    function, so it reads the losses of the step's one forward pass.
     """
     n_g = _group_sizes(dataset).astype(float)
     k = len(n_g)
@@ -233,6 +228,7 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
     groups = dataset.group
     adjust = cfg.gdro_size_adjust / np.sqrt(n_g)
     q = np.full(k, 1.0 / k)
+    log_q = np.zeros(k)
 
     def step(params, batch):
         g_b = groups[batch]
@@ -241,16 +237,18 @@ def train_gdro(dataset, cfg: TrainConfig) -> TrainedModel:
         def weights(sample_loss):
             present = counts > 0
             mean_loss = np.bincount(g_b, weights=sample_loss, minlength=k)[present] / counts[present]
-            q[present] *= np.exp(cfg.gdro_eta * (mean_loss + adjust[present]))
+            log_q[present] += cfg.gdro_eta * (mean_loss + adjust[present])
+            log_q[:] -= log_q.max()
+            q[:] = np.exp(log_q)
             q[:] /= q.sum()
             return len(batch) * q[g_b] / counts[g_b]
 
         return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=weights)
 
-    return _fit(dataset, cfg, step, q=q)
+    return _fit(dataset, cfg, seed, step, q=q)
 
 
-def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
+def train_resampling(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     """Group-balanced sampling with replacement: batches pick a group
     uniformly, then a sample uniformly inside it."""
     k = len(_group_sizes(dataset))
@@ -268,21 +266,21 @@ def train_resampling(dataset, cfg: TrainConfig) -> TrainedModel:
                     batch[mask] = by_group[g][rng.integers(0, len(by_group[g]), size=m)]
             yield batch
 
-    return _fit(dataset, cfg, _bce_step(dataset), batches=batches)
+    return _fit(dataset, cfg, seed, _bce_step(dataset), batches=batches)
 
 
-def train_domain_ind(dataset, cfg: TrainConfig) -> TrainedModel:
+def train_domain_ind(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     """One head per group; each sample trains only its group's head.
 
     Inference has no group label, so scores come from the head with the
-    largest |logit| (default) or from the sum of all head logits.
+    largest |logit|.
     """
     k = len(_group_sizes(dataset))
     _check_y_free(dataset, k)
-    return _fit(dataset, cfg, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
+    return _fit(dataset, cfg, seed, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
 
 
-def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
+def train_cfair(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     """Adversarial group removal: per-class discriminators predict the group
     from the hidden layer; their gradient reaches the encoder reversed and
     scaled by mu. All parameters update in the same optimizer step."""
@@ -300,7 +298,7 @@ def train_cfair(dataset, cfg: TrainConfig) -> TrainedModel:
         )
         return (bce, adv), grads
 
-    return _fit(dataset, cfg, step, adv_groups=k)
+    return _fit(dataset, cfg, seed, step, adv_groups=k)
 
 
 def _selection_score(model: TrainedModel, val) -> float:
@@ -313,7 +311,7 @@ def _selection_score(model: TrainedModel, val) -> float:
     return float(np.min(np.bincount(val.group, weights=correct)[present] / total[present]))
 
 
-def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
+def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
     """Two-stage upweighting without train-time group labels.
 
     Stage one is a short ERM run; its training-set errors (threshold 0.5)
@@ -325,14 +323,14 @@ def train_jtt(dataset, val, cfg: TrainConfig) -> TrainedModel:
     """
     best = None
     for s1 in JTT_STAGE1_GRID:
-        stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)))
+        stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)), seed)
         wrong = (stage1.predict_scores(dataset.features) >= 0.5).astype(int) != dataset.y
         if not wrong.any():
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
         for lam in JTT_UPWEIGHT_GRID:
             weights = np.where(wrong, float(lam), 1.0)
             candidate = replace(
-                _fit(dataset, cfg, _bce_step(dataset, sample_weights=weights)),
+                _fit(dataset, cfg, seed, _bce_step(dataset, sample_weights=weights)),
                 info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
             )
             score = _selection_score(candidate, val)
@@ -357,11 +355,11 @@ METHODS = (*_TRAINERS, "jtt")
 NEEDS_Y_FREE = ("domain_ind", "cfair")
 
 
-def train(method: str, dataset, cfg: TrainConfig, val=None) -> TrainedModel:
+def train(method: str, dataset, cfg: TrainConfig, seed: int, val=None) -> TrainedModel:
     if method == "jtt":
         if val is None:
             raise InvalidScheme("jtt needs a validation split for model selection")
-        return train_jtt(dataset, val, cfg)
+        return train_jtt(dataset, val, cfg, seed)
     if method not in _TRAINERS:
         raise InvalidScheme(f"unknown method {method!r}")
-    return _TRAINERS[method](dataset, cfg)
+    return _TRAINERS[method](dataset, cfg, seed)

@@ -116,9 +116,12 @@ class TestSpecValidation:
             tiny_spec(schemes=("Noisy_AY_0.1", "Noisy_AY_0.10"))
 
     def test_rejects_train_seed(self):
-        # run_sweep derives every cell's seed from master_seed, so train.seed would be ignored
-        with pytest.raises(InvalidConfig, match="train.seed is unused .got 7.; set master_seed instead"):
-            tiny_spec(train=TrainConfig(epochs=2, seed=7))
+        # run_sweep derives every cell's seed from master_seed and passes it beside
+        # spec.train, so a train section has no seed, not even at the old default 0
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig(epochs=2, seed=7)
+        with pytest.raises(InvalidConfig, match="unknown train key 'seed' in --config"):
+            harness._from_config(TrainConfig, {"seed": 0}, "train")
 
     def test_y_free_methods_accept_y_free_schemes(self):
         spec = tiny_spec(methods=("gdro", *mitigation.NEEDS_Y_FREE), schemes=("A", "S", "SC_noSC", "Random"))
@@ -213,10 +216,10 @@ class TestRunSweep:
         }
         real_train = mitigation.train
 
-        def flaky_train(method, dataset, cfg, val=None):
-            if cfg.seed in failing:
+        def flaky_train(method, dataset, cfg, seed, val=None):
+            if seed in failing:
                 raise EmptyGroup("injected")
-            return real_train(method, dataset, cfg, val=val)
+            return real_train(method, dataset, cfg, seed, val=val)
 
         monkeypatch.setattr(mitigation, "train", flaky_train)
         record = run_sweep(spec)
@@ -264,9 +267,9 @@ class TestRunSweep:
         calls = []
         real_train, real_test_split = mitigation.train, harness.make_test_split
 
-        def recording_train(method, dataset, cfg, val=None):
-            calls.append(("train", seed_of[cfg.seed]))
-            return real_train(method, dataset, cfg, val=val)
+        def recording_train(method, dataset, cfg, seed, val=None):
+            calls.append(("train", seed_of[seed]))
+            return real_train(method, dataset, cfg, seed, val=val)
 
         def recording_test_split(cfg, n_test, seed):
             calls.append(("test", seed_of[seed]))
@@ -278,6 +281,26 @@ class TestRunSweep:
         assert record.errors == ()
         cells = 1 + len(spec.schemes)  # ERM once, gdro per scheme
         assert calls == [("train", 0)] * cells + [("test", 0)] + [("train", 1)] * cells + [("test", 1)]
+
+    def test_every_cell_gets_the_spec_train_and_its_derived_seed(self, monkeypatch):
+        spec = tiny_spec(schemes=("A", "S"), seeds=(0, 1), master_seed=5)
+        calls = []
+        real_train = mitigation.train
+
+        def recording_train(method, dataset, cfg, seed, val=None):
+            calls.append((method, dataset.group_scheme, cfg, seed))
+            return real_train(method, dataset, cfg, seed, val=val)
+
+        monkeypatch.setattr(mitigation, "train", recording_train)
+        assert run_sweep(spec).errors == ()
+        assert len(calls) == 2 * (1 + len(spec.schemes))  # per seed: ERM once, gdro per scheme
+        assert all(cfg is spec.train for _, _, cfg, _ in calls)
+        cells = [(method, None if scheme is None else scheme.name, seed) for method, scheme, _, seed in calls]
+        assert cells == [
+            (method, name, _derive_seed(5, method, name or "-", seed))
+            for seed in spec.seeds
+            for method, name in (("erm", None), ("gdro", "A"), ("gdro", "S"))
+        ]
 
     def test_sweep_never_imports_numpy_ma(self):
         """gDRO's step and the y-free check count groups with np.bincount;
@@ -292,7 +315,7 @@ class TestRunSweep:
             "assert run_sweep(spec).errors == ()\n"
             "tr = sample_dataset(biased_distribution(0.95, 0.8), 200, FeatureConfig(), seed=0)\n"
             "unnamed = replace(annotate_samples(tr, GroupingScheme('A'), seed=0), group_scheme=None)\n"
-            "train('domain_ind', unnamed, TrainConfig(epochs=1))\n"
+            "train('domain_ind', unnamed, TrainConfig(epochs=1), 0)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -540,8 +563,8 @@ class TestCli:
         assert (out / "correlation.csv").exists()
         assert (out / "scatter_gdro.csv").exists()
 
-    def test_diverged_model_is_an_error_row_not_a_nan_result(self, tmp_path, capsys):
-        # an enormous gDRO step overflows q, so the model's scores are NaN
+    def test_diverged_model_is_an_error_row_not_a_nan_result(self, tmp_path, capsys, monkeypatch):
+        # every gDRO model comes back with NaN parameters, so its scores are NaN
         config = {
             "methods": ["erm", "gdro"],
             "schemes": ["A", "AY", "S"],
@@ -549,13 +572,21 @@ class TestCli:
             "n_train": 64,
             "n_val": 32,
             "n_test": 64,
-            "train": {"epochs": 1, "gdro_eta": 1e300},
+            "train": {"epochs": 1},
         }
+        real_train = mitigation.train
+
+        def diverging_train(method, dataset, cfg, seed, val=None):
+            model = real_train(method, dataset, cfg, seed, val=val)
+            if method == "gdro":
+                model.params.flat[:] = np.nan
+            return model
+
+        monkeypatch.setattr(mitigation, "train", diverging_train)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        with warnings.catch_warnings(), pytest.warns(UserWarning, match="risks empty groups for AY"):
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.warns(UserWarning, match="risks empty groups for AY"):
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         errors = json.loads((out / "manifest.json").read_text())["errors"]
         assert [(e["method"], e["grouping"]) for e in errors] == [("gdro", "A"), ("gdro", "AY"), ("gdro", "S")]
@@ -662,7 +693,7 @@ class TestCli:
         argv = ["run", "--seeds", "0,1,2", "--methods", "erm,gdro,resampling", "--p-s0", "0.95"]
         spec = harness._spec_from_args(harness._build_parser().parse_args(argv))
         assert spec == ExperimentSpec()
-        assert spec_hash(spec) == "734de53be90d27ed24237c022f3f3da203d2fd64e3072ea234f08a30397f277a"
+        assert spec_hash(spec) == "30596d927656c744758a6514d0bca501efb25f9c1d872553072e5f41a3aa39d1"
 
     @pytest.mark.parametrize(
         "config,message",
@@ -671,12 +702,17 @@ class TestCli:
             ({"feature": {"mu": 1.0}}, "unknown feature key 'mu'"),
             ({"train": {"epochz": 3}}, "unknown train key 'epochz'"),
             ({"train": {"jtt_upweight": 5.0}}, "unknown train key 'jtt_upweight'"),
+            # neither is a TrainConfig field, so even the old default value is refused
+            ({"train": {"seed": 0}}, "unknown train key 'seed'"),
+            ({"train": {"domain_ind_rule": "max_abs"}}, "unknown train key 'domain_ind_rule'"),
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        reached = AssertionError("make_splits ran for a malformed spec")
+        with mock.patch.object(harness, "make_splits", side_effect=reached):
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert message in err
@@ -692,12 +728,12 @@ class TestCli:
             ('{"train": {"epochs": 0}}', "epochs must be >= 1, got 0"),
             ('{"train": {"hidden": 0}}', "hidden must be >= 1, got 0"),
             ('{"train": {"lr": -1.0}}', "lr must be > 0, got -1.0"),
-            ('{"train": {"domain_ind_rule": "vote"}}', "unknown inference rule 'vote'"),
+            ('{"train": {"domain_ind_rule": "vote"}}', "unknown train key 'domain_ind_rule' in --config"),
             ('{"train": {"epochs": 1.5}}', "train key 'epochs' in --config has the wrong type: 1.5"),
             ('{"train": {"weight_decay": -0.1}}', "weight_decay must be >= 0, got -0.1"),
             ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
             ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
-            ('{"train": {"seed": 12345}}', "train.seed is unused (got 12345); set master_seed instead"),
+            ('{"train": {"seed": 12345}}', "unknown train key 'seed' in --config"),
             ('{"methods": []}', "at least one method is required"),
         ],
         ids=[
@@ -758,10 +794,10 @@ class TestCli:
         failing = _derive_seed(0, "gdro", "A", 0)  # the same cell seed in every variant
         real_train = mitigation.train
 
-        def flaky_train(method, dataset, cfg, val=None):
-            if cfg.seed == failing:
+        def flaky_train(method, dataset, cfg, seed, val=None):
+            if seed == failing:
                 raise EmptyGroup("injected")
-            return real_train(method, dataset, cfg, val=val)
+            return real_train(method, dataset, cfg, seed, val=val)
 
         monkeypatch.setattr(mitigation, "train", flaky_train)
         out = tmp_path / "out"
@@ -806,12 +842,12 @@ class TestCli:
         real_train = mitigation.train
         gdro_calls = []
 
-        def failing_baseline(method, dataset, cfg, val=None):
+        def failing_baseline(method, dataset, cfg, seed, val=None):
             if method == "gdro":
                 gdro_calls.append(1)
                 if len(gdro_calls) <= len(ABLATE_CONFIG["schemes"]):  # the baseline runs first
                     raise EmptyGroup("injected")
-            return real_train(method, dataset, cfg, val=val)
+            return real_train(method, dataset, cfg, seed, val=val)
 
         monkeypatch.setattr(mitigation, "train", failing_baseline)
         out = tmp_path / "out"

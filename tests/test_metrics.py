@@ -165,7 +165,7 @@ class TestEvaluate:
         balances a within each s value and the gap collapses."""
         tr, va = make_splits(FeatureConfig(), 4000, 2000, 0.95, 0.8, seed=1)
         te = make_test_split(FeatureConfig(), 4000, seed=1)
-        model = train_erm(tr, TrainConfig(seed=0))
+        model = train_erm(tr, TrainConfig(), 0)
         assert evaluate(model, va).gap_S > evaluate(model, te).gap_S
 
 

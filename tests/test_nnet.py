@@ -419,7 +419,7 @@ class TestAdam:
         """Adam updates in place, so each fit must own its parameter vector."""
         data = sample_dataset(biased_distribution(0.95, 0.8), 64, FeatureConfig(d_y=1, d_a=1, d_s=1), seed=0)
         cfg = TrainConfig(epochs=1)
-        a, b = train("erm", data, cfg), train("erm", data, cfg)
+        a, b = train("erm", data, cfg, 0), train("erm", data, cfg, 0)
         assert not np.shares_memory(a.params.flat, b.params.flat)
         assert np.array_equal(a.params.flat, b.params.flat)
 

@@ -109,7 +109,7 @@ class TestSampleDataset:
         cfg = FeatureConfig(mu_y=0.0, mu_a=0.0, mu_s=0.0)
         train_ds = sample_dataset(uniform_distribution(), 2000, cfg, seed=7)
         test_ds = sample_dataset(uniform_distribution(), 20_000, cfg, seed=8)
-        model = train("erm", train_ds, TrainConfig(epochs=10, seed=0))
+        model = train("erm", train_ds, TrainConfig(epochs=10), 0)
         score = auc(model.predict_scores(test_ds.features), test_ds.y)
         assert 0.48 <= score <= 0.52
 
@@ -161,7 +161,7 @@ class TestMakeSplits:
         """With matched train and test distributions the val to test gap closes."""
         tr, va = make_splits(FeatureConfig(), 4000, 2000, 0.5, 0.5, seed=11)
         te = make_test_split(FeatureConfig(), 4000, seed=11)
-        model = train("erm", tr, TrainConfig(epochs=10, seed=0))
+        model = train("erm", tr, TrainConfig(epochs=10), 0)
         val_auc = auc(model.predict_scores(va.features), va.y)
         test_auc = auc(model.predict_scores(te.features), te.y)
         assert val_auc - test_auc <= 0.02
