@@ -1,4 +1,7 @@
-"""Semantic exceptions shared across the package."""
+"""Semantic exceptions shared across the package, and the one check of config fields."""
+
+import sys
+from dataclasses import fields
 
 
 class SubshiftError(Exception):
@@ -55,3 +58,39 @@ class InsufficientSchemes(SubshiftError):
 
 class InvalidConfig(SubshiftError):
     """Experiment spec or command-line value the sweep cannot run."""
+
+
+def _fits(value, default) -> bool:
+    """Whether a value can stand in for a config field with this default.
+
+    A tuple fits a tuple field item by item; an int fits a float field, but
+    a float never fits an int one. True and False fit none, since True would
+    run as 1 but hash differently, and numpy integers fit none, since
+    manifest.json cannot hold them.
+    """
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def check_fields(config) -> None:
+    """Refuse a config dataclass field of the wrong type, non-finite, or out of its declared bound.
+
+    A field declares its bound in metadata: {"min": m} requires value >= m,
+    {"above": m} requires value > m. The comparisons are written so that NaN
+    fails them, and an int too large for a float fails the finiteness test.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not _fits(value, f.default):
+            raise InvalidConfig(f"{type(config).__name__} field {f.name!r} has the wrong type: {value!r}")
+        if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:
+            raise OutOfRange(f"{f.name} must be finite, got {value}")
+        if "min" in f.metadata and not value >= f.metadata["min"]:
+            raise OutOfRange(f"{f.name} must be >= {f.metadata['min']}, got {value}")
+        if "above" in f.metadata and not value > f.metadata["above"]:
+            raise OutOfRange(f"{f.name} must be > {f.metadata['above']}, got {value}")

@@ -77,6 +77,8 @@ class GroupingScheme:
     name: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidScheme(f"a scheme name is a string, got {self.name!r}")
         if self.name in _HARD or self.name in _SPLIT or self.name == "Random":
             return
         noisy = _noisy(self.name)
@@ -85,7 +87,7 @@ class GroupingScheme:
         prefix, noise = noisy
         if not 0.0 <= noise < 1.0:
             raise InvalidScheme(f"noise fraction {noise} outside [0, 1)")
-        canonical = f"{prefix}{noise:.2f}"
+        canonical = f"{prefix}{abs(noise):.2f}"  # -0.0 is written 0.00
         if canonical != self.name:
             raise InvalidScheme(f"scheme {self.name!r} must be written {canonical!r}")
 

@@ -23,7 +23,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from .errors import (
     OutOfRange,
     SubshiftError,
     YBasedGrouping,
+    check_fields,
 )
 from .grouping import GroupingScheme, annotate_samples, atom_grouping, is_y_free, model_based_schemes, reweighting_schemes
 from .metrics import auc, evaluate, pearson
@@ -109,9 +110,9 @@ class ExperimentSpec:
     seeds: tuple = (0, 1, 2)
     p_s0: float = DEFAULT_P_S0
     p_s1: float = DEFAULT_P_S1
-    n_train: int = 8000
-    n_val: int = 2000
-    n_test: int = 8000
+    n_train: int = field(default=8000, metadata={"min": 1})
+    n_val: int = field(default=2000, metadata={"min": 1})
+    n_test: int = field(default=8000, metadata={"min": 1})
     feature: FeatureConfig = FeatureConfig()
     train: TrainConfig = TrainConfig()
     master_seed: int = 0
@@ -119,6 +120,7 @@ class ExperimentSpec:
     def __post_init__(self):
         # Reject, field by field, a spec the sweep cannot run before any table or data is built.
         # Pairing methods with schemes is left to run_sweep, since analyze-kl reads no methods.
+        check_fields(self)
         unknown = [m for m in self.methods if m not in mitigation.METHODS]
         if unknown:
             raise InvalidConfig(
@@ -133,9 +135,6 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise InvalidConfig(f"{field_name} lists {repeated[0]!r} more than once")
-        for field_name in ("n_train", "n_val", "n_test"):
-            if getattr(self, field_name) < 1:
-                raise OutOfRange(f"{field_name} must be >= 1, got {getattr(self, field_name)}")
 
 
 @dataclass(frozen=True)
@@ -511,31 +510,13 @@ def _load_config(path) -> dict:
     return data
 
 
-def _fits(value, default) -> bool:
-    """Whether a JSON value can stand in for a config field with this default.
-
-    A list fits a tuple field item by item; an integer fits a float field,
-    but a float never fits an integer one, and true and false fit none.
-    """
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
 def _from_config(cls, data, section: str):
-    """Build cls from one --config section, refusing unknown keys and mistyped values."""
+    """Build cls from one --config section, refusing unknown keys; cls checks the values."""
     if not isinstance(data, dict):
         raise InvalidConfig(f"{section} section of --config must be a JSON object")
-    defaults = {f.name: f.default for f in fields(cls)}
-    for key, value in data.items():
-        if key not in defaults:
-            raise InvalidConfig(f"unknown {section} key {key!r} in --config")
-        if not _fits(value, defaults[key]):
-            raise InvalidConfig(f"{section} key {key!r} in --config has the wrong type: {value!r}")
+    unknown = [key for key in data if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise InvalidConfig(f"unknown {section} key {unknown[0]!r} in --config")
     return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in data.items()})
 
 

@@ -97,7 +97,8 @@ def pearson(x, y) -> tuple[float, float]:
     cannot overflow. Under the null, (r + 1) / 2 is Beta(n/2 - 1, n/2 - 1),
     which makes the p-value p = 2 * I_{(1 - |r|)/2}(n/2 - 1, n/2 - 1), with I
     the regularized incomplete beta function. This equals the t-test p-value
-    with n - 2 degrees of freedom.
+    with n - 2 degrees of freedom. Fewer than 3 points, a non-finite value or
+    zero variance raises DegenerateInput.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -105,6 +106,8 @@ def pearson(x, y) -> tuple[float, float]:
         raise DegenerateInput("length mismatch")
     if len(x) < 3:
         raise DegenerateInput("need at least 3 points")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DegenerateInput("Pearson r needs finite values")
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise DegenerateInput("zero variance")
     xm = x - x.mean()

@@ -28,8 +28,6 @@ falls back to a structural test for hand-assigned groups.
 
 from __future__ import annotations
 
-import numbers
-import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -37,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import nnet
-from .errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
+from .errors import EmptyGroup, InvalidScheme, YBasedGrouping, check_fields
 from .grouping import is_y_free
 from .nnet import expit
 
@@ -66,38 +64,19 @@ _SCORE_BLOCK = 1024
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 20
-    batch_size: int = 128
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    lr_decay_epoch: int = 10
-    lr_decay_factor: float = 0.1
-    hidden: int = 16
-    gdro_eta: float = 0.01
-    gdro_size_adjust: float = 1.0
-    cfair_mu: float = 0.1
+    epochs: int = field(default=20, metadata={"min": 1})
+    batch_size: int = field(default=128, metadata={"min": 1})
+    lr: float = field(default=1e-3, metadata={"above": 0})
+    weight_decay: float = field(default=1e-4, metadata={"min": 0})
+    lr_decay_epoch: int = field(default=10, metadata={"min": 0})
+    lr_decay_factor: float = field(default=0.1, metadata={"above": 0})
+    hidden: int = field(default=16, metadata={"min": 1})
+    gdro_eta: float = field(default=0.01, metadata={"min": 0})
+    gdro_size_adjust: float = field(default=1.0, metadata={"min": 0})
+    cfair_mu: float = field(default=0.1, metadata={"min": 0})
 
     def __post_init__(self):
-        # The comparisons are written so that NaN fails them, and a JSON
-        # integer too large for a float fails the finiteness test.
-        for name in ("epochs", "batch_size", "hidden"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise OutOfRange(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise OutOfRange(f"{name} must be >= 1, got {value}")
-        for name in ("lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu"):
-            value = getattr(self, name)
-            if not abs(value) <= sys.float_info.max:
-                raise OutOfRange(f"{name} must be finite, got {value}")
-        for name in ("lr", "lr_decay_factor"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise OutOfRange(f"{name} must be > 0, got {value}")
-        for name in ("weight_decay", "lr_decay_epoch", "gdro_eta", "gdro_size_adjust", "cfair_mu"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise OutOfRange(f"{name} must be >= 0, got {value}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

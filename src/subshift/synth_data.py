@@ -15,14 +15,13 @@ data it scores.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dist_core import Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
-from .errors import OutOfRange
+from .errors import OutOfRange, check_fields
 
 if TYPE_CHECKING:
     from .grouping import GroupingScheme
@@ -32,25 +31,18 @@ __all__ = ["FeatureConfig", "Dataset", "sample_dataset", "make_splits", "make_te
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    d_y: int = 5
-    d_a: int = 5
-    d_s: int = 5
+    d_y: int = field(default=5, metadata={"min": 1})
+    d_a: int = field(default=5, metadata={"min": 1})
+    d_s: int = field(default=5, metadata={"min": 1})
     # Calibrated so an unmitigated learner prefers the shortcut block yet a
     # group-balanced one can still recover the label signal; see README.
     mu_y: float = 0.6
     mu_a: float = 2.0
     mu_s: float = 1.0
-    noise_sd: float = 1.0
+    noise_sd: float = field(default=1.0, metadata={"above": 0})
 
     def __post_init__(self):
-        if min(self.d_y, self.d_a, self.d_s) < 1:
-            raise OutOfRange("every feature block needs at least one dimension")
-        # Written so that NaN fails them; a JSON integer too large for a float fails too.
-        for name in ("mu_y", "mu_a", "mu_s", "noise_sd"):
-            if not abs(getattr(self, name)) <= sys.float_info.max:
-                raise OutOfRange(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.noise_sd > 0.0:
-            raise OutOfRange(f"noise_sd must be positive, got {self.noise_sd}")
+        check_fields(self)
 
     @property
     def dim(self) -> int:

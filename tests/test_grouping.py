@@ -68,10 +68,20 @@ class TestSchemeNames:
         for name in ("BOGUS", "SCnoSC", "AY8", "NoisyAY"):
             with pytest.raises(InvalidScheme, match=re.escape(f"unknown scheme name {name!r}")):
                 GroupingScheme(name)
+        # a name that is not a string is no scheme either, not an AttributeError
+        for name in (5, None, ("AY",)):
+            with pytest.raises(InvalidScheme, match=re.escape(f"a scheme name is a string, got {name!r}")):
+                GroupingScheme(name)
 
     @pytest.mark.parametrize(
         "name,canonical",
-        [("Noisy_AY_0.1", "Noisy_AY_0.10"), ("Noisy_A_0.100", "Noisy_A_0.10"), ("Noisy_AY_1e-1", "Noisy_AY_0.10")],
+        [
+            ("Noisy_AY_0.1", "Noisy_AY_0.10"),
+            ("Noisy_A_0.100", "Noisy_A_0.10"),
+            ("Noisy_AY_1e-1", "Noisy_AY_0.10"),
+            # the same grouping and min KL as Noisy_AY_0.00, under another row key
+            ("Noisy_AY_-0.00", "Noisy_AY_0.00"),
+        ],
     )
     def test_noncanonical_name_rejected(self, name, canonical):
         # result rows and KL rows are keyed by the name, so one scheme has one spelling

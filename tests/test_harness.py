@@ -20,6 +20,7 @@ from subshift.errors import (
     InvalidConfig,
     InvalidScheme,
     OutOfRange,
+    SubshiftError,
     YBasedGrouping,
 )
 from subshift.grouping import model_based_schemes, reweighting_schemes
@@ -43,6 +44,8 @@ from subshift.harness import (
 )
 from subshift.mitigation import TrainConfig
 from subshift.synth_data import FeatureConfig
+
+from refused_inputs import REFUSED_INPUTS, SPEC_FIELD
 
 
 def tiny_spec(**kw):
@@ -127,6 +130,21 @@ class TestSpecValidation:
         spec = tiny_spec(methods=("gdro", *mitigation.NEEDS_Y_FREE), schemes=("A", "S", "SC_noSC", "Random"))
         assert spec.methods == ("gdro", "domain_ind", "cfair")
         assert tiny_spec(methods=("gdro", "jtt"), schemes=("AY", "Y")).schemes == ("AY", "Y")
+
+    @pytest.mark.parametrize("cls,kwargs", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
+    def test_library_input_refused_at_construction(self, cls, kwargs):
+        with pytest.raises(SubshiftError, match=f"{cls.__name__} field '{next(iter(kwargs))}' has the wrong type"):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize("cls,kwargs", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
+    def test_refused_input_never_reaches_make_splits(self, cls, kwargs):
+        def build():
+            return cls(**kwargs) if cls is ExperimentSpec else ExperimentSpec(**{SPEC_FIELD[cls]: cls(**kwargs)})
+
+        with mock.patch.object(harness, "make_splits", side_effect=AssertionError("make_splits ran")) as drawn:
+            with pytest.raises(SubshiftError):
+                run_sweep(build())
+        drawn.assert_not_called()
 
 
 class TestDeriveSeed:
@@ -509,7 +527,7 @@ class TestCli:
         "config,message",
         [
             ({"methods": ["cfair"], "schemes": ["A", "Y"], "epochs": 3}, "unknown top-level key 'epochs'"),
-            ({"methods": ["cfair"], "schemes": "A"}, "top-level key 'schemes' in --config has the wrong type"),
+            ({"methods": ["cfair"], "schemes": "A"}, "ExperimentSpec field 'schemes' has the wrong type: 'A'"),
             ({"methods": ["cfair"], "schemes": ["A", "NOPE"]}, "unknown scheme name 'NOPE'"),
             ({"methods": ["cfair"], "schemes": ["A", "Y", "A"]}, "schemes lists 'A' more than once"),
             ({"methods": ["cfair"], "schemes": ["A", "Y"], "p_s0": 1.0}, "p_s0 must lie strictly inside (0, 1)"),
@@ -722,14 +740,14 @@ class TestCli:
         [
             (None, "cannot read --config"),
             ("{bad json", "cannot read --config"),
-            ('{"seeds": 5}', "top-level key 'seeds' in --config has the wrong type: 5"),
-            ('{"n_train": "abc"}', "top-level key 'n_train' in --config has the wrong type: 'abc'"),
+            ('{"seeds": 5}', "ExperimentSpec field 'seeds' has the wrong type: 5"),
+            ('{"n_train": "abc"}', "ExperimentSpec field 'n_train' has the wrong type: 'abc'"),
             ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
             ('{"train": {"epochs": 0}}', "epochs must be >= 1, got 0"),
             ('{"train": {"hidden": 0}}', "hidden must be >= 1, got 0"),
             ('{"train": {"lr": -1.0}}', "lr must be > 0, got -1.0"),
             ('{"train": {"domain_ind_rule": "vote"}}', "unknown train key 'domain_ind_rule' in --config"),
-            ('{"train": {"epochs": 1.5}}', "train key 'epochs' in --config has the wrong type: 1.5"),
+            ('{"train": {"epochs": 1.5}}', "TrainConfig field 'epochs' has the wrong type: 1.5"),
             ('{"train": {"weight_decay": -0.1}}', "weight_decay must be >= 0, got -0.1"),
             ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
             ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),

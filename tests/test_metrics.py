@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -218,3 +220,14 @@ class TestPearson:
     def test_rejects_zero_variance(self):
         with pytest.raises(DegenerateInput):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_rejects_non_finite_values(self, bad, side):
+        # raised before any arithmetic, so numpy warns nothing on the way
+        values = {"x": [1.0, 2.0, 3.0, 4.0], "y": [2.0, 1.0, 4.0, 3.0]}
+        values[side][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInput, match="Pearson r needs finite values"):
+                pearson(values["x"], values["y"])

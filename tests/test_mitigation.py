@@ -6,7 +6,7 @@ import pytest
 
 from subshift import mitigation, nnet
 from subshift.dist_core import biased_distribution, uniform_distribution
-from subshift.errors import EmptyGroup, InvalidScheme, OutOfRange, YBasedGrouping
+from subshift.errors import EmptyGroup, InvalidConfig, InvalidScheme, OutOfRange, YBasedGrouping
 from subshift.grouping import GroupingScheme, annotate_samples
 from subshift.metrics import accuracy, auc
 from subshift.mitigation import (
@@ -149,7 +149,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize(
         "field,value,error",
         [
-            ("epochs", 2.0, OutOfRange),
+            ("epochs", 2.0, InvalidConfig),
+            # manifest.json cannot hold a numpy integer
+            ("epochs", np.int64(2), InvalidConfig),
             ("lr", float("nan"), OutOfRange),
             ("lr_decay_factor", 0.0, OutOfRange),
             ("lr_decay_factor", -0.1, OutOfRange),
@@ -169,7 +171,7 @@ class TestTrainConfig:
 
     def test_boundary_values_accepted(self):
         cfg = TrainConfig(
-            weight_decay=0.0, lr_decay_epoch=0, epochs=np.int64(2),
+            weight_decay=0.0, lr_decay_epoch=0, epochs=2,
             gdro_eta=0.0, gdro_size_adjust=0.0, cfair_mu=0.0,
         )
         assert cfg.epochs == 2

@@ -318,6 +318,67 @@ class TestOptimalityProperties:
                 assert res.converged and res.gap <= 1e-11, (scheme.name, grouping.k, res.iterations)
 
 
+HARD_SCHEMES = ("A", "Y", "S", "AY", "SY", "YSA", "SC_noSC", "AS")
+
+
+def _closed_form_cases():
+    """(id, p_train, p_target): the two bias levels the CLI uses, then seeded Dirichlet pairs."""
+    cases = [
+        ("default", biased_distribution(0.95, 0.8), uniform_distribution()),
+        ("weak_shift", biased_distribution(0.85, 0.70), uniform_distribution()),
+    ]
+    rng = np.random.default_rng(20250)
+    for i in range(4):
+        p_train, p_target = (make_distribution(rng.dirichlet(np.ones(8))) for _ in range(2))
+        cases.append((f"dirichlet{i}", p_train, p_target))
+    return cases
+
+
+CLOSED_FORM_CASES = _closed_form_cases()
+
+
+class TestClosedFormOracle:
+    """The chain rule of relative entropy (Cover & Thomas, Thm 2.5.3) as an oracle for hard groupings.
+
+    A hard partition G can only rescale whole groups, so the best weights are
+    the target's group masses, w* = t_G, and min KL is the within-group
+    residual sum_g t_g * KL(t(.|g) || p(.|g)), which no reweighting reaches.
+    Cover's iteration from uniform weights lands on t_G in one step. A noisy
+    annotation of AY keeps AY's min KL up to a noise threshold.
+    """
+
+    @pytest.mark.parametrize("case", CLOSED_FORM_CASES, ids=[c[0] for c in CLOSED_FORM_CASES])
+    @pytest.mark.parametrize("name", HARD_SCHEMES)
+    def test_hard_partition_meets_the_chain_rule(self, name, case):
+        _, p_train, p_target = case
+        labels = atom_grouping(GroupingScheme(name)).assign.argmax(axis=1)
+        t, p = p_target.probs, p_train.probs
+        t_g = np.bincount(labels, weights=t)
+        p_g = np.bincount(labels, weights=p)
+        residual = float(np.sum(t * np.log((t / t_g[labels]) / (p / p_g[labels]))))
+        opt = optimal_weights(p_train, atom_grouping(GroupingScheme(name)), p_target)
+        assert opt.iterations <= 1
+        assert np.max(np.abs(opt.weights - t_g)) <= 1e-12
+        assert abs(opt.achieved_kl - residual) <= 1e-12
+
+    def test_noise_threshold_at_the_default_bias(self, p_train, p_uniform):
+        # a corrupted AY label is redrawn from the clean group masses m, so
+        # P^w = (1 - eps) * p * (w/m)_g + eps * p reaches AY's optimum while
+        # every w_g = m_g * (t_g/m_g - eps) / (1 - eps) stays >= 0
+        parent = atom_grouping(GroupingScheme("AY")).assign
+        eps_star = float(np.min((p_uniform.probs @ parent) / (p_train.probs @ parent)))
+        assert eps_star == pytest.approx(4 / 7, abs=1e-15)
+
+    @pytest.mark.parametrize("noise", [0.01, 0.10, 0.25, 0.50, 0.57, 0.60])
+    def test_noisy_ay_equals_ay_up_to_the_threshold(self, p_train, p_uniform, noise):
+        ay = optimal_weights(p_train, atom_grouping(GroupingScheme("AY")), p_uniform).achieved_kl
+        noisy = optimal_weights(p_train, atom_grouping(GroupingScheme(f"Noisy_AY_{noise:.2f}"), p_train), p_uniform)
+        if noise <= 4 / 7:
+            assert abs(noisy.achieved_kl - ay) <= 1e-12
+        else:  # past the threshold a group's weight would have to go negative
+            assert noisy.achieved_kl > ay + 1e-3
+
+
 class TestMinKlTable:
     def test_row_order_and_names(self, p_train, p_uniform):
         rows = min_kl_table(reweighting_schemes(), p_train, p_uniform)
