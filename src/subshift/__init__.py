@@ -14,7 +14,6 @@ from .dist_core import (
     atom_index,
     biased_distribution,
     kl_divergence,
-    make_distribution,
     reweighted_distribution,
     uniform_distribution,
 )

@@ -8,10 +8,12 @@ indexed canonically as
 
 so a length-8 probability vector fully describes a joint distribution.
 The module owns both atom-space types, Distribution and the grouping matrix
-SoftGrouping (grouping.py builds one from a scheme name), and each refuses a
-wrong shape when built. It builds the biased training distribution,
-reweights it through a grouping (P^w = R @ w, R from group_conditionals),
-and measures KL divergence.
+SoftGrouping (grouping.py builds one from a scheme name). Each has one
+constructor, which keeps a read-only copy of its input and refuses anything
+that is not a distribution over atoms, or a matrix of conditional ones, NaN
+included. The module builds the biased training distribution, reweights it
+through a grouping (P^w = R @ w, R from group_conditionals), and measures KL
+divergence.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ __all__ = [
     "N_ATOMS",
     "Distribution",
     "SoftGrouping",
-    "make_distribution",
     "uniform_distribution",
     "biased_distribution",
     "kl_divergence",
@@ -36,8 +37,6 @@ __all__ = [
 
 N_ATOMS = 8
 
-# Input vectors may sum to 1 only approximately; accept a slack of 1e-9 and
-# renormalize. Internally results stay within 1e-12 of mass 1.
 _INPUT_SLACK = 1e-9
 _NEG_SLACK = -1e-12
 
@@ -51,32 +50,46 @@ def atom_index(y, s, a):
 class Distribution:
     """A probability vector over atoms: entries non-negative, summing to 1 within 1e-12.
 
-    The raw constructor checks only the shape, (N_ATOMS,), and raises
-    NonNormalizable for any other; make_distribution also checks the values.
+    Keeps a read-only copy of a finite (N_ATOMS,) vector, clipped at 0 and renormalized.
+    An entry below -1e-12 or a mass more than 1e-9 from 1 raises NonNormalizable.
     """
 
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        self.probs.setflags(write=False)
-        if self.probs.shape != (N_ATOMS,):
-            raise NonNormalizable(f"expected a vector of {N_ATOMS} atoms, got shape {self.probs.shape}")
+        p = np.asarray(self.probs, dtype=float)
+        if p.shape != (N_ATOMS,):
+            raise NonNormalizable(f"expected a vector of {N_ATOMS} atoms, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise NonNormalizable("non-finite entries")
+        if np.any(p < _NEG_SLACK):
+            raise NonNormalizable(f"negative entry {p.min():.3e} below tolerance")
+        p = np.clip(p, 0.0, None)
+        total = p.sum()
+        if abs(total - 1.0) > _INPUT_SLACK:
+            raise NonNormalizable(f"mass {float(total)} deviates from 1 by more than {_INPUT_SLACK}")
+        p /= total
+        p.setflags(write=False)
+        object.__setattr__(self, "probs", p)
 
 
 @dataclass(frozen=True)
 class SoftGrouping:
-    """Conditional assignment matrix P(group | atom): N_ATOMS rows on the simplex."""
+    """Conditional assignment matrix P(group | atom): N_ATOMS rows on the simplex.
+
+    Keeps a read-only copy of an [N_ATOMS x k] matrix. A row with an entry that
+    is not >= 0 (NaN included) or a sum more than 1e-12 from 1 raises InvalidScheme.
+    """
 
     assign: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.assign, dtype=float)
-        object.__setattr__(self, "assign", a)
+        a = np.array(self.assign, dtype=float)
         a.setflags(write=False)
+        object.__setattr__(self, "assign", a)
         if a.ndim != 2 or len(a) != N_ATOMS:
             raise InvalidScheme(f"assign must be [{N_ATOMS} x k], got {a.shape}")
-        if np.any(a < 0.0) or np.max(np.abs(a.sum(axis=1) - 1.0)) > 1e-12:
+        if not (np.all(a >= 0.0) and np.max(np.abs(a.sum(axis=1) - 1.0)) <= 1e-12):
             raise InvalidScheme("rows must be conditional distributions")
 
     @property
@@ -86,24 +99,6 @@ class SoftGrouping:
     @property
     def is_hard(self) -> bool:
         return bool(np.all((self.assign == 0.0) | (self.assign == 1.0)))
-
-
-def make_distribution(probs) -> Distribution:
-    """Validate and mildly repair a probability vector.
-
-    Entries below -1e-12, a total mass off by more than 1e-9 or a shape other
-    than (N_ATOMS,) are configuration errors and raise NonNormalizable.
-    """
-    p = np.asarray(probs, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise NonNormalizable("non-finite entries")
-    if np.any(p < _NEG_SLACK):
-        raise NonNormalizable(f"negative entry {p.min():.3e} below tolerance")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > _INPUT_SLACK:
-        raise NonNormalizable(f"mass {float(total)} deviates from 1 by more than {_INPUT_SLACK}")
-    return Distribution(p / total)
 
 
 def uniform_distribution() -> Distribution:
@@ -181,4 +176,4 @@ def reweighted_distribution(p: Distribution, g: SoftGrouping, w) -> Distribution
     dead = ~alive & (wv > 0.0)
     if np.any(dead):
         raise EmptyGroup(f"groups {np.nonzero(dead)[0].tolist()} have weight but no mass")
-    return make_distribution(r @ wv)
+    return Distribution(r @ wv)

@@ -325,13 +325,20 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
 
 
 def read_results_csv(path):
+    """The typed rows of a results.csv; a missing column or a value that does not parse raises InvalidConfig."""
     rows = []
     with open(path, newline="") as fh:
-        for raw in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [col for col in RESULT_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidConfig(f"{path} line 1: no column {', '.join(missing)}")
+        for raw in reader:
             row = dict(raw)
-            row["seed"] = int(raw["seed"])
-            for col in RESULT_COLUMNS[3:]:
-                row[col] = float(raw[col])
+            for col in RESULT_COLUMNS[2:]:
+                try:
+                    row[col] = (int if col == "seed" else float)(raw[col])
+                except (TypeError, ValueError):
+                    raise InvalidConfig(f"{path} line {reader.line_num}: cannot read {col} from {raw[col]!r}") from None
             rows.append(row)
     return rows
 

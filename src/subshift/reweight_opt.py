@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import Distribution, SoftGrouping, group_conditionals, kl_divergence, reweighted_distribution
-from .errors import EmptyGroup, OutOfRange, SupportMismatch, TooManyGroups
+from .errors import OutOfRange, SupportMismatch, TooManyGroups
 from .grouping import atom_grouping
 from .nnet import row_blocks
 
@@ -80,8 +80,6 @@ def optimal_weights(
     no remaining group covers makes every P^w miss it: SupportMismatch.
     """
     r_full, alive = group_conditionals(p_train, grouping)
-    if not np.any(alive):
-        raise EmptyGroup("every group has zero mass")
     if not np.all(alive):
         warnings.warn(
             f"dropping zero-mass groups {np.nonzero(~alive)[0].tolist()} from optimization",

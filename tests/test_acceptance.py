@@ -13,9 +13,9 @@ import pytest
 
 from subshift import nnet
 from subshift.dist_core import (
+    Distribution,
     biased_distribution,
     kl_divergence,
-    make_distribution,
     reweighted_distribution,
     uniform_distribution,
 )
@@ -328,6 +328,6 @@ def test_criterion_12_refinement_and_pinsker():
 
     rng = np.random.default_rng(12345)
     for _ in range(1000):
-        p = make_distribution(rng.dirichlet(np.ones(8)))
-        q = make_distribution(rng.dirichlet(np.ones(8)))
+        p = Distribution(rng.dirichlet(np.ones(8)))
+        q = Distribution(rng.dirichlet(np.ones(8)))
         assert 0.5 * np.abs(p.probs - q.probs).sum() <= np.sqrt(kl_divergence(p, q) / 2.0) + 1e-12

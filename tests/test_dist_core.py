@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from subshift.dist_core import (
@@ -10,12 +10,13 @@ from subshift.dist_core import (
     atom_index,
     biased_distribution,
     kl_divergence,
-    make_distribution,
     reweighted_distribution,
     uniform_distribution,
 )
 from subshift.errors import EmptyGroup, InvalidScheme, NonNormalizable, OutOfRange, SupportMismatch
 from subshift.grouping import GroupingScheme, atom_grouping
+
+from refused_inputs import REFUSED_ATOM_SPACE_VALUES
 
 P_TRAIN_PROBS = [0.95 / 4, 0.05 / 4, 0.8 / 4, 0.2 / 4, 0.05 / 4, 0.95 / 4, 0.2 / 4, 0.8 / 4]
 
@@ -24,7 +25,14 @@ def random_distribution(rng, allow_zeros=False):
     raw = rng.random(N_ATOMS)
     if allow_zeros:
         raw[rng.integers(0, N_ATOMS)] = 0.0
-    return make_distribution(raw / raw.sum())
+    return Distribution(raw / raw.sum())
+
+
+def near_simplex_vectors():
+    """Length-8 vectors with zeros, normalized, then scaled to a mass the constructor may refuse."""
+    counts = st.lists(st.integers(0, 1000), min_size=N_ATOMS, max_size=N_ATOMS).filter(any)
+    mass = st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10, 0.5, 2.0])
+    return st.builds(lambda c, m: np.array(c) / sum(c) * m, counts, mass)
 
 
 class TestAtom:
@@ -39,54 +47,76 @@ class TestAtom:
         assert atom_index(y, s, a).tolist() == [2, 5, 7]
 
 
-class TestMakeDistribution:
+class TestDistribution:
     def test_uniform(self):
-        d = make_distribution([1 / 8] * 8)
+        d = Distribution([1 / 8] * 8)
         assert np.array_equal(d.probs, uniform_distribution().probs)
 
     def test_training_vector(self):
-        d = make_distribution(P_TRAIN_PROBS)
+        d = Distribution(P_TRAIN_PROBS)
         assert np.allclose(d.probs, [0.2375, 0.0125, 0.2, 0.05, 0.0125, 0.2375, 0.05, 0.2])
 
     def test_zero_mass_atoms_allowed(self):
-        d = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        d = Distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         assert d.probs[2:].sum() == 0.0
 
     def test_renormalizes_tiny_slack(self):
-        d = make_distribution(np.array([1 / 8] * 8) * (1 + 5e-10))
+        d = Distribution(np.array([1 / 8] * 8) * (1 + 5e-10))
         assert abs(d.probs.sum() - 1.0) < 1e-15
 
     def test_tiny_negative_clamped(self):
-        probs = [1 / 8] * 7 + [1 / 8 - 5e-13]
-        probs[0] = 1 / 8 + 5e-13 - 1e-13
-        d = make_distribution([1 / 8 + 1e-13] * 7 + [1 / 8 - 7e-13])
+        d = Distribution([1 / 8 + 1e-13] * 7 + [1 / 8 - 7e-13])
         assert (d.probs >= 0).all()
 
     def test_rejects_bad_sum(self):
         with pytest.raises(NonNormalizable):
-            make_distribution([0.2] * 8)
+            Distribution([0.2] * 8)
 
     def test_bad_sum_message_prints_a_plain_float(self):
         with pytest.raises(NonNormalizable, match=r"^mass 1\.2 deviates from 1 by more than 1e-09$"):
-            make_distribution([1.2, 0, 0, 0, 0, 0, 0, 0])
+            Distribution([1.2, 0, 0, 0, 0, 0, 0, 0])
 
     def test_rejects_negative(self):
         with pytest.raises(NonNormalizable):
-            make_distribution([-0.1, 1.1, 0, 0, 0, 0, 0, 0])
+            Distribution([-0.1, 1.1, 0, 0, 0, 0, 0, 0])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(NonNormalizable):
-            make_distribution([0.5, 0.5])
+            Distribution([0.5, 0.5])
 
     @pytest.mark.parametrize("probs", [[0.5, 0.5], np.full((2, 4), 0.125), 1.0])
-    def test_raw_constructor_rejects_wrong_shape(self, probs):
+    def test_rejects_wrong_shape(self, probs):
         with pytest.raises(NonNormalizable, match=r"expected a vector of 8 atoms"):
             Distribution(np.array(probs))
+
+    @pytest.mark.parametrize(
+        "probs,message",
+        [
+            ([np.nan] * 8, r"^non-finite entries$"),
+            ([-1e-3, 1.001] + [0.0] * 6, r"^negative entry -1\.000e-03 below tolerance$"),
+        ],
+        ids=["nan", "negative"],
+    )
+    def test_refusal_wording(self, probs, message):
+        with pytest.raises(NonNormalizable, match=message):
+            Distribution(probs)
 
     def test_immutable(self):
         d = uniform_distribution()
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
+
+    def test_leaves_the_callers_array_writable(self):
+        p = np.full(8, 0.125)
+        d = Distribution(p)
+        p[0] = 0.5
+        assert np.array_equal(d.probs, np.full(8, 0.125))
+
+
+@pytest.mark.parametrize("cls,value", REFUSED_ATOM_SPACE_VALUES.values(), ids=REFUSED_ATOM_SPACE_VALUES.keys())
+def test_atom_space_value_refused_at_construction(cls, value):
+    with pytest.raises((NonNormalizable, InvalidScheme)):
+        cls(value)
 
 
 class TestBiasedDistribution:
@@ -125,19 +155,19 @@ class TestKlDivergence:
         assert kl_divergence(p_train, p_train) == 0.0
 
     def test_two_atom_hand_value(self):
-        p = make_distribution([0.75, 0.25, 0, 0, 0, 0, 0, 0])
-        q = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        p = Distribution([0.75, 0.25, 0, 0, 0, 0, 0, 0])
+        q = Distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         expected = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
         assert kl_divergence(p, q) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.1308, abs=5e-5)
 
     def test_zero_times_log_zero(self):
-        p = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        p = Distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         q = uniform_distribution()
         assert np.isfinite(kl_divergence(p, q))
 
     def test_support_violation(self, p_uniform):
-        q = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        q = Distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         with pytest.raises(SupportMismatch):
             kl_divergence(p_uniform, q)
 
@@ -154,12 +184,29 @@ class TestKlDivergence:
         else:
             assert kl > 0.0 or 0.5 * np.abs(p.probs - q.probs).sum() < 1e-9
 
+    @given(near_simplex_vectors(), near_simplex_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_nonnegative_for_any_accepted_pair(self, p_raw, q_raw):
+        # Gibbs' inequality holds for every pair the constructor lets through
+        try:
+            p, q = Distribution(p_raw), Distribution(q_raw)
+        except NonNormalizable:
+            assume(False)
+        assume(np.all(q.probs[p.probs > 0.0] > 0.0))
+        assert kl_divergence(p, q) >= -1e-12
+
 
 class TestSoftGrouping:
     @pytest.mark.parametrize("assign", [np.eye(3), np.ones(8), np.ones((8, 0)), np.ones((8, 2))])
     def test_rejects_wrong_shape_or_rows(self, assign):
         with pytest.raises(InvalidScheme):
             SoftGrouping(assign)
+
+    def test_leaves_the_callers_array_writable(self):
+        assign = np.full((8, 2), 0.5)
+        g = SoftGrouping(assign)
+        assign[0] = [1.0, 0.0]
+        assert np.array_equal(g.assign, np.full((8, 2), 0.5))
 
 
 class TestReweightedDistribution:
@@ -244,7 +291,7 @@ class TestReweightedDistribution:
             reweighted_distribution(p_train, g, np.array([[0.5], [0.5]]))
 
     def test_empty_group_weight_rejected(self):
-        p = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        p = Distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         g = atom_grouping(GroupingScheme("Y"))
         with pytest.raises(EmptyGroup):
             reweighted_distribution(p, g, np.array([0.5, 0.5]))

@@ -48,6 +48,8 @@ from subshift.synth_data import FeatureConfig
 from refused_inputs import REFUSED_INPUTS, SPEC_FIELD
 
 
+RESULTS_HEADER = ",".join(harness.RESULT_COLUMNS)
+
 def tiny_spec(**kw):
     base = dict(
         methods=("erm", "gdro"),
@@ -558,6 +560,22 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: gdro: every scheme has the same min_kl_gdro (0.500000), so its correlation is undefined\n"
         )
+
+    @pytest.mark.parametrize(
+        "header,row,message",
+        [
+            (RESULTS_HEADER.replace("seed,", ""), "gdro,A," + "0.5," * 7 + "0.5", "results.csv line 1: no column seed"),
+            (RESULTS_HEADER, "gdro,A,0,x," + "0.5," * 6 + "0.5", "results.csv line 2: cannot read val_auc from 'x'"),
+            (RESULTS_HEADER, "gdro,A,0.5," + "0.5," * 7 + "0.5", "results.csv line 2: cannot read seed from '0.5'"),
+        ],
+        ids=["missing_column", "non_numeric_metric", "non_integer_seed"],
+    )
+    def test_correlate_refuses_a_malformed_results_csv(self, tmp_path, capsys, header, row, message):
+        (tmp_path / "results.csv").write_text(f"{header}\n{row}\n")
+        assert main(["correlate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert message in err
 
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {

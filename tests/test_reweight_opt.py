@@ -10,7 +10,6 @@ from subshift.dist_core import (
     biased_distribution,
     group_conditionals,
     kl_divergence,
-    make_distribution,
     reweighted_distribution,
     uniform_distribution,
 )
@@ -154,8 +153,8 @@ class TestOptimalWeights:
         assert np.isfinite(res.gap) and res.gap > 0.0
 
     def test_zero_mass_group_dropped_with_warning(self):
-        p = make_distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
-        target = make_distribution([0.3, 0.7, 0, 0, 0, 0, 0, 0])
+        p = Distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
+        target = Distribution([0.3, 0.7, 0, 0, 0, 0, 0, 0])
         g = atom_grouping(GroupingScheme("YSA"))
         with pytest.warns(UserWarning):
             res = optimal_weights(p, g, target)
@@ -165,7 +164,7 @@ class TestOptimalWeights:
 
     @pytest.mark.parametrize("name", ["Y", "YSA"])
     def test_target_outside_training_support_rejected(self, p_uniform, name):
-        p = make_distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
+        p = Distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
         g = atom_grouping(GroupingScheme(name))
         with pytest.warns(UserWarning), pytest.raises(SupportMismatch):
             optimal_weights(p, g, p_uniform)
@@ -219,14 +218,14 @@ class TestBruteForce:
     def test_matches_reference_on_soft_groupings(self, k):
         rng = np.random.default_rng(k)
         for _ in range(5):
-            p = make_distribution(rng.dirichlet(np.ones(8)))
-            target = make_distribution(rng.dirichlet(np.ones(8)))
+            p = Distribution(rng.dirichlet(np.ones(8)))
+            target = Distribution(rng.dirichlet(np.ones(8)))
             g = SoftGrouping(rng.dirichlet(np.ones(k), size=8))
             for grid_step in (0.02, 0.3):
                 assert_matches_reference(p, g, target, grid_step)
 
     def test_target_mass_outside_every_group_gives_inf(self, p_uniform):
-        p = make_distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        p = Distribution([0.5, 0.5, 0, 0, 0, 0, 0, 0])
         g = atom_grouping(GroupingScheme("AY"))
         assert brute_force_min_kl(p, g, p_uniform, grid_step=0.1) == np.inf
 
@@ -283,8 +282,8 @@ class TestOptimalityProperties:
     @settings(max_examples=50, deadline=None)
     def test_gap_brackets_the_optimum_on_random_soft_groupings(self, seed):
         rng = np.random.default_rng(seed)
-        p = make_distribution(rng.dirichlet(np.ones(8)))
-        target = make_distribution(rng.dirichlet(np.ones(8)))
+        p = Distribution(rng.dirichlet(np.ones(8)))
+        target = Distribution(rng.dirichlet(np.ones(8)))
         k = int(rng.integers(1, 7))
         g = SoftGrouping(rng.dirichlet(np.ones(k), size=8))
         res = optimal_weights(p, g, target)
@@ -329,7 +328,7 @@ def _closed_form_cases():
     ]
     rng = np.random.default_rng(20250)
     for i in range(4):
-        p_train, p_target = (make_distribution(rng.dirichlet(np.ones(8))) for _ in range(2))
+        p_train, p_target = (Distribution(rng.dirichlet(np.ones(8))) for _ in range(2))
         cases.append((f"dirichlet{i}", p_train, p_target))
     return cases
 
