@@ -2,15 +2,16 @@
 
 A grouping is a dist_core.SoftGrouping, the [n_atoms x k] matrix of
 conditionals P(group | atom); this module builds it from a scheme's name
-and re-exports the type. Hard partitions are the 0/1 special case; split,
-noisy and random schemes have soft rows. A scheme is its serialized name,
-and each name is one entry in one table below, keyed by that name: a hard
-partition (_HARD), an equal-mass split of one (_SPLIT), a noisy annotation
-of one (_NOISY, whose name ends in its noise level, e.g. 'Noisy_AY_0.10'),
-or Random. The scheme's matrix and whether it is y-free follow from that
-entry: a scheme is y-free, and so accepted by model-based mitigation
-methods, when every group of its noise-free grouping holds both classes.
-The module also annotates sampled datasets with group ids.
+and re-exports the type. A scheme is its serialized name, and each name is
+one entry in one table below: a hard partition (_HARD), an equal-mass split
+of one (_SPLIT), a noisy annotation of one (_NOISY, whose name ends in its
+noise level, e.g. 'Noisy_AY_0.10'), or Random. Only a noisy grouping
+depends on the data, so it is built per p_train; every other grouping is
+built once, at import, into _FIXED and shared read-only, so adding a fixed
+scheme is still one entry in _HARD or _SPLIT. A scheme is y-free, and so
+accepted by model-based mitigation methods, when every group of its
+noise-free grouping holds both classes. The module also annotates sampled
+datasets with group ids.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class GroupingScheme:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise InvalidScheme(f"a scheme name is a string, got {self.name!r}")
-        if self.name in _HARD or self.name in _SPLIT or self.name == "Random":
+        if self.name in _FIXED:
             return
         noisy = _noisy(self.name)
         if noisy is None:
@@ -104,35 +105,30 @@ def refine(grouping: SoftGrouping) -> SoftGrouping:
     level; sample-level coin flips happen in annotate_samples, which seeds
     them independently.
     """
-    a = grouping.assign
-    out = np.zeros((a.shape[0], 2 * a.shape[1]))
-    out[:, 0::2] = 0.5 * a
-    out[:, 1::2] = 0.5 * a
-    return SoftGrouping(out)
+    return SoftGrouping(np.repeat(0.5 * grouping.assign, 2, axis=1))  # group g -> children 2g, 2g + 1
+
+
+# name -> grouping of every scheme that does not depend on the data; a SoftGrouping is read-only, so shared
+_FIXED = {name: _partition(name) for name in _HARD}
+_FIXED.update({name: refine(_FIXED[parent]) for name, parent in _SPLIT.items()})
+_FIXED["Random"] = SoftGrouping(np.full((N_ATOMS, _RANDOM_K), 1.0 / _RANDOM_K))
 
 
 def atom_grouping(scheme: GroupingScheme, p_train: Distribution | None = None) -> SoftGrouping:
-    """Build the scheme's P(group | atom) matrix.
+    """The scheme's P(group | atom) matrix.
 
-    Noisy schemes need p_train to shape the misannotation profile; all
-    other schemes ignore it.
+    A fixed scheme's shared grouping is returned as is. A noisy scheme is
+    built from p_train, which shapes its misannotation profile.
     """
-    name = scheme.name
-    if name in _HARD:
-        return _partition(name)
-    if name in _SPLIT:
-        return refine(_partition(_SPLIT[name]))
-    if name == "Random":
-        return SoftGrouping(np.full((N_ATOMS, _RANDOM_K), 1.0 / _RANDOM_K))
+    if scheme.name in _FIXED:
+        return _FIXED[scheme.name]
     if p_train is None:
-        raise InvalidScheme(f"{name} requires p_train for the noise profile")
-    prefix, noise = _noisy(name)
-    parent = _partition(_NOISY[prefix])
+        raise InvalidScheme(f"{scheme.name} requires p_train for the noise profile")
+    prefix, noise = _noisy(scheme.name)
+    parent = _FIXED[_NOISY[prefix]].assign
     # A corrupted annotation is redrawn from the clean groups' mass profile,
     # so every row mixes the clean one-hot with the group marginals.
-    marginal = p_train.probs @ parent.assign
-    assign = (1.0 - noise) * parent.assign + noise * np.tile(marginal, (N_ATOMS, 1))
-    return SoftGrouping(assign)
+    return SoftGrouping((1.0 - noise) * parent + noise * np.tile(p_train.probs @ parent, (N_ATOMS, 1)))
 
 
 def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distribution | None = None):
@@ -157,7 +153,7 @@ def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distri
 def is_y_free(scheme: GroupingScheme) -> bool:
     """Whether every group of the noise-free grouping holds both classes."""
     noisy = _noisy(scheme.name)
-    assign = (_partition(_NOISY[noisy[0]]) if noisy else atom_grouping(scheme)).assign
+    assign = _FIXED[_NOISY[noisy[0]] if noisy else scheme.name].assign
     return bool(assign.reshape(2, N_ATOMS // 2, -1).any(axis=1).all())  # atoms 0-3 have y = 0, 4-7 y = 1
 
 

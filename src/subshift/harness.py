@@ -325,21 +325,24 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
 
 
 def read_results_csv(path):
-    """The typed rows of a results.csv; a missing column or a value that does not parse raises InvalidConfig."""
+    """The typed rows of a results.csv; an unreadable file, a missing column or a bad value raises InvalidConfig."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [col for col in RESULT_COLUMNS if col not in (reader.fieldnames or ())]
-        if missing:
-            raise InvalidConfig(f"{path} line 1: no column {', '.join(missing)}")
-        for raw in reader:
-            row = dict(raw)
-            for col in RESULT_COLUMNS[2:]:
-                try:
-                    row[col] = (int if col == "seed" else float)(raw[col])
-                except (TypeError, ValueError):
-                    raise InvalidConfig(f"{path} line {reader.line_num}: cannot read {col} from {raw[col]!r}") from None
-            rows.append(row)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [col for col in RESULT_COLUMNS if col not in (reader.fieldnames or ())]
+            if missing:
+                raise InvalidConfig(f"{path} line 1: no column {', '.join(missing)}")
+            for raw in reader:
+                row = dict(raw)
+                for col in RESULT_COLUMNS[2:]:
+                    try:
+                        row[col] = (int if col == "seed" else float)(raw[col])
+                    except (TypeError, ValueError):
+                        raise InvalidConfig(f"{path} line {reader.line_num}: cannot read {col} from {raw[col]!r}") from None
+                rows.append(row)
+    except (OSError, UnicodeDecodeError) as exc:  # e.g. a directory, or bytes that are not text
+        raise InvalidConfig(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     return rows
 
 
@@ -401,10 +404,7 @@ def write_correlation_outputs(report, out_dir) -> None:
 
 def _correlate_dir(out) -> dict:
     """Correlate out/results.csv, as written at six decimals, and write the correlation files beside it."""
-    results = Path(out) / "results.csv"
-    if not results.exists():
-        raise InvalidConfig(f"{results} not found; run the sweep first")
-    report = correlate_results(read_results_csv(results))
+    report = correlate_results(read_results_csv(Path(out) / "results.csv"))
     write_correlation_outputs(report, out)
     return report
 
@@ -416,7 +416,7 @@ def cmd_analyze_kl(args) -> int:
         return 2
     rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
     text = table_to_csv(rows)
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "kl_table.csv").write_text(text)
@@ -450,12 +450,12 @@ def _run_and_write(spec: ExperimentSpec, out) -> RunRecord:
 
 
 def cmd_run(args) -> int:
-    record = _run_and_write(_spec_from_args(args), args.out or "out")
+    record = _run_and_write(_spec_from_args(args), args.out)
     return 1 if record.errors else 0
 
 
 def cmd_correlate(args) -> int:
-    report = _correlate_dir(args.out or "out")
+    report = _correlate_dir(args.out)
     for method in sorted(report):
         entry = report[method]
         print(f"{method}: r={entry['r']:.3f} p={entry['p']:.3g} over {len(entry['schemes'])} schemes")
@@ -464,7 +464,7 @@ def cmd_correlate(args) -> int:
 
 def cmd_ablate(args) -> int:
     spec = _spec_from_args(args)
-    out = Path(args.out or "out")
+    out = Path(args.out)
     variants = [
         ("baseline", spec),
         ("weak_shift", replace(spec, p_s0=0.85, p_s1=0.70)),
@@ -576,9 +576,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--schemes", help="comma-separated scheme names")
         p.add_argument("--n-train", dest="n_train", type=int)
         p.add_argument("--master-seed", dest="master_seed", type=int)
+        p.set_defaults(out="out")
 
     p_corr = sub.add_parser("correlate", help="correlate min divergence with AUC")
-    p_corr.add_argument("--out", help="directory holding results.csv")
+    p_corr.add_argument("--out", default="out", help="directory holding results.csv")
     return parser
 
 
@@ -591,6 +592,11 @@ def main(argv=None) -> int:
         "ablate": cmd_ablate,
     }
     try:
+        if args.out is not None:  # refused before any work: a file stands where the directory would be
+            out = Path(args.out)  # its parents end at "." or "/", which exist
+            existing = next(p for p in (out, *out.parents) if p.exists())
+            if not existing.is_dir():
+                raise InvalidConfig(f"--out {args.out}: {existing} is not a directory")
         return handlers[args.command](args)
     except SubshiftError as exc:
         # bad scheme names, out-of-range bias levels and the like are user

@@ -16,6 +16,7 @@ from subshift.grouping import (
     refine,
     reweighting_schemes,
 )
+from subshift.reweight_opt import min_kl_table
 from subshift.synth_data import FeatureConfig, sample_dataset
 
 # group index sets, in group order, for every hard scheme
@@ -29,6 +30,21 @@ HARD_INDEX_SETS = {
     "SC_noSC": [{0, 2, 5, 7}, {1, 3, 4, 6}],
     "AS": [{0, 4}, {1, 5}, {2, 6}, {3, 7}],
 }
+
+# the 8 hard partitions written out as the group label of atoms 0-7, atom = 4y + 2s + a
+HARD_LABELS = {
+    "Y": [0, 0, 0, 0, 1, 1, 1, 1],
+    "A": [0, 1, 0, 1, 0, 1, 0, 1],
+    "S": [0, 0, 1, 1, 0, 0, 1, 1],
+    "AY": [0, 1, 0, 1, 2, 3, 2, 3],
+    "SY": [0, 0, 1, 1, 2, 2, 3, 3],
+    "YSA": [0, 1, 2, 3, 4, 5, 6, 7],
+    "SC_noSC": [0, 1, 0, 1, 1, 0, 1, 0],
+    "AS": [0, 1, 2, 3, 0, 1, 2, 3],
+}
+SPLIT_PARENTS = {"AY_8": "AY", "SY_8": "SY", "A_4": "A", "S_4": "S"}
+# the 13 schemes whose grouping does not depend on the data
+FIXED_NAMES = (*HARD_LABELS, *SPLIT_PARENTS, "Random")
 
 # the 23 distinct scheme names of the two standard lists
 ALL_SCHEME_NAMES = tuple(dict.fromkeys(s.name for s in reweighting_schemes() + model_based_schemes()))
@@ -142,6 +158,57 @@ class TestRandomGrouping:
         g = atom_grouping(GroupingScheme("Random"))
         assert g.k == 4
         assert np.allclose(g.assign, 0.25)
+
+
+def written_out_assign(name):
+    """The fixed scheme's P(group | atom) matrix, built here without atom_grouping."""
+    if name == "Random":
+        return np.full((8, 4), 0.25)
+    if name in SPLIT_PARENTS:
+        return refine(SoftGrouping(written_out_assign(SPLIT_PARENTS[name]))).assign
+    labels = HARD_LABELS[name]
+    return np.eye(max(labels) + 1)[labels]
+
+
+class TestFixedGroupings:
+    """The 13 data-independent groupings are built once, at import, and shared."""
+
+    def test_the_fixed_names_are_the_non_noisy_standard_names(self):
+        assert sorted(FIXED_NAMES) == sorted(n for n in ALL_SCHEME_NAMES if not n.startswith("Noisy_"))
+
+    @pytest.mark.parametrize("name", FIXED_NAMES, ids=compact_id)
+    def test_every_call_returns_the_same_object(self, name, p_train):
+        shared = atom_grouping(GroupingScheme(name))
+        for p in (None, p_train, uniform_distribution(), biased_distribution(0.6, 0.9)):
+            assert atom_grouping(GroupingScheme(name), p) is shared
+
+    @pytest.mark.parametrize("name", FIXED_NAMES, ids=compact_id)
+    def test_matrix_equals_the_written_out_one(self, name):
+        assert np.array_equal(atom_grouping(GroupingScheme(name)).assign, written_out_assign(name))
+
+    @pytest.mark.parametrize("name", FIXED_NAMES, ids=compact_id)
+    def test_shared_matrix_is_read_only(self, name):
+        assign = atom_grouping(GroupingScheme(name)).assign
+        with pytest.raises(ValueError, match="read-only"):
+            assign[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            assign *= 2.0
+        assert np.array_equal(atom_grouping(GroupingScheme(name)).assign, written_out_assign(name))
+
+    def test_min_kl_table_builds_only_noisy_groupings(self, monkeypatch):
+        """Across bias levels, only the 10 noisy names build a grouping, once per level."""
+        built = []
+        real_post_init = SoftGrouping.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(SoftGrouping, "__post_init__", counting_post_init)
+        schemes = [GroupingScheme(n) for n in ALL_SCHEME_NAMES]
+        for p_s0, p_s1 in ((0.95, 0.8), (0.85, 0.7), (0.6, 0.9)):
+            min_kl_table(schemes, biased_distribution(p_s0, p_s1), uniform_distribution())
+        assert len(built) == 3 * sum(n.startswith("Noisy_") for n in ALL_SCHEME_NAMES) == 30
 
 
 class TestNoisyGroupings:

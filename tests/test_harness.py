@@ -577,6 +577,34 @@ class TestCli:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff\xfe" + RESULTS_HEADER.encode("utf-16-le"))],
+        ids=["directory", "utf16_bytes"],
+    )
+    def test_correlate_refuses_an_unreadable_results_csv(self, tmp_path, capsys, make):
+        make(tmp_path / "results.csv")
+        assert main(["correlate", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {tmp_path / 'results.csv'}: ")
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "analyze-kl", "correlate"])
+    @pytest.mark.parametrize("below", [(), ("x",), ("x", "y")], ids=["file", "under_file", "two_under_file"])
+    def test_out_blocked_by_a_file_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, below):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(harness, "make_splits", no_work)  # no data is drawn
+        monkeypatch.setattr(harness, "compute_kl_rows", no_work)  # and no table is built
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker.joinpath(*below)
+        assert main([command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"] and blocker.read_text() == "kept"
+
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {
             "methods": ["erm", "gdro"],
