@@ -45,7 +45,7 @@ from .grouping import (
 )
 from .harness import ExperimentSpec, RunRecord, REFERENCE_TABLE, main, run_sweep, spec_hash
 from .harness import TOOL_VERSION as __version__
-from .metrics import EvalReport, accuracy, auc, evaluate, pearson
+from .metrics import EvalReport, auc, evaluate, pearson
 from .mitigation import TrainConfig, TrainedModel, train
 from .reweight_opt import (
     MinKlRow,

@@ -2,18 +2,18 @@
 
 An atom is one joint assignment of the three binary variables: the class
 label y, the secondary attribute s, and the shortcut attribute a. Atoms are
-indexed canonically as
+indexed canonically (atom_index) as
 
     index = 4*y + 2*s + a
 
-so a length-8 probability vector fully describes a joint distribution.
-The module owns both atom-space types, Distribution and the grouping matrix
-SoftGrouping (grouping.py builds one from a scheme name). Each has one
-constructor, which keeps a read-only copy of its input and refuses anything
-that is not a distribution over atoms, or a matrix of conditional ones, NaN
-included. The module builds the biased training distribution, reweights it
-through a grouping (P^w = R @ w, R from group_conditionals), and measures KL
-divergence.
+and row j of the read-only table ATOM_LABELS, the one decoder, holds the
+(y, s, a) of atom j. The module owns both atom-space types, Distribution and
+the grouping matrix SoftGrouping (grouping.py builds one from a scheme
+name). Each has one constructor, which keeps a read-only copy of its input
+and refuses anything that is not a distribution over atoms, or a matrix of
+conditional ones, NaN included. The module builds the biased training
+distribution, reweights it through a grouping (P^w = R @ w, R from
+group_conditionals), and measures KL divergence.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import EmptyGroup, InvalidScheme, NonNormalizable, OutOfRange, Supp
 
 __all__ = [
     "N_ATOMS",
+    "ATOM_LABELS",
     "Distribution",
     "SoftGrouping",
     "uniform_distribution",
@@ -44,6 +45,10 @@ _NEG_SLACK = -1e-12
 def atom_index(y, s, a):
     """Vectorized canonical index 4*y + 2*s + a."""
     return 4 * np.asarray(y) + 2 * np.asarray(s) + np.asarray(a)
+
+
+ATOM_LABELS = np.array([[j >> 2 & 1, j >> 1 & 1, j & 1] for j in range(N_ATOMS)], dtype=np.int8)
+ATOM_LABELS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -115,14 +120,9 @@ def biased_distribution(p_s0: float, p_s1: float) -> Distribution:
     for name, v in (("p_s0", p_s0), ("p_s1", p_s1)):
         if not 0.0 < v < 1.0:
             raise OutOfRange(f"{name} must lie strictly inside (0, 1), got {v}")
-    p = np.empty(N_ATOMS)
-    for y in (0, 1):
-        for s in (0, 1):
-            for a in (0, 1):
-                aligned = p_s0 if s == 0 else p_s1
-                frac = aligned if y == a else 1.0 - aligned
-                p[4 * y + 2 * s + a] = frac / 4.0
-    return Distribution(p)
+    y, s, a = ATOM_LABELS.T
+    aligned = np.where(s == 0, p_s0, p_s1)
+    return Distribution(np.where(y == a, aligned, 1.0 - aligned) / 4.0)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:

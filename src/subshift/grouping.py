@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import Distribution, N_ATOMS, SoftGrouping
+from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, SoftGrouping
 from .errors import InvalidScheme
 
 __all__ = [
@@ -94,7 +94,7 @@ class GroupingScheme:
 
 
 def _partition(name: str) -> SoftGrouping:
-    labels = [_HARD[name]((j >> 2) & 1, (j >> 1) & 1, j & 1) for j in range(N_ATOMS)]
+    labels = [_HARD[name](*row) for row in ATOM_LABELS.tolist()]
     return SoftGrouping(np.eye(max(labels) + 1)[labels])
 
 
@@ -154,7 +154,7 @@ def is_y_free(scheme: GroupingScheme) -> bool:
     """Whether every group of the noise-free grouping holds both classes."""
     noisy = _noisy(scheme.name)
     assign = _FIXED[_NOISY[noisy[0]] if noisy else scheme.name].assign
-    return bool(assign.reshape(2, N_ATOMS // 2, -1).any(axis=1).all())  # atoms 0-3 have y = 0, 4-7 y = 1
+    return bool(np.all([assign[ATOM_LABELS[:, 0] == y].any(axis=0) for y in (0, 1)]))
 
 
 def reweighting_schemes() -> list:

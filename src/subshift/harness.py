@@ -36,10 +36,9 @@ from .errors import (
     InvalidConfig,
     OutOfRange,
     SubshiftError,
-    YBasedGrouping,
     check_fields,
 )
-from .grouping import GroupingScheme, annotate_samples, atom_grouping, is_y_free, model_based_schemes, reweighting_schemes
+from .grouping import GroupingScheme, annotate_samples, atom_grouping, model_based_schemes, reweighting_schemes
 from .metrics import auc, evaluate, pearson
 from .mitigation import TrainConfig
 from .reweight_opt import min_kl_table, table_to_csv
@@ -183,14 +182,12 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     it. A cell whose training, validation AUC or evaluation raises a
     SubshiftError is recorded as one error row and skipped; any other
     exception is a bug and propagates. Error rows come out in spec order
-    (method, then scheme, then seed), not run order. A method in
-    NEEDS_Y_FREE paired with a y-based scheme raises YBasedGrouping before
-    any table or data is built.
+    (method, then scheme, then seed), not run order. Every (method, scheme)
+    pair goes through mitigation.refuse_y_based before any data is drawn.
     """
-    y_based = [name for name in spec.schemes if not is_y_free(GroupingScheme(name))]
-    for method in mitigation.NEEDS_Y_FREE:
-        if method in spec.methods and y_based:
-            raise YBasedGrouping(f"{method} needs y-free groups, but {y_based[0]} groups are a function of y")
+    for method in spec.methods:
+        for name in spec.schemes:
+            mitigation.refuse_y_based(method, GroupingScheme(name))
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
@@ -305,12 +302,17 @@ def disparity_csv(rows) -> str:
     )
 
 
+# The CSV files of a run, each with the function that writes it from the rows; then every file a run writes.
+RUN_CSVS = {"results.csv": results_csv, "relative_auc.csv": relative_auc_csv, "disparity.csv": disparity_csv}
+_MANIFEST = "manifest.json"
+RUN_FILES = (*RUN_CSVS, _MANIFEST)
+
+
 def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "results.csv").write_text(results_csv(record.rows))
-    (out / "relative_auc.csv").write_text(relative_auc_csv(record.rows))
-    (out / "disparity.csv").write_text(disparity_csv(record.rows))
+    for name, to_csv in RUN_CSVS.items():
+        (out / name).write_text(to_csv(record.rows))
     manifest = {
         "spec": asdict(spec),
         "spec_hash": spec_hash(spec),
@@ -319,9 +321,9 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
         "finished": record.finished,
         "n_rows": len(record.rows),
         "errors": list(record.errors),
-        "outputs": ["results.csv", "relative_auc.csv", "disparity.csv"],
+        "outputs": list(RUN_CSVS),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    (out / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_results_csv(path):
@@ -391,20 +393,40 @@ def correlate_results(rows):
     return report
 
 
+def _correlation_files(methods) -> list:
+    """The files write_correlation_outputs writes for these methods: the table, then one scatter file each."""
+    return ["correlation.csv", *(f"scatter_{m}.csv" for m in sorted(methods))]
+
+
 def write_correlation_outputs(report, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = sorted(report.items())
+    table, *scatters = _correlation_files(report)
     corr = [(method, len(e["schemes"]), e["r"], f"{e['p']:.6g}") for method, e in entries]
-    (out / "correlation.csv").write_text(_csv("method,n_schemes,pearson_r,p_value", corr))
-    for method, e in entries:
+    (out / table).write_text(_csv("method,n_schemes,pearson_r,p_value", corr))
+    for name, (method, e) in zip(scatters, entries):
         scatter = zip(e["schemes"], e["min_kl"], e["mean_auc"], e["sd_auc"])
-        (out / f"scatter_{method}.csv").write_text(_csv("scheme,min_kl,mean_test_auc,sd_test_auc", scatter))
+        (out / name).write_text(_csv("scheme,min_kl,mean_test_auc,sd_test_auc", scatter))
+
+
+def _refuse_blocked(out, names) -> None:
+    """Refuse, before any work, a file to write under --out that is blocked: a file stands where
+    one of its directories would go, or a directory stands where it would go."""
+    for name in names:
+        path = Path(out, name)
+        existing = next(p for p in (path, *path.parents) if p.exists())  # the parents end at "." or "/"
+        if existing != path and not existing.is_dir():
+            raise InvalidConfig(f"--out {out}: {existing} is not a directory")
+        if existing == path and path.is_dir():
+            raise InvalidConfig(f"--out {out}: {path} is a directory")
 
 
 def _correlate_dir(out) -> dict:
     """Correlate out/results.csv, as written at six decimals, and write the correlation files beside it."""
+    _refuse_blocked(out, _correlation_files([]))  # before results.csv is read, so a file at out is named
     report = correlate_results(read_results_csv(Path(out) / "results.csv"))
+    _refuse_blocked(out, _correlation_files(report))  # the scatter files are named after the methods read
     write_correlation_outputs(report, out)
     return report
 
@@ -414,12 +436,14 @@ def cmd_analyze_kl(args) -> int:
     if args.check and (spec.p_s0 != DEFAULT_P_S0 or spec.p_s1 != DEFAULT_P_S1):
         print("error: --check only applies at the default bias levels", file=sys.stderr)
         return 2
+    table = None if args.out is None else Path(args.out, "kl_table.csv")
+    if table is not None:
+        _refuse_blocked(args.out, [table.name])
     rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
     text = table_to_csv(rows)
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "kl_table.csv").write_text(text)
+    if table is not None:
+        table.parent.mkdir(parents=True, exist_ok=True)
+        table.write_text(text)
     print(text, end="")
     if not args.check:
         return 0
@@ -450,8 +474,9 @@ def _run_and_write(spec: ExperimentSpec, out) -> RunRecord:
 
 
 def cmd_run(args) -> int:
-    record = _run_and_write(_spec_from_args(args), args.out)
-    return 1 if record.errors else 0
+    spec = _spec_from_args(args)
+    _refuse_blocked(args.out, RUN_FILES)
+    return 1 if _run_and_write(spec, args.out).errors else 0
 
 
 def cmd_correlate(args) -> int:
@@ -470,6 +495,9 @@ def cmd_ablate(args) -> int:
         ("weak_shift", replace(spec, p_s0=0.85, p_s1=0.70)),
         ("small_n", replace(spec, n_train=max(spec.n_train // 8, 8))),
     ]
+    correlated = _correlation_files(m for m in spec.methods if m != "erm")
+    summary_csv = "ablation_summary.csv"
+    _refuse_blocked(args.out, [Path(name, f) for name, _ in variants for f in (*RUN_FILES, *correlated)] + [summary_csv])
     # Refuse, before any data is drawn, a variant whose correlation is undefined
     # by its spec alone, judged on the six-decimal min KL that results.csv holds.
     for name, variant_spec in variants:
@@ -499,10 +527,10 @@ def cmd_ablate(args) -> int:
             base_r = base[method]["r"] if method in base else float("nan")
             preserved = int(np.sign(e["r"]) == np.sign(base_r))
             summary.append((name, method, e["r"], f"{e['p']:.6g}", base_r, preserved, erm_drop))
-    (out / "ablation_summary.csv").write_text(
+    (out / summary_csv).write_text(
         _csv("variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop", summary)
     )
-    print(f"summary -> {out}/ablation_summary.csv")
+    print(f"summary -> {out / summary_csv}")
     return 1 if failed else 0
 
 
@@ -532,10 +560,10 @@ def _spec_from_args(args) -> ExperimentSpec:
     data = _load_config(args.config) if args.config else {}
     for name in ("seeds", "methods", "schemes", "p_s0", "p_s1", "n_train", "master_seed"):
         value = getattr(args, name, None)  # analyze-kl has only the bias flags and --scheme
-        if value in (None, ""):
+        if value is None:  # a blank list flag is kept, and refused as the list [""]
             continue
         data[name] = value.split(",") if isinstance(value, str) else value  # --seeds, --methods, --schemes
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             data["seeds"] = [int(s) for s in data["seeds"]]
         except ValueError:
@@ -591,12 +619,7 @@ def main(argv=None) -> int:
         "correlate": cmd_correlate,
         "ablate": cmd_ablate,
     }
-    try:
-        if args.out is not None:  # refused before any work: a file stands where the directory would be
-            out = Path(args.out)  # its parents end at "." or "/", which exist
-            existing = next(p for p in (out, *out.parents) if p.exists())
-            if not existing.is_dir():
-                raise InvalidConfig(f"--out {args.out}: {existing} is not a directory")
+    try:  # each command refuses a blocked output, through _refuse_blocked, before any work
         return handlers[args.command](args)
     except SubshiftError as exc:
         # bad scheme names, out-of-range bias levels and the like are user

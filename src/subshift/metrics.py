@@ -1,9 +1,11 @@
 """Evaluation: ranking AUC, per-subgroup accuracy, and correlation.
 
-Subgroup accuracy is always reported over the two fixed binary partitions of
-the evaluation set (by a and by s), no matter which grouping trained the
-model. Mixing training groups into evaluation would make scores across
-schemes incomparable.
+The decision rule (a score >= 0.5 predicts 1, correct) and per-group
+accuracy (group_accuracies) live here only; evaluate and JTT's model
+selection read them. Subgroup accuracy is always reported over the two
+fixed binary partitions of the evaluation set (by a and by s), no matter
+which grouping trained the model, since training groups would make scores
+across schemes incomparable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInput, MissingCell, SingleClass
 
-__all__ = ["EvalReport", "auc", "accuracy", "evaluate", "pearson"]
+__all__ = ["EvalReport", "auc", "correct", "group_accuracies", "evaluate", "pearson"]
 
 _BETA_CF_MAX_TERMS = 10_000
 
@@ -51,11 +53,16 @@ def auc(scores, labels) -> float:
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def accuracy(scores, labels) -> float:
-    """Share of rows whose score, thresholded at 0.5 inclusive, equals the label."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    return float(((scores >= 0.5).astype(int) == labels).mean())
+def correct(scores, labels) -> np.ndarray:
+    """Whether each row's prediction equals its label; a score >= 0.5 predicts 1."""
+    return (np.asarray(scores, dtype=float) >= 0.5) == np.asarray(labels)
+
+
+def group_accuracies(scores, labels, groups) -> np.ndarray:
+    """Accuracy of each group that has rows, in group order, from one bincount of the correct rows."""
+    total = np.bincount(groups)
+    present = total > 0
+    return np.bincount(groups, weights=correct(scores, labels))[present] / total[present]
 
 
 @dataclass(frozen=True)
@@ -73,19 +80,19 @@ def evaluate(model, dataset) -> EvalReport:
     Requires every (a, s) cell to be populated so both partition gaps are
     meaningful.
     """
-    for a_val in (0, 1):
-        for s_val in (0, 1):
-            if not np.any((dataset.a == a_val) & (dataset.s == s_val)):
-                raise MissingCell(f"no samples with a={a_val}, s={s_val}")
+    cells = np.bincount(2 * dataset.a + dataset.s, minlength=4)  # rows of each (a, s) cell, at 2a + s
+    if not cells.all():
+        a_val, s_val = divmod(int(np.argmin(cells)), 2)  # the first empty cell
+        raise MissingCell(f"no samples with a={a_val}, s={s_val}")
     scores = model.predict_scores(dataset.features)
-    a_vals = [accuracy(scores[dataset.a == v], dataset.y[dataset.a == v]) for v in (0, 1)]
-    s_vals = [accuracy(scores[dataset.s == v], dataset.y[dataset.s == v]) for v in (0, 1)]
+    a_vals = group_accuracies(scores, dataset.y, dataset.a)
+    s_vals = group_accuracies(scores, dataset.y, dataset.s)
     return EvalReport(
         overall_auc=auc(scores, dataset.y),
-        min_acc_A=min(a_vals),
-        gap_A=max(a_vals) - min(a_vals),
-        min_acc_S=min(s_vals),
-        gap_S=max(s_vals) - min(s_vals),
+        min_acc_A=float(a_vals.min()),
+        gap_A=float(a_vals.max() - a_vals.min()),
+        min_acc_S=float(s_vals.min()),
+        gap_S=float(s_vals.max() - s_vals.min()),
     )
 
 

@@ -21,9 +21,11 @@ returns the ``TrainedModel``. Grouped trainers count their groups once, in
 candidate, and labels each candidate with ``replace(model, info=...)``.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
-label, since their mechanisms would leak y into inference; the check asks
-``is_y_free`` of the ``GroupingScheme`` the dataset was annotated with, and
-falls back to a structural test for hand-assigned groups.
+label, since their mechanisms would leak y into inference. One function,
+``refuse_y_based``, holds that rule: run_sweep asks it of every (method,
+scheme) pair before any data is drawn, the two trainers of the scheme a
+split was annotated with, and hand-assigned groups get a structural test.
+JTT's error scan and selection use the decision rule of ``metrics``.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ import numpy as np
 
 from . import nnet
 from .errors import EmptyGroup, InvalidScheme, YBasedGrouping, check_fields
-from .grouping import is_y_free
+from .grouping import GroupingScheme, is_y_free
+from .metrics import correct, group_accuracies
 from .nnet import expit
 
 __all__ = [
     "METHODS",
     "NEEDS_Y_FREE",
+    "refuse_y_based",
     "TrainConfig",
     "TrainedModel",
     "train",
@@ -112,12 +116,16 @@ def _group_sizes(dataset) -> np.ndarray:
     return sizes
 
 
-def _check_y_free(dataset, k: int) -> None:
-    """Refuse groupings that encode the label."""
-    scheme = dataset.group_scheme
-    if scheme is not None:
-        if not is_y_free(scheme):
-            raise YBasedGrouping(f"{scheme.name} groups are a function of y")
+def refuse_y_based(method: str, scheme: GroupingScheme) -> None:
+    """Refuse a NEEDS_Y_FREE method paired with a scheme whose groups are a function of y."""
+    if method in NEEDS_Y_FREE and not is_y_free(scheme):
+        raise YBasedGrouping(f"{method} needs y-free groups, but {scheme.name} groups are a function of y")
+
+
+def _check_y_free(method: str, dataset, k: int) -> None:
+    """Refuse groupings that encode the label: by scheme when annotated, else by class counts."""
+    if dataset.group_scheme is not None:
+        refuse_y_based(method, dataset.group_scheme)
         return
     # Row g holds group g's count of each class.
     by_class = np.bincount(2 * dataset.group + dataset.y, minlength=2 * k).reshape(-1, 2)
@@ -255,7 +263,7 @@ def train_domain_ind(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     largest |logit|.
     """
     k = len(_group_sizes(dataset))
-    _check_y_free(dataset, k)
+    _check_y_free("domain_ind", dataset, k)
     return _fit(dataset, cfg, seed, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
 
 
@@ -264,7 +272,7 @@ def train_cfair(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     from the hidden layer; their gradient reaches the encoder reversed and
     scaled by mu. All parameters update in the same optimizer step."""
     k = len(_group_sizes(dataset))
-    _check_y_free(dataset, k)
+    _check_y_free("cfair", dataset, k)
     if k < 2:
         raise InvalidScheme("adversarial training needs at least two groups")
     x = dataset.features
@@ -280,16 +288,6 @@ def train_cfair(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     return _fit(dataset, cfg, seed, step, adv_groups=k)
 
 
-def _selection_score(model: TrainedModel, val) -> float:
-    """Worst-group validation accuracy over the groups present, or overall accuracy without groups."""
-    correct = (model.predict_scores(val.features) >= 0.5).astype(int) == val.y
-    if val.group is None:
-        return float(correct.mean())
-    total = np.bincount(val.group)
-    present = total > 0
-    return float(np.min(np.bincount(val.group, weights=correct)[present] / total[present]))
-
-
 def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
     """Two-stage upweighting without train-time group labels.
 
@@ -301,9 +299,10 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
     grids are read when the function runs.
     """
     best = None
+    groups = np.zeros(len(val.y), dtype=np.int64) if val.group is None else val.group  # unannotated: one group
     for s1 in JTT_STAGE1_GRID:
         stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)), seed)
-        wrong = (stage1.predict_scores(dataset.features) >= 0.5).astype(int) != dataset.y
+        wrong = ~correct(stage1.predict_scores(dataset.features), dataset.y)
         if not wrong.any():
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
         for lam in JTT_UPWEIGHT_GRID:
@@ -312,7 +311,7 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
                 _fit(dataset, cfg, seed, _bce_step(dataset, sample_weights=weights)),
                 info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
             )
-            score = _selection_score(candidate, val)
+            score = group_accuracies(candidate.predict_scores(val.features), val.y, groups).min()
             if best is None or score > best[0]:
                 best = (score, candidate)
     return best[1]

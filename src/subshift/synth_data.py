@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dist_core import Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
+from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
 from .errors import OutOfRange, check_fields
 
 if TYPE_CHECKING:
@@ -81,10 +81,7 @@ def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) ->
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    atoms = rng.choice(N_ATOMS, size=n, p=dist.probs)
-    y = ((atoms >> 2) & 1).astype(np.int8)
-    s = ((atoms >> 1) & 1).astype(np.int8)
-    a = (atoms & 1).astype(np.int8)
+    y, s, a = ATOM_LABELS.T.take(rng.choice(N_ATOMS, size=n, p=dist.probs), axis=1)  # one [3 x n] gather, rows contiguous
 
     # noise * noise_sd + centers, built in the one array the draw returns
     features = rng.standard_normal((n, cfg.dim))

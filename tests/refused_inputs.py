@@ -7,8 +7,7 @@ into manifest.json, a float size ends in a numpy TypeError, and True
 hashes differently from 1. A second table holds atom-space values that the
 Distribution or SoftGrouping constructor refuses; each would otherwise give
 a negative KL divergence, a numpy error inside sampling, or a misleading
-error from the optimizer. The tables need numpy and subshift only, so a job
-without pytest can build them too.
+error from the optimizer.
 """
 
 import numpy as np

@@ -605,6 +605,69 @@ class TestCli:
         assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["file"] and blocker.read_text() == "kept"
 
+    @staticmethod
+    def no_work(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the outputs were checked")
+
+        monkeypatch.setattr(harness, "make_splits", fail)  # no data is drawn
+        monkeypatch.setattr(harness, "compute_kl_rows", fail)  # and no table is built
+
+    @pytest.mark.parametrize(
+        "command,blocked,kind",
+        [
+            ("run", "results.csv", "dir"),
+            ("run", "manifest.json", "dir"),
+            ("analyze-kl", "kl_table.csv", "dir"),
+            ("correlate", "correlation.csv", "dir"),
+            ("correlate", "scatter_gdro.csv", "dir"),
+            ("ablate", "weak_shift", "file"),
+            ("ablate", "baseline/scatter_gdro.csv", "dir"),
+            ("ablate", "ablation_summary.csv", "dir"),
+        ],
+        ids=["run_results", "run_manifest", "kl_table", "correlation", "scatter", "ablate_variant", "ablate_scatter", "ablate_summary"],
+    )
+    def test_blocked_output_inside_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, blocked, kind):
+        """A directory where a file goes, or a file where a directory goes, exits 2 and creates nothing."""
+        self.no_work(monkeypatch)
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "correlate":  # correlate reads results.csv to learn its scatter files' names
+            rows = synthetic_rows("gdro", "min_kl_gdro", [0.1, 0.2, 0.3], lambda kl: 0.9 - kl)
+            filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
+            (out / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
+        path = out / blocked
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.mkdir() if kind == "dir" else path.write_text("kept")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = "is a directory" if kind == "dir" else "is not a directory"
+        assert captured.err == f"error: --out {out}: {path} {reason}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--methods", "unknown method ''"),
+            ("--schemes", "unknown scheme name ''"),
+            ("--seeds", "--seeds takes comma-separated integers, got ''"),
+        ],
+        ids=["methods", "schemes", "seeds"],
+    )
+    def test_blank_list_flag_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, flag, message):
+        """A blank flag is the list [""], refused as {"methods": []} is, not read as an absent flag."""
+        self.no_work(monkeypatch)
+        out = tmp_path / "out"
+        assert main([command, flag, "", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert message in captured.err
+        assert not out.exists()
+
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {
             "methods": ["erm", "gdro"],
@@ -799,6 +862,7 @@ class TestCli:
             ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
             ('{"train": {"seed": 12345}}', "unknown train key 'seed' in --config"),
             ('{"methods": []}', "at least one method is required"),
+            ('{"schemes": "AY"}', "ExperimentSpec field 'schemes' has the wrong type: 'AY'"),
         ],
         ids=[
             "missing_file",
@@ -816,6 +880,7 @@ class TestCli:
             "lr_decay_factor_0",
             "train_seed_nonzero",
             "methods_empty",
+            "schemes_str",
         ],
     )
     def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):

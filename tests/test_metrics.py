@@ -2,11 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special, stats
 
 from subshift.dist_core import uniform_distribution
 from subshift.errors import DegenerateInput, MissingCell, SingleClass
-from subshift.metrics import EvalReport, _average_ranks, _betainc, accuracy, auc, evaluate, pearson
+from subshift.metrics import EvalReport, _average_ranks, _betainc, auc, correct, evaluate, group_accuracies, pearson
 from subshift.mitigation import TrainConfig, train_erm
 from subshift.synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
 
@@ -94,6 +93,7 @@ class TestAuc:
             auc([0.1, 0.9], [1, 1])
 
     def test_average_ranks_equal_scipy_rankdata_on_heavy_ties(self, rng):
+        stats = pytest.importorskip("scipy.stats")
         values = rng.integers(0, 4, size=500) / 3.0
         assert np.array_equal(_average_ranks(values), stats.rankdata(values))
 
@@ -103,13 +103,33 @@ class TestAuc:
             auc([0.1, bad, 0.9], [0, 1, 1])
 
 
+def mask_accuracy(scores, labels):
+    """Reference: the mean of a boolean mask of rows whose thresholded score equals the label."""
+    return float(((np.asarray(scores) >= 0.5).astype(int) == np.asarray(labels)).mean())
+
+
 class TestAccuracy:
     def test_threshold_is_inclusive(self):
-        assert accuracy([0.5], [1]) == 1.0
-        assert accuracy([0.4999], [1]) == 0.0
+        assert correct([0.5], [1]).tolist() == [True]
+        assert correct([0.4999], [1]).tolist() == [False]
+        assert group_accuracies([0.5, 0.4999], [1, 1], [0, 1]).tolist() == [1.0, 0.0]
 
     def test_basic(self):
-        assert accuracy([0.2, 0.9, 0.6, 0.1], [0, 1, 0, 1]) == 0.5
+        assert correct([0.2, 0.9, 0.6, 0.1], [0, 1, 0, 1]).tolist() == [True, True, False, False]
+        assert group_accuracies([0.2, 0.9, 0.6, 0.1], [0, 1, 0, 1], [0, 0, 0, 0]).tolist() == [0.5]
+
+    @pytest.mark.parametrize("present", [(0,), (3,), (0, 2), (1, 2, 4)], ids=["one", "one_after_absent", "gap", "gaps"])
+    @pytest.mark.parametrize("label_dtype", [np.int8, np.int64])
+    def test_matches_a_mask_based_reference(self, rng, present, label_dtype):
+        """Scores on a 1/8 grid hit 0.5 exactly; absent groups get no entry, the others keep group order."""
+        n = 500
+        scores = rng.integers(0, 9, size=n) / 8.0
+        labels = rng.integers(0, 2, size=n).astype(label_dtype)
+        groups = rng.choice(present, size=n)
+        assert np.any(scores == 0.5)
+        assert correct(scores, labels).tolist() == ((scores >= 0.5).astype(int) == labels).tolist()
+        want = [mask_accuracy(scores[groups == g], labels[groups == g]) for g in present]
+        assert group_accuracies(scores, labels, groups).tolist() == want  # bitwise
 
 
 class TestEvaluate:
@@ -148,6 +168,17 @@ class TestEvaluate:
         ds = tiny_dataset([0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0])  # no a=1 rows
         with pytest.raises(MissingCell):
             evaluate(FixedScores([0.5] * 4), ds)
+
+    @pytest.mark.parametrize(
+        "empty,named",
+        [([(0, 0)], (0, 0)), ([(0, 1)], (0, 1)), ([(1, 0)], (1, 0)), ([(1, 1)], (1, 1)), ([(1, 1), (0, 1)], (0, 1))],
+        ids=["a0_s0", "a0_s1", "a1_s0", "a1_s1", "two_cells"],
+    )
+    def test_missing_cell_names_the_first_empty_cell(self, empty, named):
+        keep = [i for i in range(8) if (self.A[i], self.S[i]) not in empty]
+        ds = tiny_dataset(*(np.array(v)[keep] for v in (self.Y, self.S, self.A)))
+        with pytest.raises(MissingCell, match=f"^no samples with a={named[0]}, s={named[1]}$"):
+            evaluate(FixedScores(np.array(self.SCORES)[keep]), ds)
 
     def test_random_scores_are_chance_with_flat_gaps(self):
         class RandomModel:
@@ -196,6 +227,7 @@ class TestPearson:
         "target_r", [0.01, 0.6, -0.995], ids=["p_near_1", "moderate", "strong"]
     )
     def test_p_value_matches_t_distribution(self, rng, target_r, n):
+        stats = pytest.importorskip("scipy.stats")
         x, y = with_correlation(rng, n, target_r)
         r, p = pearson(x, y)
         assert r == pytest.approx(target_r, abs=1e-12)
@@ -207,6 +239,7 @@ class TestPearson:
     @pytest.mark.parametrize("a, b", [(0.5, 0.5), (2.0, 7.5), (40.0, 3.0), (99.0, 99.0)])
     @pytest.mark.parametrize("x", [0.0, 1e-3, 0.3, 0.5, 0.8, 0.999, 1.0])
     def test_incomplete_beta_matches_scipy_on_both_sides_of_the_switch(self, a, b, x):
+        special = pytest.importorskip("scipy.special")
         assert _betainc(a, b, x) == pytest.approx(special.betainc(a, b, x), rel=1e-11, abs=1e-300)
 
     def test_rejects_length_mismatch(self):

@@ -8,7 +8,7 @@ from subshift import mitigation, nnet
 from subshift.dist_core import biased_distribution, uniform_distribution
 from subshift.errors import EmptyGroup, InvalidConfig, InvalidScheme, OutOfRange, YBasedGrouping
 from subshift.grouping import GroupingScheme, annotate_samples
-from subshift.metrics import accuracy, auc
+from subshift.metrics import auc
 from subshift.mitigation import (
     JTT_STAGE1_GRID,
     JTT_UPWEIGHT_GRID,
@@ -205,6 +205,13 @@ def test_rejects_empty_group(method, small_train):
 
 
 @pytest.mark.parametrize("method", NEEDS_Y_FREE)
+def test_y_based_scheme_refusal_names_the_method(method, train_ay):
+    """The trainers refuse an annotated split through the rule run_sweep applies, with its message."""
+    with pytest.raises(YBasedGrouping, match=f"^{method} needs y-free groups, but AY groups are a function of y$"):
+        train(method, train_ay, TrainConfig(epochs=1), 0)
+
+
+@pytest.mark.parametrize("method", NEEDS_Y_FREE)
 def test_unnamed_grouping_names_its_single_class_group(method, small_train):
     """Only group 1 holds a single class; groups 0 and 2 hold both."""
     rows = np.arange(len(small_train))
@@ -348,9 +355,9 @@ class TestDomainInd:
         )
         x = np.zeros((1, 3))
         max_abs = TrainedModel(params=params, history=())
-        from scipy.special import expit
+        special = pytest.importorskip("scipy.special")
 
-        assert max_abs.predict_scores(x)[0] == pytest.approx(expit(-3.0))
+        assert max_abs.predict_scores(x)[0] == pytest.approx(special.expit(-3.0))
 
 
 class TestPredictScores:
@@ -449,6 +456,9 @@ class TestJtt:
         candidates: (1, 20.0) by worst group, (1, 5.0) overall."""
         conflicting = (small_val.a != small_val.y).astype(np.int64)
         val = small_val.with_groups(2 * conflicting, None, 4) if grouped else small_val
+
+        def accuracy(scores, labels):
+            return float(((scores >= 0.5).astype(int) == labels).mean())
 
         def reference_score(model):
             scores = model.predict_scores(val.features)

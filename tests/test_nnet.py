@@ -3,7 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import special
 
 from subshift.dist_core import biased_distribution
 from subshift.errors import DimensionMismatch
@@ -160,6 +159,7 @@ class TestExpit:
         # Both evaluate 1 / (1 + exp(-z)), each with an exp within 1 ulp of
         # exact (numpy's vectorised one, libm's for scipy) and its own
         # rounding of the sum and the quotient: 4 ulp bounds the difference.
+        special = pytest.importorskip("scipy.special")
         z = np.linspace(-700.0, 700.0, 100_001)
         np.testing.assert_array_max_ulp(expit(z), special.expit(z), maxulp=4)
 
