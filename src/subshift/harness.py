@@ -39,10 +39,10 @@ from .errors import (
     check_fields,
 )
 from .grouping import GroupingScheme, annotate_samples, atom_grouping, model_based_schemes, reweighting_schemes
-from .metrics import auc, evaluate, pearson
+from .metrics import _positives, _require_cells, auc, evaluate, pearson
 from .mitigation import TrainConfig
 from .reweight_opt import min_kl_table, table_to_csv
-from .synth_data import FeatureConfig, make_splits, make_test_split
+from .synth_data import FeatureConfig, _scored_labels, make_splits, make_test_split
 
 __all__ = [
     "ExperimentSpec",
@@ -164,34 +164,28 @@ def compute_kl_rows(scheme_names, p_s0: float, p_s1: float) -> list:
     return min_kl_table([GroupingScheme(n) for n in scheme_names], p_train, uniform_distribution())
 
 
-def run_sweep(spec: ExperimentSpec) -> RunRecord:
-    """Train and evaluate every (method, scheme, seed) cell.
+def _doom(spec: ExperimentSpec, data_seed: int):
+    """(split size field, SubshiftError) that every cell of a data seed meets when scored, else None."""
+    (y_val, _, _), (y_test, s_test, a_test) = _scored_labels(spec.n_val, spec.n_test, spec.p_s0, spec.p_s1, data_seed)
+    try:
+        _positives(y_val)
+    except SubshiftError as exc:  # val AUC is scored first, so its failure wins
+        return "n_val", exc
+    try:
+        _require_cells(a_test, s_test)
+        _positives(y_test)
+    except SubshiftError as exc:
+        return "n_test", exc
+    return None
 
-    The sweep runs seed by seed, and each seed in two phases, fit then
-    score. The fit phase draws the seed's train and val splits, trains ERM
-    once (ERM ignores the grouping, so its row is replicated across
-    schemes), then annotates train and val with one scheme at a time just
-    before that scheme's cells, and records each model's validation AUC.
-    The score phase releases train, val and the last annotation, draws the
-    seed's test split and evaluates every fitted model on it; the test split
-    is released before the next seed draws. A sweep thus holds one seed's
-    train/val while fitting, its test split while scoring, and one scheme's
-    annotation at a time, so memory does not grow with the number of seeds
-    or schemes. Cells run one after another: the work is Python and numpy
-    dispatch that holds the interpreter lock, so threads would not overlap
-    it. A cell whose training, validation AUC or evaluation raises a
-    SubshiftError is recorded as one error row and skipped; any other
-    exception is a bug and propagates. Error rows come out in spec order
-    (method, then scheme, then seed), not run order. Every (method, scheme)
-    pair goes through mitigation.refuse_y_based before any data is drawn.
-    """
+
+def _plan_sweep(spec: ExperimentSpec):
+    """Every decision a sweep makes before it draws features: (kl_rows, ((seed, data_seed, doom), ...))."""
     for method in spec.methods:
         for name in spec.schemes:
             mitigation.refuse_y_based(method, GroupingScheme(name))
-    started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
-    kl_by_scheme = {r.scheme: r for r in kl_rows}
 
     # Train group g draws each sample with probability pi_g, so the expected
     # number of empty groups, sum_g (1 - pi_g)^n_train, bounds the chance
@@ -206,14 +200,59 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
                 f"{empty:.2g} expected empty train groups"
             )
 
+    data_seeds = [_derive_seed(spec.master_seed, "data", seed) for seed in spec.seeds]
+    seeds = tuple((seed, data_seed, _doom(spec, data_seed)) for seed, data_seed in zip(spec.seeds, data_seeds))
+    if all(doom is not None for _, _, doom in seeds):
+        seed, _, (size, exc) = seeds[0]
+        raise type(exc)(f"no seed can be scored: seed {seed}'s {size[2:]} split ({size}={getattr(spec, size)}): {exc}")
+    return kl_rows, seeds
+
+
+def run_sweep(spec: ExperimentSpec) -> RunRecord:
+    """Train and evaluate every (method, scheme, seed) cell.
+
+    The sweep is planned before any features are drawn: every (method, scheme)
+    pair goes through mitigation.refuse_y_based, the min-KL table is built and
+    each seed's val and test labels are checked. A seed whose cells must all
+    fail when scored trains nothing: each cell is an error row with that
+    failure, or, when no seed can be scored, the first seed's failure is
+    raised. It then runs seed by seed, and each seed in two phases, fit then
+    score. The fit phase draws the seed's train and val splits, trains ERM once
+    (ERM ignores the grouping, so its row is replicated across schemes), then
+    annotates train and val with one scheme at a time just before that scheme's
+    cells, and records each model's validation AUC. The score phase releases
+    train, val and the last annotation, draws the seed's test split and
+    evaluates every fitted model on it; the test split is released before the
+    next seed draws. A sweep thus holds one seed's train/val while fitting, its
+    test split while scoring, and one scheme's annotation at a time, so memory
+    does not grow with the number of seeds or schemes. Cells run one after
+    another: the work is Python and numpy dispatch that holds the interpreter
+    lock, so threads would not overlap it. A cell whose training, validation
+    AUC or evaluation raises a SubshiftError is recorded as one error row and
+    skipped; any other exception is a bug and propagates. Error rows come out
+    in spec order (method, then scheme, then seed), not run order.
+    """
+    return _run_plan(spec, _plan_sweep(spec))
+
+
+def _run_plan(spec: ExperimentSpec, plan) -> RunRecord:
+    """Run the cells of a _plan_sweep plan, as run_sweep describes."""
+    kl_rows, seeds = plan
+    started = _now()
+    p_train = biased_distribution(spec.p_s0, spec.p_s1)
+    kl_by_scheme = {r.scheme: r for r in kl_rows}
+    # Each scheme with the methods trained on it; ERM trains once, under None.
+    passes = [(name, [m for m in spec.methods if (m == "erm") == (name is None)]) for name in (None, *spec.schemes)]
+
     rows = []
     errors = []
-    for seed in spec.seeds:
-        data_seed = _derive_seed(spec.master_seed, "data", seed)
+    for seed, data_seed, doom in seeds:
+        if doom is not None:
+            errors += [_error_row(method, name, seed, doom[1]) for name, methods in passes for method in methods]
+            continue
         fitted = []  # (method, scheme name or None for ERM, model, val AUC)
         train, val = make_splits(spec.feature, spec.n_train, spec.n_val, spec.p_s0, spec.p_s1, seed=data_seed)
-        for name in (None, *spec.schemes):
-            methods = [m for m in spec.methods if (m == "erm") == (name is None)]
+        for name, methods in passes:
             if not methods:
                 continue
             cell_train, cell_val = train, val
@@ -463,9 +502,8 @@ def cmd_analyze_kl(args) -> int:
     return 1 if failures else 0
 
 
-def _run_and_write(spec: ExperimentSpec, out) -> RunRecord:
-    """Run the sweep, write its outputs to out, and report every failed cell."""
-    record = run_sweep(spec)
+def _write_and_report(record: RunRecord, spec: ExperimentSpec, out) -> RunRecord:
+    """Write a sweep's outputs to out, and report every failed cell."""
     write_run_outputs(record, spec, out)
     print(f"{len(record.rows)} rows -> {out}/results.csv")
     for err in record.errors:
@@ -476,7 +514,7 @@ def _run_and_write(spec: ExperimentSpec, out) -> RunRecord:
 def cmd_run(args) -> int:
     spec = _spec_from_args(args)
     _refuse_blocked(args.out, RUN_FILES)
-    return 1 if _run_and_write(spec, args.out).errors else 0
+    return 1 if _write_and_report(run_sweep(spec), spec, args.out).errors else 0
 
 
 def cmd_correlate(args) -> int:
@@ -498,10 +536,10 @@ def cmd_ablate(args) -> int:
     correlated = _correlation_files(m for m in spec.methods if m != "erm")
     summary_csv = "ablation_summary.csv"
     _refuse_blocked(args.out, [Path(name, f) for name, _ in variants for f in (*RUN_FILES, *correlated)] + [summary_csv])
-    # Refuse, before any data is drawn, a variant whose correlation is undefined
-    # by its spec alone, judged on the six-decimal min KL that results.csv holds.
-    for name, variant_spec in variants:
-        kl_rows = compute_kl_rows(variant_spec.schemes, variant_spec.p_s0, variant_spec.p_s1)
+    # Plan every variant, then refuse, before any features are drawn, a variant whose correlation
+    # is undefined by its spec alone, judged on the six-decimal min KL that results.csv holds.
+    plans = [_plan_sweep(variant_spec) for _, variant_spec in variants]
+    for (name, variant_spec), (kl_rows, _) in zip(variants, plans):
         columns = {"min_kl_gdro": [r.kl_gdro for r in kl_rows], "min_kl_resampling": [r.kl_resampling for r in kl_rows]}
         where = f" in the {name} variant (p_s0={variant_spec.p_s0}, p_s1={variant_spec.p_s1})"
         for method in [m for m in variant_spec.methods if m != "erm"]:
@@ -509,8 +547,8 @@ def cmd_ablate(args) -> int:
     base = None
     failed = False
     summary = []
-    for name, variant_spec in variants:
-        record = _run_and_write(variant_spec, out / name)
+    for (name, variant_spec), plan in zip(variants, plans):
+        record = _write_and_report(_run_plan(variant_spec, plan), variant_spec, out / name)
         failed = failed or bool(record.errors)
         try:
             report = _correlate_dir(out / name)

@@ -37,17 +37,30 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _positives(labels) -> np.ndarray:
+    """Which labels are 1; SingleClass unless both classes occur (auc's precondition)."""
+    pos = np.asarray(labels) == 1
+    if pos.all() or not pos.any():
+        raise SingleClass("AUC needs both classes")
+    return pos
+
+
+def _require_cells(a, s) -> None:
+    """MissingCell, naming the first empty (a, s) cell, unless all four have rows (evaluate's precondition)."""
+    cells = np.bincount(2 * a + s, minlength=4)  # rows of each (a, s) cell, at 2a + s
+    if not cells.all():
+        a_val, s_val = divmod(int(np.argmin(cells)), 2)  # the first empty cell
+        raise MissingCell(f"no samples with a={a_val}, s={s_val}")
+
+
 def auc(scores, labels) -> float:
     """Mann-Whitney AUC from average ranks; ties count half. A non-finite score raises DegenerateInput."""
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise DegenerateInput("AUC needs finite scores")
-    labels = np.asarray(labels)
-    pos = labels == 1
+    pos = _positives(labels)
     n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise SingleClass("AUC needs both classes")
+    n_neg = len(pos) - n_pos
     ranks = _average_ranks(scores)
     r_pos = ranks[pos].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -80,10 +93,7 @@ def evaluate(model, dataset) -> EvalReport:
     Requires every (a, s) cell to be populated so both partition gaps are
     meaningful.
     """
-    cells = np.bincount(2 * dataset.a + dataset.s, minlength=4)  # rows of each (a, s) cell, at 2a + s
-    if not cells.all():
-        a_val, s_val = divmod(int(np.argmin(cells)), 2)  # the first empty cell
-        raise MissingCell(f"no samples with a={a_val}, s={s_val}")
+    _require_cells(dataset.a, dataset.s)
     scores = model.predict_scores(dataset.features)
     a_vals = group_accuracies(scores, dataset.y, dataset.a)
     s_vals = group_accuracies(scores, dataset.y, dataset.s)

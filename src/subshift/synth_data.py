@@ -76,12 +76,17 @@ class Dataset:
         return replace(self, group=groups, group_scheme=scheme, group_count=k)
 
 
+def _labels(rng, dist: Distribution, n: int) -> np.ndarray:
+    """The [3 x n] (y, s, a) rows of n atoms drawn from dist: a split's first draw, before its features."""
+    return ATOM_LABELS.T.take(rng.choice(N_ATOMS, size=n, p=dist.probs), axis=1)  # one gather, rows contiguous
+
+
 def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) -> Dataset:
     """Draw n i.i.d. samples; bitwise deterministic for fixed arguments."""
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    y, s, a = ATOM_LABELS.T.take(rng.choice(N_ATOMS, size=n, p=dist.probs), axis=1)  # one [3 x n] gather, rows contiguous
+    y, s, a = _labels(rng, dist, n)
 
     # noise * noise_sd + centers, built in the one array the draw returns
     features = rng.standard_normal((n, cfg.dim))
@@ -109,3 +114,10 @@ def make_splits(cfg: FeatureConfig, n_train: int, n_val: int, p_s0: float, p_s1:
 def make_test_split(cfg: FeatureConfig, n_test: int, seed: int) -> Dataset:
     """The distribution-shifted uniform test split of one data seed."""
     return sample_dataset(uniform_distribution(), n_test, cfg, _split_seeds(seed)[2])
+
+
+def _scored_labels(n_val: int, n_test: int, p_s0: float, p_s1: float, seed: int):
+    """The (y, s, a) rows of one data seed's val and test splits, as make_splits and make_test_split draw them."""
+    _, s_val, s_test = _split_seeds(seed)
+    val = _labels(np.random.default_rng(s_val), biased_distribution(p_s0, p_s1), n_val)
+    return val, _labels(np.random.default_rng(s_test), uniform_distribution(), n_test)

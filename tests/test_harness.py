@@ -350,6 +350,56 @@ class TestRunSweep:
         [row] = [r for r in alone.rows if (r["method"], r["grouping"], r["seed"]) == cell]
         assert row in among.rows
 
+    def test_doomed_seed_trains_nothing(self, monkeypatch):
+        """At n_test=8 and master seed 0, seed 1's test split has no (a=0, s=0)
+        row and seed 0's has all four (a, s) cells: checked below by drawing
+        both test splits, so the doomed seed was found, not assumed."""
+        spec = tiny_spec(seeds=(0, 1), n_test=8)
+        tests = {seed: harness.make_test_split(spec.feature, 8, _derive_seed(0, "data", seed)) for seed in spec.seeds}
+        assert np.bincount(2 * tests[0].a + tests[0].s, minlength=4).all()
+        assert not np.any((tests[1].a == 0) & (tests[1].s == 0))
+        trained = []
+        real_train = mitigation.train
+
+        def recording_train(method, dataset, cfg, seed, val=None):
+            trained.append(seed)
+            return real_train(method, dataset, cfg, seed, val=val)
+
+        monkeypatch.setattr(mitigation, "train", recording_train)
+        record = run_sweep(spec)
+        cells = [("erm", "-")] + [("gdro", name) for name in spec.schemes]
+        assert trained == [_derive_seed(0, method, name, 0) for method, name in cells]
+        assert record.errors == tuple(
+            {"method": m, "grouping": g, "seed": 1, "error": "MissingCell: no samples with a=0, s=0"} for m, g in cells
+        )
+        assert record.rows == run_sweep(tiny_spec(seeds=(0,), n_test=8)).rows
+
+    def test_calls_every_name_the_benchmark_tracer_patches(self, monkeypatch):
+        """perfbench/tracer.py times a sweep by replacing these names where the sweep looks them up."""
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("make_splits", "annotate_samples", "evaluate", "auc", "min_kl_table"):
+            count(harness, name)
+        count(mitigation, "train")
+        assert run_sweep(tiny_spec(schemes=("A", "S"), train=TrainConfig(epochs=1))).errors == ()
+        assert calls == {
+            "min_kl_table": 1,
+            "make_splits": 1,
+            "annotate_samples": 4,  # train and val, per scheme
+            "train": 3,  # ERM once, gdro per scheme
+            "auc": 3,  # each model's val AUC
+            "evaluate": 3,
+        }
+
     def test_programming_error_is_raised_not_recorded(self, monkeypatch):
         def broken_train(*args, **kwargs):
             raise ZeroDivisionError("bug in a trainer")
@@ -894,13 +944,23 @@ class TestCli:
         assert message in err
         assert not out.exists()
 
-    def test_ablate_writes_every_variant(self, tmp_path, capsys):
+    def test_ablate_writes_every_variant(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(ABLATE_CONFIG))
+        tables = []
+        real_table = harness.min_kl_table
+
+        def counted_table(*args):
+            tables.append(args)
+            return real_table(*args)
+
+        monkeypatch.setattr(harness, "min_kl_table", counted_table)
         csvs = {}
         for run in ("first", "second"):
             out = tmp_path / run
+            tables.clear()
             assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert len(tables) == len(ABLATE_VARIANTS)  # one table per variant, shared by its check and its sweep
             csvs[run] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
         names = ("results", "relative_auc", "disparity", "correlation", "scatter_gdro")
         for variant in ABLATE_VARIANTS:
@@ -963,6 +1023,31 @@ class TestCli:
             assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        "size,message",
+        [
+            ({"n_test": 1}, "no seed can be scored: seed 0's test split (n_test=1): no samples with a=0, s="),
+            ({"n_val": 1}, "no seed can be scored: seed 0's val split (n_val=1): AUC needs both classes\n"),
+        ],
+        ids=["n_test_1", "n_val_1"],
+    )
+    def test_unscorable_splits_exit_2_before_training(self, tmp_path, capsys, monkeypatch, command, size, message):
+        """A split too small to score fails every cell of every seed, so the sweep trains nothing."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness.mitigation, "train", no_training)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**ABLATE_CONFIG, "seeds": [0, 1], **size}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {message}")
         assert not out.exists()
 
     def test_ablate_without_a_baseline_correlation_reports_nan(self, tmp_path, capsys, monkeypatch):

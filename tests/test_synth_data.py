@@ -5,7 +5,7 @@ from subshift.dist_core import N_ATOMS, biased_distribution, uniform_distributio
 from subshift.errors import OutOfRange
 from subshift.metrics import auc
 from subshift.mitigation import TrainConfig, train
-from subshift.synth_data import FeatureConfig, make_splits, make_test_split, sample_dataset
+from subshift.synth_data import FeatureConfig, _scored_labels, make_splits, make_test_split, sample_dataset
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +156,16 @@ class TestMakeSplits:
         for ds, want in zip(got, expected):
             assert np.array_equal(ds.features, want.features)
             assert np.array_equal(ds.atom_indices(), want.atom_indices())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scored_labels_replay_the_val_and_test_draws(self, seed):
+        """A sweep checks each seed's val and test labels before training; they are the splits' labels bit for bit."""
+        cfg = FeatureConfig()
+        (_, val), test = make_splits(cfg, 500, 300, 0.95, 0.8, seed=seed), make_test_split(cfg, 400, seed=seed)
+        got = _scored_labels(300, 400, 0.95, 0.8, seed)
+        for labels, split in zip(got, (val, test)):
+            assert labels.dtype == split.y.dtype
+            assert np.array_equal(labels, [split.y, split.s, split.a])
 
     def test_no_shift_means_no_generalization_drop(self):
         """With matched train and test distributions the val to test gap closes."""
