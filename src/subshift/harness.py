@@ -184,6 +184,15 @@ def _plan_sweep(spec: ExperimentSpec):
     for method in spec.methods:
         for name in spec.schemes:
             mitigation.refuse_y_based(method, GroupingScheme(name))
+    # Each split's features are one (n, feature.dim) float64 array. Only the
+    # allocator knows whether it can hold one, so ask it for each, untouched,
+    # before any table is built or data drawn.
+    for size in ("n_train", "n_val", "n_test"):
+        shape = (getattr(spec, size), spec.feature.dim)
+        try:
+            np.empty(shape)
+        except (MemoryError, ValueError) as exc:  # ValueError: a size numpy cannot even index
+            raise InvalidConfig(f"{size}={shape[0]} rows of feature.dim={shape[1]} features: {exc}") from None
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
 
@@ -212,8 +221,9 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     """Train and evaluate every (method, scheme, seed) cell.
 
     The sweep is planned before any features are drawn: every (method, scheme)
-    pair goes through mitigation.refuse_y_based, the min-KL table is built and
-    each seed's val and test labels are checked. A seed whose cells must all
+    pair goes through mitigation.refuse_y_based, a split whose feature array the
+    allocator refuses raises InvalidConfig, the min-KL table is built and each
+    seed's val and test labels are checked. A seed whose cells must all
     fail when scored trains nothing: each cell is an error row with that
     failure, or, when no seed can be scored, the first seed's failure is
     raised. It then runs seed by seed, and each seed in two phases, fit then

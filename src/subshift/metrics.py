@@ -22,21 +22,6 @@ __all__ = ["EvalReport", "auc", "correct", "group_accuracies", "evaluate", "pear
 _BETA_CF_MAX_TERMS = 10_000
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks where each run of tied values shares its mean position.
-
-    These are scipy.stats.rankdata's "average" ranks: integers and
-    half-integers, so exact in float64. Values must be finite.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    counts = np.diff(np.r_[starts, len(values)])
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
-    return ranks
-
-
 def _positives(labels) -> np.ndarray:
     """Which labels are 1; SingleClass unless both classes occur (auc's precondition)."""
     pos = np.asarray(labels) == 1
@@ -54,16 +39,20 @@ def _require_cells(a, s) -> None:
 
 
 def auc(scores, labels) -> float:
-    """Mann-Whitney AUC from average ranks; ties count half. A non-finite score raises DegenerateInput."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs that the positive
+    outscores, a tie counting half. A non-finite score raises DegenerateInput.
+
+    The pair count is a sum of integers and halves, so it is exact in float64.
+    """
     scores = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(scores)):
         raise DegenerateInput("AUC needs finite scores")
     pos = _positives(labels)
-    n_pos = int(pos.sum())
-    n_neg = len(pos) - n_pos
-    ranks = _average_ranks(scores)
-    r_pos = ranks[pos].sum()
-    return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    neg = np.sort(scores[~pos])
+    pos_scores = np.sort(scores[pos])  # sorted probes keep searchsorted's lookups in cache
+    below = np.searchsorted(neg, pos_scores, side="left").sum()
+    ties = np.searchsorted(neg, pos_scores, side="right").sum() - below
+    return float((below + 0.5 * ties) / (len(pos_scores) * len(neg)))
 
 
 def correct(scores, labels) -> np.ndarray:

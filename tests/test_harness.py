@@ -528,6 +528,16 @@ ABLATE_CONFIG = {
     "train": {"epochs": 2},
 }
 ABLATE_VARIANTS = ("baseline", "weak_shift", "small_n")
+# One ERM cell; each too-large test overrides one size.
+TOO_LARGE_BASE = {"methods": ["erm"], "schemes": ["A"], "seeds": [0], "n_train": 256, "n_val": 32, "n_test": 64, "train": {"epochs": 1}}
+# Starts a child script: caps its address space at 4 GiB before numpy loads,
+# so that an allocation too large for the cap fails instead of taking memory.
+MEMORY_CAP = (
+    "import resource, sys\n"
+    "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+    "cap = 4 * 2**30 if hard == resource.RLIM_INFINITY else min(4 * 2**30, hard)\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+)
 
 
 class TestCli:
@@ -1048,6 +1058,63 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux only")
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"n_train": 10**12}, "error: n_train=1000000000000 rows of feature.dim=15 features: "),
+            ({"feature": {"d_y": 10**12}}, "error: n_train=256 rows of feature.dim=1000000000010 features: "),
+        ],
+        ids=["n_train", "d_y"],
+    )
+    def test_split_too_large_to_allocate_exits_2_before_any_draw(self, tmp_path, overrides, message):
+        """run and ablate exit 2 and run_sweep raises InvalidConfig, in a child whose address space is capped."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TOO_LARGE_BASE, **overrides}))
+        code = MEMORY_CAP + (
+            "from subshift import harness\n"
+            "from subshift.errors import InvalidConfig\n"
+            "def drawn(*args, **kwargs):\n"
+            "    raise AssertionError('data was drawn')\n"
+            "for name in ('make_splits', 'make_test_split', '_scored_labels'):\n"
+            "    setattr(harness, name, drawn)\n"
+            "config, out = sys.argv[1:]\n"
+            "for command in ('run', 'ablate'):\n"
+            "    print(harness.main([command, '--config', config, '--out', f'{out}/{command}']))\n"
+            "try:\n"
+            "    harness.run_sweep(harness._spec_from_args(harness._build_parser().parse_args(['run', '--config', config])))\n"
+            "except InvalidConfig:\n"
+            "    print('InvalidConfig')\n"
+        )
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(out)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["2", "2", "InvalidConfig"]
+        err = proc.stderr.splitlines()
+        assert len(err) == 2 and all(line.startswith(message) for line in err), proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux only")
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"train": {"epochs": 1, "hidden": 10**9}}, {"methods": ["resampling"], "train": {"epochs": 1, "batch_size": 10**9}}],
+        ids=["hidden", "resampling_batch_size"],
+    )
+    def test_model_too_large_to_allocate_fails_in_its_first_cell(self, tmp_path, overrides):
+        """Not caught up front: the plan checks split shapes only, so the first cell
+        that trains meets numpy's MemoryError, a traceback with exit 1, and nothing is written.
+        The cap keeps the 7.45 GiB resampling batch from being allocated for real."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TOO_LARGE_BASE, **overrides}))
+        code = MEMORY_CAP + "from subshift.harness import main\nsys.exit(main(sys.argv[1:]))\n"
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--config", str(cfg_path), "--out", str(out)], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert "MemoryError: Unable to allocate" in proc.stderr.splitlines()[-1], proc.stderr
         assert not out.exists()
 
     def test_ablate_without_a_baseline_correlation_reports_nan(self, tmp_path, capsys, monkeypatch):

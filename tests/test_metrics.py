@@ -5,7 +5,7 @@ import pytest
 
 from subshift.dist_core import uniform_distribution
 from subshift.errors import DegenerateInput, MissingCell, SingleClass
-from subshift.metrics import EvalReport, _average_ranks, _betainc, auc, correct, evaluate, group_accuracies, pearson
+from subshift.metrics import EvalReport, _betainc, auc, correct, evaluate, group_accuracies, pearson
 from subshift.mitigation import TrainConfig, train_erm
 from subshift.synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
 
@@ -65,14 +65,13 @@ class TestAuc:
         assert auc([0.3] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
 
     def test_matches_pairwise_oracle_with_ties(self, rng):
-        for _ in range(20):
+        """Bitwise, on tied and on continuous scores: both count the same integers and halves, then divide once."""
+        for i in range(40):
             n = int(rng.integers(4, 30))
-            scores = rng.integers(0, 5, size=n) / 4.0
+            scores = rng.integers(0, 5, size=n) / 4.0 if i % 2 else rng.normal(size=n)
             labels = rng.integers(0, 2, size=n)
             labels[:2] = [0, 1]
-            assert auc(scores, labels) == pytest.approx(
-                pairwise_auc(scores, labels), abs=1e-12
-            )
+            assert auc(scores, labels) == pairwise_auc(scores, labels)
 
     def test_monotone_transform_invariance(self, rng):
         scores = rng.normal(size=40)
@@ -92,10 +91,16 @@ class TestAuc:
         with pytest.raises(SingleClass):
             auc([0.1, 0.9], [1, 1])
 
-    def test_average_ranks_equal_scipy_rankdata_on_heavy_ties(self, rng):
+    def test_equals_scipy_mann_whitney_u_on_heavy_ties(self, rng):
+        """Bitwise: AUC is the Mann-Whitney U of the positives over n_pos * n_neg."""
         stats = pytest.importorskip("scipy.stats")
-        values = rng.integers(0, 4, size=500) / 3.0
-        assert np.array_equal(_average_ranks(values), stats.rankdata(values))
+        for _ in range(200):
+            n = int(rng.integers(2, 601))
+            values = rng.integers(0, 4, size=n) / 3.0
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            pos, neg = values[labels == 1], values[labels == 0]
+            assert auc(values, labels) == stats.mannwhitneyu(pos, neg).statistic / (len(pos) * len(neg))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_scores(self, bad):
