@@ -27,6 +27,7 @@ from .errors import EmptyGroup, InvalidScheme, NonNormalizable, OutOfRange, Supp
 __all__ = [
     "N_ATOMS",
     "ATOM_LABELS",
+    "atom_index",
     "Distribution",
     "SoftGrouping",
     "uniform_distribution",

@@ -1,11 +1,11 @@
 """Subgrouping schemes over (y, s, a) atoms.
 
 A grouping is a dist_core.SoftGrouping, the [n_atoms x k] matrix of
-conditionals P(group | atom); this module builds it from a scheme's name
-and re-exports the type. A scheme is its serialized name, and each name is
-one entry in one table below: a hard partition (_HARD), an equal-mass split
-of one (_SPLIT), a noisy annotation of one (_NOISY, whose name ends in its
-noise level, e.g. 'Noisy_AY_0.10'), or Random. Only a noisy grouping
+conditionals P(group | atom); this module builds it from a scheme's name.
+A scheme is its serialized name, and each name is one entry in one table
+below: a hard partition (_HARD), an equal-mass split of one (_SPLIT), a
+noisy annotation of one (_NOISY, whose name ends in its noise level, e.g.
+'Noisy_AY_0.10'), or Random. Only a noisy grouping
 depends on the data, so it is built per p_train; every other grouping is
 built once, at import, into _FIXED and shared read-only, so adding a fixed
 scheme is still one entry in _HARD or _SPLIT. A scheme is y-free, and so
@@ -24,7 +24,6 @@ from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, SoftGrouping
 from .errors import InvalidScheme
 
 __all__ = [
-    "SoftGrouping",
     "GroupingScheme",
     "atom_grouping",
     "annotate_samples",

@@ -24,11 +24,12 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from . import mitigation
+from . import __version__, mitigation
 from .dist_core import Distribution, biased_distribution, uniform_distribution
 from .errors import (
     DegenerateInput,
@@ -58,8 +59,6 @@ __all__ = [
     "cmd_ablate",
     "main",
 ]
-
-TOOL_VERSION = "0.1.0"
 
 DEFAULT_SCHEMES = tuple(s.name for s in reweighting_schemes())
 
@@ -184,15 +183,21 @@ def _plan_sweep(spec: ExperimentSpec):
     for method in spec.methods:
         for name in spec.schemes:
             mitigation.refuse_y_based(method, GroupingScheme(name))
-    # Each split's features are one (n, feature.dim) float64 array. Only the
-    # allocator knows whether it can hold one, so ask it for each, untouched,
-    # before any table is built or data drawn.
-    for size in ("n_train", "n_val", "n_test"):
-        shape = (getattr(spec, size), spec.feature.dim)
+    # Each split's features are one (n, feature.dim) float64 array, the
+    # encoder's weights one (feature.dim, train.hidden) array and, with
+    # resampling, a batch's features one (train.batch_size, feature.dim) array.
+    # Only the allocator knows whether it can hold one, so ask it for each,
+    # untouched, before any table is built or data drawn.
+    arrays = [(size, "feature.dim", "features") for size in ("n_train", "n_val", "n_test")]
+    arrays.append(("feature.dim", "train.hidden", "encoder weights"))
+    if "resampling" in spec.methods:
+        arrays.append(("train.batch_size", "feature.dim", "batch features"))
+    for rows, cols, what in arrays:
+        shape = attrgetter(rows, cols)(spec)
         try:
             np.empty(shape)
         except (MemoryError, ValueError) as exc:  # ValueError: a size numpy cannot even index
-            raise InvalidConfig(f"{size}={shape[0]} rows of feature.dim={shape[1]} features: {exc}") from None
+            raise InvalidConfig(f"{rows}={shape[0]} rows of {cols}={shape[1]} {what}: {exc}") from None
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
 
@@ -221,9 +226,10 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     """Train and evaluate every (method, scheme, seed) cell.
 
     The sweep is planned before any features are drawn: every (method, scheme)
-    pair goes through mitigation.refuse_y_based, a split whose feature array the
-    allocator refuses raises InvalidConfig, the min-KL table is built and each
-    seed's val and test labels are checked. A seed whose cells must all
+    pair goes through mitigation.refuse_y_based, an array the spec sizes (a
+    split's features, the encoder's weights, a resampling batch's features)
+    that the allocator refuses raises InvalidConfig, the min-KL table is built
+    and each seed's val and test labels are checked. A seed whose cells must all
     fail when scored trains nothing: each cell is an error row with that
     failure, or, when no seed can be scored, the first seed's failure is
     raised. It then runs seed by seed, and each seed in two phases, fit then
@@ -365,7 +371,7 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
     manifest = {
         "spec": asdict(spec),
         "spec_hash": spec_hash(spec),
-        "version": TOOL_VERSION,
+        "version": __version__,
         "started": record.started,
         "finished": record.finished,
         "n_rows": len(record.rows),

@@ -32,6 +32,7 @@ __all__ = [
     "OptimizationResult",
     "resampling_weights",
     "optimal_weights",
+    "MinKlRow",
     "min_kl_table",
     "brute_force_min_kl",
     "table_to_csv",

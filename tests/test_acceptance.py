@@ -14,6 +14,7 @@ import pytest
 from subshift import nnet
 from subshift.dist_core import (
     Distribution,
+    SoftGrouping,
     biased_distribution,
     kl_divergence,
     reweighted_distribution,
@@ -21,7 +22,6 @@ from subshift.dist_core import (
 )
 from subshift.grouping import (
     GroupingScheme,
-    SoftGrouping,
     atom_grouping,
     refine,
     reweighting_schemes,

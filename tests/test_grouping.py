@@ -3,12 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from subshift.dist_core import biased_distribution, uniform_distribution
+from subshift.dist_core import SoftGrouping, biased_distribution, uniform_distribution
 from subshift.errors import InvalidScheme, YBasedGrouping
 from subshift.grouping import (
     GroupingScheme,
     NOISE_LEVELS,
-    SoftGrouping,
     annotate_samples,
     atom_grouping,
     is_y_free,

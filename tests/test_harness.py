@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subshift
 from subshift import harness, mitigation
 from subshift.errors import (
     EmptyGroup,
@@ -328,8 +329,11 @@ class TestRunSweep:
         code = (
             "import sys\n"
             "from dataclasses import replace\n"
-            "from subshift import (ExperimentSpec, FeatureConfig, GroupingScheme, TrainConfig, annotate_samples,\n"
-            "                      biased_distribution, run_sweep, sample_dataset, train)\n"
+            "from subshift.dist_core import biased_distribution\n"
+            "from subshift.grouping import GroupingScheme, annotate_samples\n"
+            "from subshift.harness import ExperimentSpec, run_sweep\n"
+            "from subshift.mitigation import TrainConfig, train\n"
+            "from subshift.synth_data import FeatureConfig, sample_dataset\n"
             "spec = ExperimentSpec(methods=('erm', 'gdro'), schemes=('A', 'AY'), seeds=(0,),\n"
             "                      n_train=200, n_val=100, n_test=200, train=TrainConfig(epochs=1))\n"
             "assert run_sweep(spec).errors == ()\n"
@@ -462,6 +466,13 @@ class TestCsvOutputs:
         assert manifest["n_rows"] == 6
         assert manifest["errors"] == []
 
+    def test_one_version_in_package_manifest_and_pyproject(self, tiny_record, tmp_path):
+        write_run_outputs(tiny_record, tiny_spec(), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+        project = re.search(r'^\[project\]$.*?^version = "([^"]+)"$', pyproject, re.S | re.M)
+        assert subshift.__version__ == manifest["version"] == project.group(1)
+
 
 def synthetic_rows(method, kl_field, kl_values, auc_of_kl):
     rows = []
@@ -528,7 +539,7 @@ ABLATE_CONFIG = {
     "train": {"epochs": 2},
 }
 ABLATE_VARIANTS = ("baseline", "weak_shift", "small_n")
-# One ERM cell; each too-large test overrides one size.
+# One ERM cell; each too-large case overrides one size (a resampling batch, the method too).
 TOO_LARGE_BASE = {"methods": ["erm"], "schemes": ["A"], "seeds": [0], "n_train": 256, "n_val": 32, "n_test": 64, "train": {"epochs": 1}}
 # Starts a child script: caps its address space at 4 GiB before numpy loads,
 # so that an allocation too large for the cap fails instead of taking memory.
@@ -1066,11 +1077,20 @@ class TestCli:
         [
             ({"n_train": 10**12}, "error: n_train=1000000000000 rows of feature.dim=15 features: "),
             ({"feature": {"d_y": 10**12}}, "error: n_train=256 rows of feature.dim=1000000000010 features: "),
+            (
+                {"train": {"epochs": 1, "hidden": 10**9}},
+                "error: feature.dim=15 rows of train.hidden=1000000000 encoder weights: Unable to allocate ",
+            ),
+            (
+                {"methods": ["resampling"], "train": {"epochs": 1, "batch_size": 10**9}},
+                "error: train.batch_size=1000000000 rows of feature.dim=15 batch features: Unable to allocate ",
+            ),
         ],
-        ids=["n_train", "d_y"],
+        ids=["n_train", "d_y", "hidden", "batch_size"],
     )
     def test_split_too_large_to_allocate_exits_2_before_any_draw(self, tmp_path, overrides, message):
-        """run and ablate exit 2 and run_sweep raises InvalidConfig, in a child whose address space is capped."""
+        """run and ablate exit 2 and run_sweep raises InvalidConfig, in a child whose address space is capped,
+        so that an array the plan let through fails instead of taking memory."""
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**TOO_LARGE_BASE, **overrides}))
         code = MEMORY_CAP + (
@@ -1094,27 +1114,6 @@ class TestCli:
         assert proc.stdout.split() == ["2", "2", "InvalidConfig"]
         err = proc.stderr.splitlines()
         assert len(err) == 2 and all(line.startswith(message) for line in err), proc.stderr
-        assert not out.exists()
-
-    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux only")
-    @pytest.mark.parametrize(
-        "overrides",
-        [{"train": {"epochs": 1, "hidden": 10**9}}, {"methods": ["resampling"], "train": {"epochs": 1, "batch_size": 10**9}}],
-        ids=["hidden", "resampling_batch_size"],
-    )
-    def test_model_too_large_to_allocate_fails_in_its_first_cell(self, tmp_path, overrides):
-        """Not caught up front: the plan checks split shapes only, so the first cell
-        that trains meets numpy's MemoryError, a traceback with exit 1, and nothing is written.
-        The cap keeps the 7.45 GiB resampling batch from being allocated for real."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**TOO_LARGE_BASE, **overrides}))
-        code = MEMORY_CAP + "from subshift.harness import main\nsys.exit(main(sys.argv[1:]))\n"
-        out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "run", "--config", str(cfg_path), "--out", str(out)], capture_output=True, text=True
-        )
-        assert proc.returncode == 1
-        assert "MemoryError: Unable to allocate" in proc.stderr.splitlines()[-1], proc.stderr
         assert not out.exists()
 
     def test_ablate_without_a_baseline_correlation_reports_nan(self, tmp_path, capsys, monkeypatch):
@@ -1169,7 +1168,7 @@ class TestCli:
         assert "YSA,0.000000,0.000000" in proc.stdout
 
     def test_import_loads_no_scipy(self):
-        code = "import subshift, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = "import subshift.harness, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from subshift.dist_core import (
     Distribution,
+    SoftGrouping,
     biased_distribution,
     group_conditionals,
     kl_divergence,
@@ -22,7 +23,6 @@ from subshift.errors import (
 )
 from subshift.grouping import (
     GroupingScheme,
-    SoftGrouping,
     annotate_samples,
     atom_grouping,
     model_based_schemes,
