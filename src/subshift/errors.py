@@ -3,6 +3,24 @@
 import sys
 from dataclasses import fields
 
+__all__ = [
+    "SubshiftError",
+    "NonNormalizable",
+    "OutOfRange",
+    "SupportMismatch",
+    "EmptyGroup",
+    "InvalidScheme",
+    "TooManyGroups",
+    "DimensionMismatch",
+    "SingleClass",
+    "MissingCell",
+    "DegenerateInput",
+    "YBasedGrouping",
+    "InsufficientSchemes",
+    "InvalidConfig",
+    "check_fields",
+]
+
 
 class SubshiftError(Exception):
     """Base class for all package errors."""

@@ -179,7 +179,7 @@ def _doom(spec: ExperimentSpec, data_seed: int):
 
 
 def _plan_sweep(spec: ExperimentSpec):
-    """Every decision a sweep makes before it draws features: (kl_rows, ((seed, data_seed, doom), ...))."""
+    """Every decision a sweep makes before it builds a table or draws features: ((seed, data_seed, doom), ...)."""
     for method in spec.methods:
         for name in spec.schemes:
             mitigation.refuse_y_based(method, GroupingScheme(name))
@@ -199,7 +199,6 @@ def _plan_sweep(spec: ExperimentSpec):
         except (MemoryError, ValueError) as exc:  # ValueError: a size numpy cannot even index
             raise InvalidConfig(f"{rows}={shape[0]} rows of {cols}={shape[1]} {what}: {exc}") from None
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
-    kl_rows = compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
 
     # Train group g draws each sample with probability pi_g, so the expected
     # number of empty groups, sum_g (1 - pi_g)^n_train, bounds the chance
@@ -219,7 +218,7 @@ def _plan_sweep(spec: ExperimentSpec):
     if all(doom is not None for _, _, doom in seeds):
         seed, _, (size, exc) = seeds[0]
         raise type(exc)(f"no seed can be scored: seed {seed}'s {size[2:]} split ({size}={getattr(spec, size)}): {exc}")
-    return kl_rows, seeds
+    return seeds
 
 
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
@@ -228,11 +227,11 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     The sweep is planned before any features are drawn: every (method, scheme)
     pair goes through mitigation.refuse_y_based, an array the spec sizes (a
     split's features, the encoder's weights, a resampling batch's features)
-    that the allocator refuses raises InvalidConfig, the min-KL table is built
-    and each seed's val and test labels are checked. A seed whose cells must all
-    fail when scored trains nothing: each cell is an error row with that
-    failure, or, when no seed can be scored, the first seed's failure is
-    raised. It then runs seed by seed, and each seed in two phases, fit then
+    that the allocator refuses raises InvalidConfig, and each seed's val and
+    test labels are checked. A seed whose cells must all fail when scored
+    trains nothing: each cell is an error row with that failure, or, when no
+    seed can be scored, the first seed's failure is raised. Only then is the
+    min-KL table built. Seeds then run one by one, each in two phases, fit then
     score. The fit phase draws the seed's train and val splits, trains ERM once
     (ERM ignores the grouping, so its row is replicated across schemes), then
     annotates train and val with one scheme at a time just before that scheme's
@@ -248,12 +247,12 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     skipped; any other exception is a bug and propagates. Error rows come out
     in spec order (method, then scheme, then seed), not run order.
     """
-    return _run_plan(spec, _plan_sweep(spec))
+    seeds = _plan_sweep(spec)
+    return _run_plan(spec, compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1), seeds)
 
 
-def _run_plan(spec: ExperimentSpec, plan) -> RunRecord:
-    """Run the cells of a _plan_sweep plan, as run_sweep describes."""
-    kl_rows, seeds = plan
+def _run_plan(spec: ExperimentSpec, kl_rows, seeds) -> RunRecord:
+    """Run the cells of a _plan_sweep plan against its min-KL table, as run_sweep describes."""
     started = _now()
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_by_scheme = {r.scheme: r for r in kl_rows}
@@ -552,10 +551,14 @@ def cmd_ablate(args) -> int:
     correlated = _correlation_files(m for m in spec.methods if m != "erm")
     summary_csv = "ablation_summary.csv"
     _refuse_blocked(args.out, [Path(name, f) for name, _ in variants for f in (*RUN_FILES, *correlated)] + [summary_csv])
-    # Plan every variant, then refuse, before any features are drawn, a variant whose correlation
-    # is undefined by its spec alone, judged on the six-decimal min KL that results.csv holds.
+    # Plan every variant and build one table per distinct bias, then refuse, before any features
+    # are drawn, a variant whose correlation is undefined by its spec alone, judged on the
+    # six-decimal min KL that results.csv holds.
     plans = [_plan_sweep(variant_spec) for _, variant_spec in variants]
-    for (name, variant_spec), (kl_rows, _) in zip(variants, plans):
+    keys = [(v.schemes, v.p_s0, v.p_s1) for _, v in variants]
+    built = {key: compute_kl_rows(*key) for key in dict.fromkeys(keys)}
+    tables = [built[key] for key in keys]
+    for (name, variant_spec), kl_rows in zip(variants, tables):
         columns = {"min_kl_gdro": [r.kl_gdro for r in kl_rows], "min_kl_resampling": [r.kl_resampling for r in kl_rows]}
         where = f" in the {name} variant (p_s0={variant_spec.p_s0}, p_s1={variant_spec.p_s1})"
         for method in [m for m in variant_spec.methods if m != "erm"]:
@@ -563,8 +566,8 @@ def cmd_ablate(args) -> int:
     base = None
     failed = False
     summary = []
-    for (name, variant_spec), plan in zip(variants, plans):
-        record = _write_and_report(_run_plan(variant_spec, plan), variant_spec, out / name)
+    for (name, variant_spec), kl_rows, seeds in zip(variants, tables, plans):
+        record = _write_and_report(_run_plan(variant_spec, kl_rows, seeds), variant_spec, out / name)
         failed = failed or bool(record.errors)
         try:
             report = _correlate_dir(out / name)

@@ -12,13 +12,13 @@ differences are attributable to the grouping signal alone:
 
 All of them train through one loop, ``_fit``. A method differs from another
 only in three things it hands that loop: how an epoch's batches are drawn
-(``batches(rng)``), what one step computes from a batch (``step(params,
-batch)``, which weights samples, routes heads or trains adversaries), and
-the model's shape (``n_heads``, ``adv_groups``). ``_fit`` owns the
-parameters, Adam's moments and the step count, updates them in place, and
-returns the ``TrainedModel``. Grouped trainers count their groups once, in
-``_group_sizes``. JTT runs ``_fit`` for stage one and per upweighting
-candidate, and labels each candidate with ``replace(model, info=...)``.
+(``batches(rng)``), what one step computes from a batch and reports
+(``step(params, batch)``, which weights samples, routes heads or trains
+adversaries), and the model's shape (``n_heads``, ``adv_groups``). ``_fit``
+owns the parameters, Adam's moments and the step count, updates them in
+place, keeps each epoch's mean report and returns the ``TrainedModel``.
+Grouped trainers count their groups in ``_group_sizes``. JTT runs ``_fit``
+for stage one and per upweighting candidate, and tags each in its ``info``.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
 label, since their mechanisms would leak y into inference. One function,
@@ -140,18 +140,18 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start : start + batch_size]
 
 
-def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, q=None, **model_shape) -> TrainedModel:
+def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape) -> TrainedModel:
     """The one training loop every method runs; returns the trained model,
     which carries no method name: only its head count changes how it scores.
 
     seed starts both the batch RNG and the parameter initialisation.
     batches(rng) yields one epoch of row indices (default: a fresh
     permutation cut into cfg.batch_size slices). step(params, batch) returns
-    (loss, grads), or ((bce, adversary_loss), grads) for cfair; Adam then
-    applies grads in place. model_shape (n_heads, adv_groups) goes to
-    init_params. q is the group-weight array gDRO's step updates in place;
-    each epoch's history row records a copy of it. Trainers count their
-    groups with _group_sizes before they call it.
+    (report, grads): a dict of what the step measured, then the gradients
+    Adam applies in place. Each epoch's history row is {"epoch": e} plus,
+    for every report key, its mean over the epoch's steps, taken elementwise
+    for arrays. model_shape (n_heads, adv_groups) goes to init_params.
+    Trainers count their groups with _group_sizes before they call it.
     """
     if batches is None:
         batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
@@ -162,32 +162,27 @@ def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, q=None, **mod
     history = []
     for epoch in range(cfg.epochs):
         lr = cfg.lr * cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else cfg.lr
-        losses = []
+        reports = []
         for batch in batches(rng):
-            loss, grads = step(params, batch)
+            report, grads = step(params, batch)
             t += 1
             nnet.sgd_adam_step(params, grads, moments, t, lr, cfg.weight_decay)
-            losses.append(loss)
-        adv = None
-        if losses and isinstance(losses[0], tuple):
-            losses, adv = zip(*losses)
-        row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
-        row["group_weights"] = None if q is None else q.copy()
-        if adv is not None:
-            row["adversary_loss"] = float(np.mean(adv))
-        history.append(row)
+            reports.append(report)
+        means = {key: np.mean([r[key] for r in reports], axis=0) for key in (reports[0] if reports else ())}
+        history.append({"epoch": epoch, **means})
     return TrainedModel(params=params, history=tuple(history))
 
 
 def _bce_step(dataset, sample_weights=None, head_ids=None):
-    """step() for the plain weighted BCE; head_ids routes per-group heads."""
+    """step() for the plain weighted BCE, reporting train_loss; head_ids routes per-group heads."""
     x = dataset.features
     y = dataset.y.astype(float)
 
     def step(params, batch):
         w = None if sample_weights is None else sample_weights[batch]
         h = None if head_ids is None else head_ids[batch]
-        return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w, head_ids=h)
+        loss, grads = nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=w, head_ids=h)
+        return {"train_loss": loss}, grads
 
     return step
 
@@ -206,7 +201,8 @@ def train_gdro(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     loss equal sum_g q_g * (mean loss of g). The update runs on log q,
     shifted so its largest entry is 0 before exp, so q stays finite for
     any eta whose step is finite. The q-update is the loss call's weights
-    function, so it reads the losses of the step's one forward pass.
+    function, so it reads the losses of the step's one forward pass. Each
+    step reports q, so history holds each epoch's time-averaged q.
     """
     n_g = _group_sizes(dataset).astype(float)
     k = len(n_g)
@@ -230,9 +226,10 @@ def train_gdro(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
             q[:] /= q.sum()
             return len(batch) * q[g_b] / counts[g_b]
 
-        return nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=weights)
+        loss, grads = nnet.bce_loss_and_grad(params, x[batch], y[batch], sample_weights=weights)
+        return {"train_loss": loss, "group_weights": q.copy()}, grads
 
-    return _fit(dataset, cfg, seed, step, q=q)
+    return _fit(dataset, cfg, seed, step)
 
 
 def train_resampling(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
@@ -280,10 +277,8 @@ def train_cfair(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     groups = dataset.group
 
     def step(params, batch):
-        bce, adv, grads = nnet.cfair_loss_and_grad(
-            params, x[batch], y[batch], groups[batch], cfg.cfair_mu
-        )
-        return (bce, adv), grads
+        bce, adv, grads = nnet.cfair_loss_and_grad(params, x[batch], y[batch], groups[batch], cfg.cfair_mu)
+        return {"train_loss": bce, "adversary_loss": adv}, grads
 
     return _fit(dataset, cfg, seed, step, adv_groups=k)
 

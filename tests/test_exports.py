@@ -30,6 +30,16 @@ def test_each_public_name_has_one_home():
     assert {public: where for public, where in homes.items() if len(where) > 1} == {}
 
 
+def test_errors_star_import_binds_its_exceptions_and_check_fields():
+    from subshift import errors
+
+    exceptions = {n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, errors.SubshiftError)}
+    namespace = {}
+    exec("from subshift.errors import *", namespace)
+    assert len(exceptions) == 14
+    assert set(namespace) - {"__builtins__"} == exceptions | {"check_fields"}
+
+
 def test_package_binds_only_its_version():
     """The package re-exports nothing: its public names live in the modules; only submodules become attributes."""
     bound = [n for n, v in vars(subshift).items() if not n.startswith("__") and not isinstance(v, types.ModuleType)]

@@ -981,7 +981,7 @@ class TestCli:
             out = tmp_path / run
             tables.clear()
             assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
-            assert len(tables) == len(ABLATE_VARIANTS)  # one table per variant, shared by its check and its sweep
+            assert len(tables) == 2  # one per distinct bias, shared by its variants' checks and sweeps
             csvs[run] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
         names = ("results", "relative_auc", "disparity", "correlation", "scatter_gdro")
         for variant in ABLATE_VARIANTS:
@@ -996,6 +996,28 @@ class TestCli:
         assert summary[0] == "variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop"
         assert [line.split(",")[:2] for line in summary[1:]] == [[v, "gdro"] for v in ABLATE_VARIANTS]
         assert summary[1].split(",")[5] == "1"
+
+    def test_ablate_builds_one_table_per_distinct_bias(self, tmp_path, monkeypatch):
+        """small_n keeps the baseline's (schemes, p_s0, p_s1), so its check and its sweep reuse that table."""
+        tables, runs = [], []
+        real_table = harness.min_kl_table
+
+        def counted_table(*args):
+            tables.append(real_table(*args))
+            return tables[-1]
+
+        def no_cells(spec, kl_rows, seeds):
+            runs.append(kl_rows)
+            return harness.RunRecord(rows=(), kl_rows=tuple(kl_rows), errors=(), started="", finished="")
+
+        monkeypatch.setattr(harness, "min_kl_table", counted_table)
+        monkeypatch.setattr(harness, "_run_plan", no_cells)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(ABLATE_CONFIG))
+        assert main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert len(tables) == 2
+        baseline, weak_shift, small_n = runs
+        assert baseline is tables[0] and weak_shift is tables[1] and small_n is tables[0]
 
     def test_ablate_reports_failed_cells_and_exits_1(self, tmp_path, capsys, monkeypatch):
         config = dict(ABLATE_CONFIG, schemes=["A", "Y", "AY", "S"])

@@ -97,6 +97,9 @@ def fit_one(method, small_train, small_val, train_a, train_ay, epochs):
 
 
 class TestHistory:
+    # What each method's steps report, beside the epoch number every row carries.
+    REPORTED = {"gdro": {"train_loss", "group_weights"}, "cfair": {"train_loss", "adversary_loss"}}
+
     @pytest.mark.parametrize("method", TestDeterminism.CASES)
     def test_history_is_a_tuple_of_epoch_rows(
         self, method, small_train, small_val, train_a, train_ay, pin_jtt_grid
@@ -106,12 +109,30 @@ class TestHistory:
         assert isinstance(model.history, tuple)
         assert [row["epoch"] for row in model.history] == [0, 1]
         for row in model.history:
+            assert set(row) == {"epoch", *self.REPORTED.get(method, {"train_loss"})}
             assert np.isfinite(row["train_loss"])
             if method == "gdro":
                 assert row["group_weights"].shape == (4,)
-            else:
-                assert row["group_weights"] is None
-            assert ("adversary_loss" in row) == (method == "cfair")
+
+    def test_fit_records_the_epoch_mean_of_every_reported_value(self, small_train):
+        """_fit knows no method: a row is the epoch number plus each report entry's mean over the epoch's steps."""
+        steps = []
+
+        def step(params, batch):
+            i = len(steps)
+            steps.append(i)
+            report = {"scalar": float(i), "array": np.array([i, i * i], dtype=float)}
+            return report, params.like(np.zeros_like(params.flat))
+
+        def four_batches(rng):
+            return (np.arange(8) for _ in range(4))
+
+        model = mitigation._fit(small_train, TrainConfig(epochs=2), 0, step, batches=four_batches)
+        assert len(steps) == 8
+        assert [set(row) for row in model.history] == [{"epoch", "scalar", "array"}] * 2
+        # steps 0-3, then 4-7: means 1.5 and 5.5; squares 0, 1, 4, 9 and 16, 25, 36, 49
+        assert [(row["epoch"], row["scalar"]) for row in model.history] == [(0, 1.5), (1, 5.5)]
+        assert [row["array"].tolist() for row in model.history] == [[1.5, 3.5], [5.5, 31.5]]
 
 
 # Which nnet functions each trainer reaches. The benchmark's tracer counts
@@ -229,6 +250,27 @@ class TestGdro:
             q = row["group_weights"]
             assert np.all(q >= 0)
             assert abs(q.sum() - 1.0) < 1e-10
+
+    def test_group_weights_are_the_epoch_mean_of_each_steps_q(self, train_ay, monkeypatch):
+        """Each step reports a copy of q after its update; the row holds their mean, not the last q."""
+        seen = []
+        real_fit = mitigation._fit
+
+        def recording_fit(dataset, cfg, seed, step, **kwargs):
+            def recorded(params, batch):
+                report, grads = step(params, batch)
+                seen.append(report["group_weights"])
+                return report, grads
+
+            return real_fit(dataset, cfg, seed, recorded, **kwargs)
+
+        monkeypatch.setattr(mitigation, "_fit", recording_fit)
+        model = train_gdro(train_ay, TrainConfig(epochs=2), 0)
+        per_epoch = len(seen) // 2
+        for epoch, row in enumerate(model.history):
+            epoch_qs = seen[epoch * per_epoch : (epoch + 1) * per_epoch]
+            np.testing.assert_array_equal(row["group_weights"], np.mean(epoch_qs, axis=0))
+        assert not np.array_equal(seen[0], seen[per_epoch - 1])  # q moves within an epoch; each report is a copy
 
     def test_one_forward_per_batch(self, train_ay, monkeypatch):
         """The q-update reads the per-sample losses of the step's own forward."""
