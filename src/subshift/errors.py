@@ -63,7 +63,7 @@ class MissingCell(SubshiftError):
 
 
 class DegenerateInput(SubshiftError):
-    """Correlation or AUC undefined: too few points, zero variance, or non-finite scores."""
+    """Correlation or AUC undefined (too few points, zero variance, non-finite scores), or training diverged."""
 
 
 class YBasedGrouping(SubshiftError):

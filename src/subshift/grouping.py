@@ -16,7 +16,7 @@ datasets with group ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,7 +146,7 @@ def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distri
     groups = np.zeros(len(atoms), dtype=np.int64)
     for c in range(grouping.k - 1):  # the last column is 1 > u and never counts
         groups += cdf[atoms, c] <= u
-    return dataset.with_groups(groups, scheme, grouping.k)
+    return replace(dataset, group=groups, group_scheme=scheme, group_count=grouping.k)
 
 
 def is_y_free(scheme: GroupingScheme) -> bool:

@@ -23,8 +23,8 @@ for stage one and per upweighting candidate, and tags each in its ``info``.
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
 label, since their mechanisms would leak y into inference. One function,
 ``refuse_y_based``, holds that rule: run_sweep asks it of every (method,
-scheme) pair before any data is drawn, the two trainers of the scheme a
-split was annotated with, and hand-assigned groups get a structural test.
+scheme) pair before any data is drawn, and the two trainers of the scheme
+their split was annotated with, since groups come only from a scheme.
 JTT's error scan and selection use the decision rule of ``metrics``.
 """
 
@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from . import nnet
-from .errors import EmptyGroup, InvalidScheme, YBasedGrouping, check_fields
+from .errors import DegenerateInput, EmptyGroup, InvalidScheme, YBasedGrouping, check_fields
 from .grouping import GroupingScheme, is_y_free
 from .metrics import correct, group_accuracies
 from .nnet import expit
@@ -106,10 +106,10 @@ class TrainedModel:
 
 
 def _group_sizes(dataset) -> np.ndarray:
-    """Training samples per group, one bincount; refuses an unannotated split or an empty group."""
-    if dataset.group is None:
-        raise InvalidScheme("dataset has no group labels; annotate it first")
-    sizes = np.bincount(dataset.group, minlength=dataset.group_count or 0)
+    """Training samples per group, one bincount; refuses a split no scheme annotated, or an empty group."""
+    if dataset.group_scheme is None:
+        raise InvalidScheme("dataset carries no grouping scheme; annotate it first")
+    sizes = np.bincount(dataset.group, minlength=dataset.group_count)
     empty = np.flatnonzero(sizes == 0)
     if len(empty):
         raise EmptyGroup(f"group {empty[0]} has no training samples")
@@ -120,18 +120,6 @@ def refuse_y_based(method: str, scheme: GroupingScheme) -> None:
     """Refuse a NEEDS_Y_FREE method paired with a scheme whose groups are a function of y."""
     if method in NEEDS_Y_FREE and not is_y_free(scheme):
         raise YBasedGrouping(f"{method} needs y-free groups, but {scheme.name} groups are a function of y")
-
-
-def _check_y_free(method: str, dataset, k: int) -> None:
-    """Refuse groupings that encode the label: by scheme when annotated, else by class counts."""
-    if dataset.group_scheme is not None:
-        refuse_y_based(method, dataset.group_scheme)
-        return
-    # Row g holds group g's count of each class.
-    by_class = np.bincount(2 * dataset.group + dataset.y, minlength=2 * k).reshape(-1, 2)
-    single = np.flatnonzero(~by_class.all(axis=1))
-    if len(single):
-        raise YBasedGrouping(f"group {single[0]} contains a single class; grouping may encode y")
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -152,6 +140,10 @@ def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape
     for every report key, its mean over the epoch's steps, taken elementwise
     for arrays. model_shape (n_heads, adv_groups) goes to init_params.
     Trainers count their groups with _group_sizes before they call it.
+
+    Training that diverges raises DegenerateInput naming the epoch: after
+    each epoch the parameters, Adam's moments and every epoch mean must be
+    finite, so numpy's overflow warnings are silenced inside the loop.
     """
     if batches is None:
         batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
@@ -160,16 +152,23 @@ def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape
     moments = (np.zeros_like(params.flat), np.zeros_like(params.flat))
     t = 0
     history = []
-    for epoch in range(cfg.epochs):
-        lr = cfg.lr * cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else cfg.lr
-        reports = []
-        for batch in batches(rng):
-            report, grads = step(params, batch)
-            t += 1
-            nnet.sgd_adam_step(params, grads, moments, t, lr, cfg.weight_decay)
-            reports.append(report)
-        means = {key: np.mean([r[key] for r in reports], axis=0) for key in (reports[0] if reports else ())}
-        history.append({"epoch": epoch, **means})
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            lr = cfg.lr * cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else cfg.lr
+            reports = []
+            for batch in batches(rng):
+                report, grads = step(params, batch)
+                t += 1
+                nnet.sgd_adam_step(params, grads, moments, t, lr, cfg.weight_decay)
+                reports.append(report)
+            means = {key: np.mean([r[key] for r in reports], axis=0) for key in (reports[0] if reports else ())}
+            checked = (("parameters", params.flat), ("Adam moments", moments), *means.items())
+            bad = [name for name, value in checked if not np.isfinite(value).all()]
+            if bad:
+                raise DegenerateInput(
+                    f"training diverged in epoch {epoch + 1} of {cfg.epochs}: {', '.join(bad)} not finite"
+                )
+            history.append({"epoch": epoch, **means})
     return TrainedModel(params=params, history=tuple(history))
 
 
@@ -260,7 +259,7 @@ def train_domain_ind(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     largest |logit|.
     """
     k = len(_group_sizes(dataset))
-    _check_y_free("domain_ind", dataset, k)
+    refuse_y_based("domain_ind", dataset.group_scheme)
     return _fit(dataset, cfg, seed, _bce_step(dataset, head_ids=dataset.group), n_heads=k)
 
 
@@ -269,7 +268,7 @@ def train_cfair(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
     from the hidden layer; their gradient reaches the encoder reversed and
     scaled by mu. All parameters update in the same optimizer step."""
     k = len(_group_sizes(dataset))
-    _check_y_free("cfair", dataset, k)
+    refuse_y_based("cfair", dataset.group_scheme)
     if k < 2:
         raise InvalidScheme("adversarial training needs at least two groups")
     x = dataset.features
@@ -288,13 +287,13 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
 
     Stage one is a short ERM run; its training-set errors (threshold 0.5)
     get weight lambda in a from-scratch stage-two run. The (stage-1 epochs,
-    lambda) pair is the cell of JTT_STAGE1_GRID x JTT_UPWEIGHT_GRID that
-    scores best on validation data: by worst-group accuracy when the
-    validation split carries groups, by overall accuracy otherwise. The
-    grids are read when the function runs.
+    lambda) pair is the cell of JTT_STAGE1_GRID x JTT_UPWEIGHT_GRID with
+    the best worst-group accuracy on the validation split, which a scheme
+    must have annotated. The grids are read when the function runs.
     """
+    if val.group_scheme is None:
+        raise InvalidScheme("jtt selects by worst-group accuracy; annotate its validation split first")
     best = None
-    groups = np.zeros(len(val.y), dtype=np.int64) if val.group is None else val.group  # unannotated: one group
     for s1 in JTT_STAGE1_GRID:
         stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)), seed)
         wrong = ~correct(stage1.predict_scores(dataset.features), dataset.y)
@@ -306,7 +305,7 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
                 _fit(dataset, cfg, seed, _bce_step(dataset, sample_weights=weights)),
                 info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
             )
-            score = group_accuracies(candidate.predict_scores(val.features), val.y, groups).min()
+            score = group_accuracies(candidate.predict_scores(val.features), val.y, val.group).min()
             if best is None or score > best[0]:
                 best = (score, candidate)
     return best[1]

@@ -15,7 +15,7 @@ data it scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,8 +54,7 @@ class Dataset:
     """Column-oriented sample store; group annotation is optional.
 
     An annotated split holds each sample's group id, the GroupingScheme the
-    ids were drawn from and its group count k. Group ids assigned by hand
-    carry no scheme.
+    ids were drawn from and its group count k.
     """
 
     features: np.ndarray
@@ -71,9 +70,6 @@ class Dataset:
 
     def atom_indices(self) -> np.ndarray:
         return atom_index(self.y, self.s, self.a)
-
-    def with_groups(self, groups: np.ndarray, scheme: GroupingScheme | None, k: int) -> "Dataset":
-        return replace(self, group=groups, group_scheme=scheme, group_count=k)
 
 
 def _labels(rng, dist: Distribution, n: int) -> np.ndarray:

@@ -324,11 +324,10 @@ class TestRunSweep:
         ]
 
     def test_sweep_never_imports_numpy_ma(self):
-        """gDRO's step and the y-free check count groups with np.bincount;
+        """gDRO's step and _group_sizes count groups with np.bincount;
         np.unique would import numpy.ma on its first call."""
         code = (
             "import sys\n"
-            "from dataclasses import replace\n"
             "from subshift.dist_core import biased_distribution\n"
             "from subshift.grouping import GroupingScheme, annotate_samples\n"
             "from subshift.harness import ExperimentSpec, run_sweep\n"
@@ -338,8 +337,7 @@ class TestRunSweep:
             "                      n_train=200, n_val=100, n_test=200, train=TrainConfig(epochs=1))\n"
             "assert run_sweep(spec).errors == ()\n"
             "tr = sample_dataset(biased_distribution(0.95, 0.8), 200, FeatureConfig(), seed=0)\n"
-            "unnamed = replace(annotate_samples(tr, GroupingScheme('A'), seed=0), group_scheme=None)\n"
-            "train('domain_ind', unnamed, TrainConfig(epochs=1), 0)\n"
+            "train('domain_ind', annotate_samples(tr, GroupingScheme('A'), seed=0), TrainConfig(epochs=1), 0)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -792,6 +790,43 @@ class TestCli:
         results = (out / "results.csv").read_text()
         assert "nan" not in results
         assert [line.split(",")[0] for line in results.splitlines()[1:]] == ["erm"] * 3
+
+    @pytest.mark.parametrize(
+        "methods,train_cfg",
+        [
+            (["erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"], {"epochs": 2, "lr": 1e300}),
+            (["cfair"], {"epochs": 2, "cfair_mu": 1e308}),
+        ],
+        ids=("lr", "cfair_mu"),
+    )
+    def test_diverging_training_is_one_warning_free_error_row_per_cell(self, tmp_path, capsys, methods, train_cfg):
+        """An accepted config whose training overflows ends each cell in the
+        epoch where it diverged; numpy warns of nothing. At cfair_mu 1e308
+        only Adam's second moment overflows, which would freeze the model."""
+        config = {
+            "methods": methods,
+            "schemes": ["A", "AS", "SC_noSC"],
+            "seeds": [0],
+            "n_train": 400,
+            "n_val": 200,
+            "n_test": 400,
+            "train": train_cfg,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = json.loads((out / "manifest.json").read_text())["errors"]
+        cells = [("erm", "-")] * ("erm" in methods) + [(m, s) for m in methods if m != "erm" for s in config["schemes"]]
+        assert [(e["method"], e["grouping"]) for e in errors] == cells
+        # JTT's first run is its one-epoch stage one
+        assert all(re.match(r"DegenerateInput: training diverged in epoch 1 of [12]: ", e["error"]) for e in errors)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(errors)
+        assert all(line.startswith("cell failed: ") and "training diverged in epoch 1" in line for line in err)
+        assert (out / "results.csv").read_text().count("\n") == 1  # the header alone
 
     def test_cli_overrides_beat_config(self, tmp_path, capsys):
         config = {

@@ -1,12 +1,13 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from subshift import mitigation, nnet
 from subshift.dist_core import biased_distribution, uniform_distribution
-from subshift.errors import EmptyGroup, InvalidConfig, InvalidScheme, OutOfRange, YBasedGrouping
+from subshift.errors import DegenerateInput, EmptyGroup, InvalidConfig, InvalidScheme, OutOfRange, YBasedGrouping
 from subshift.grouping import GroupingScheme, annotate_samples
 from subshift.metrics import auc
 from subshift.mitigation import (
@@ -43,6 +44,11 @@ def small_val(p_train):
 
 
 @pytest.fixture(scope="module")
+def val_a(small_val):
+    return annotate_samples(small_val, GroupingScheme("A"), seed=0)
+
+
+@pytest.fixture(scope="module")
 def train_a(small_train):
     return annotate_samples(small_train, GroupingScheme("A"), seed=0)
 
@@ -52,8 +58,14 @@ def train_ay(small_train):
     return annotate_samples(small_train, GroupingScheme("AY"), seed=0)
 
 
+def hand_grouped(ds, groups, k):
+    """ds with group ids that no scheme draws (one group, an empty one, a
+    chosen layout), labelled with the y-free scheme A so trainers take them."""
+    return replace(ds, group=groups, group_scheme=GroupingScheme("A"), group_count=k)
+
+
 def single_group(ds):
-    return ds.with_groups(np.zeros(len(ds), dtype=np.int64), None, 1)
+    return hand_grouped(ds, np.zeros(len(ds), dtype=np.int64), 1)
 
 
 @pytest.fixture
@@ -73,13 +85,13 @@ class TestDeterminism:
     CASES = ("erm", "gdro", "resampling", "domain_ind", "cfair", "jtt")
 
     @pytest.mark.parametrize("method", CASES)
-    def test_bitwise_repeatable(self, method, small_train, small_val, train_a, train_ay, pin_jtt_grid):
+    def test_bitwise_repeatable(self, method, small_train, val_a, train_a, train_ay, pin_jtt_grid):
         pin_jtt_grid(1, 5.0)
         cfg = TrainConfig(epochs=3)
         ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
             method, small_train
         )
-        val = small_val if method == "jtt" else None
+        val = val_a if method == "jtt" else None
         one = train(method, ds, cfg, 0, val=val)
         two = train(method, ds, cfg, 0, val=val)
         fields = [f for f in ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
@@ -87,13 +99,13 @@ class TestDeterminism:
         assert params_equal(one.params, two.params, fields)
 
 
-def fit_one(method, small_train, small_val, train_a, train_ay, epochs):
+def fit_one(method, small_train, val_a, train_a, train_ay, epochs):
     """Train one method on its usual split; JTT's grid must be pinned to one cell first."""
     cfg = TrainConfig(epochs=epochs)
     ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
         method, small_train
     )
-    return train(method, ds, cfg, 0, val=small_val if method == "jtt" else None)
+    return train(method, ds, cfg, 0, val=val_a if method == "jtt" else None)
 
 
 class TestHistory:
@@ -102,10 +114,10 @@ class TestHistory:
 
     @pytest.mark.parametrize("method", TestDeterminism.CASES)
     def test_history_is_a_tuple_of_epoch_rows(
-        self, method, small_train, small_val, train_a, train_ay, pin_jtt_grid
+        self, method, small_train, val_a, train_a, train_ay, pin_jtt_grid
     ):
         pin_jtt_grid(1, 5.0)
-        model = fit_one(method, small_train, small_val, train_a, train_ay, epochs=2)
+        model = fit_one(method, small_train, val_a, train_a, train_ay, epochs=2)
         assert isinstance(model.history, tuple)
         assert [row["epoch"] for row in model.history] == [0, 1]
         for row in model.history:
@@ -134,6 +146,22 @@ class TestHistory:
         assert [(row["epoch"], row["scalar"]) for row in model.history] == [(0, 1.5), (1, 5.5)]
         assert [row["array"].tolist() for row in model.history] == [[1.5, 3.5], [5.5, 31.5]]
 
+    def test_fit_stops_after_the_first_epoch_whose_means_are_not_finite(self, small_train):
+        """A NaN loss in epoch 2's second step ends training after that epoch, named 1-based."""
+        steps = []
+
+        def step(params, batch):
+            steps.append(len(steps))
+            loss = float("nan") if len(steps) == 6 else 0.5
+            return {"train_loss": loss}, params.like(np.zeros_like(params.flat))
+
+        def four_batches(rng):
+            return (np.arange(8) for _ in range(4))
+
+        with pytest.raises(DegenerateInput, match="^training diverged in epoch 2 of 3: train_loss not finite$"):
+            mitigation._fit(small_train, TrainConfig(epochs=3), 0, step, batches=four_batches)
+        assert len(steps) == 8  # the failing epoch finishes; epoch 3 never starts
+
 
 # Which nnet functions each trainer reaches. The benchmark's tracer counts
 # calls by patching these module attributes, so trainers must look them up
@@ -150,7 +178,7 @@ NNET_USES = {
 
 @pytest.mark.parametrize("method", TestDeterminism.CASES)
 def test_trainers_reach_patched_nnet_functions(
-    method, monkeypatch, small_train, small_val, train_a, train_ay, pin_jtt_grid
+    method, monkeypatch, small_train, val_a, train_a, train_ay, pin_jtt_grid
 ):
     pin_jtt_grid(1, 5.0)
     calls = {}
@@ -162,7 +190,7 @@ def test_trainers_reach_patched_nnet_functions(
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(nnet, name, counted)
-    fit_one(method, small_train, small_val, train_a, train_ay, epochs=1)
+    fit_one(method, small_train, val_a, train_a, train_ay, epochs=1)
     assert set(calls) == NNET_USES[method]
 
 
@@ -220,7 +248,7 @@ class TestErm:
 
 @pytest.mark.parametrize("method", ("gdro", "resampling", "domain_ind", "cfair"))
 def test_rejects_empty_group(method, small_train):
-    bad = small_train.with_groups(np.zeros(len(small_train), dtype=np.int64), None, 2)
+    bad = hand_grouped(small_train, np.zeros(len(small_train), dtype=np.int64), 2)
     with pytest.raises(EmptyGroup, match="group 1 has no training samples"):
         train(method, bad, TrainConfig(epochs=1), 0)
 
@@ -232,15 +260,12 @@ def test_y_based_scheme_refusal_names_the_method(method, train_ay):
         train(method, train_ay, TrainConfig(epochs=1), 0)
 
 
-@pytest.mark.parametrize("method", NEEDS_Y_FREE)
-def test_unnamed_grouping_names_its_single_class_group(method, small_train):
-    """Only group 1 holds a single class; groups 0 and 2 hold both."""
-    rows = np.arange(len(small_train))
-    groups = np.where(rows % 2 == 0, 0, 2)
-    groups[(small_train.y == 1) & (rows % 3 == 0)] = 1
-    ds = small_train.with_groups(groups, None, 3)
-    with pytest.raises(YBasedGrouping, match="^group 1 contains a single class"):
-        train(method, ds, TrainConfig(epochs=1), 0)
+@pytest.mark.parametrize("method", ("gdro", "resampling", "domain_ind", "cfair"))
+def test_refuses_groups_no_scheme_drew(method, train_a):
+    """Groups come only from a scheme: ids without one are refused, whatever they hold."""
+    unnamed = replace(train_a, group_scheme=None)
+    with pytest.raises(InvalidScheme, match="^dataset carries no grouping scheme; annotate it first$"):
+        train(method, unnamed, TrainConfig(epochs=1), 0)
 
 
 class TestGdro:
@@ -336,7 +361,8 @@ class TestResampling:
             y=rng.integers(0, 2, n).astype(np.int8),
             s=np.zeros(n, np.int8),
             a=np.zeros(n, np.int8),
-        ).with_groups(groups, None, 4)
+        )
+        ds = hand_grouped(ds, groups, 4)
 
         seen = np.zeros(4)
         real = nnet.bce_loss_and_grad
@@ -360,11 +386,6 @@ class TestDomainInd:
     def test_rejects_label_based_grouping(self, train_ay):
         with pytest.raises(YBasedGrouping):
             train_domain_ind(train_ay, TrainConfig(epochs=1), 0)
-
-    def test_structural_rejection_without_scheme_name(self, small_train):
-        bad = small_train.with_groups(small_train.y.astype(np.int64), None, 2)
-        with pytest.raises(YBasedGrouping):
-            train_domain_ind(bad, TrainConfig(epochs=1), 0)
 
     def test_one_head_reduces_to_erm(self, small_train):
         cfg = TrainConfig(epochs=4)
@@ -465,48 +486,47 @@ class TestCfair:
 
 
 class TestJtt:
-    def test_unit_upweight_equals_erm(self, small_train, small_val, pin_jtt_grid):
+    def test_unit_upweight_equals_erm(self, small_train, val_a, pin_jtt_grid):
         pin_jtt_grid(1, 1.0)
         cfg = TrainConfig(epochs=5)
-        jt = train_jtt(small_train, small_val, cfg, 0)
+        jt = train_jtt(small_train, val_a, cfg, 0)
         erm = train_erm(small_train, cfg, 0)
         assert params_equal(jt.params, erm.params)
 
     def test_warns_on_empty_error_set(self, p_train, pin_jtt_grid):
         easy = FeatureConfig(mu_y=6.0, mu_a=0.5, mu_s=0.5, noise_sd=0.5)
         ds = sample_dataset(p_train, 512, easy, seed=3)
-        val = sample_dataset(p_train, 256, easy, seed=4)
+        val = annotate_samples(sample_dataset(p_train, 256, easy, seed=4), GroupingScheme("A"), seed=0)
         pin_jtt_grid(2, 5.0)
         cfg = TrainConfig(epochs=6)
         with pytest.warns(UserWarning, match="no training errors"):
             model = train_jtt(ds, val, cfg, 0)
         assert model.info["n_upweighted"] == 0
 
-    def test_grid_selection_reports_choice(self, small_train, small_val):
-        val = annotate_samples(small_val, GroupingScheme("A"), seed=0)
-        model = train_jtt(small_train, val, TrainConfig(epochs=3), 0)
+    def test_grid_selection_reports_choice(self, small_train, val_a):
+        model = train_jtt(small_train, val_a, TrainConfig(epochs=3), 0)
         assert model.info["stage1_epochs"] in JTT_STAGE1_GRID
         assert model.info["upweight"] in JTT_UPWEIGHT_GRID
         assert len(model.history) == 3
 
-    @pytest.mark.parametrize("grouped", (True, False), ids=("absent_groups", "no_groups"))
+    @pytest.mark.parametrize("absent", (True, False), ids=("absent_groups", "scheme_groups"))
     def test_selects_the_candidate_a_reference_ranks_best(
-        self, small_train, small_val, grouped, pin_jtt_grid
+        self, small_train, small_val, absent, pin_jtt_grid
     ):
-        """Groups 0 (bias-aligned) and 2 (bias-conflicting) of a declared 4 are
-        present, or the split has no groups. The two rules pick different
-        candidates: (1, 20.0) by worst group, (1, 5.0) overall."""
-        conflicting = (small_val.a != small_val.y).astype(np.int64)
-        val = small_val.with_groups(2 * conflicting, None, 4) if grouped else small_val
+        """The val split holds groups 0 (bias-aligned) and 2 (bias-conflicting)
+        of a declared 4, or the four groups scheme AY draws. The reference
+        ranks candidates by their worst present group's accuracy."""
+        if absent:
+            val = hand_grouped(small_val, 2 * (small_val.a != small_val.y).astype(np.int64), 4)
+        else:
+            val = annotate_samples(small_val, GroupingScheme("AY"), seed=0)
 
         def accuracy(scores, labels):
             return float(((scores >= 0.5).astype(int) == labels).mean())
 
         def reference_score(model):
             scores = model.predict_scores(val.features)
-            if val.group is None:
-                return accuracy(scores, val.y)
-            return min(accuracy(scores[val.group == g], val.y[val.group == g]) for g in (0, 2))
+            return min(accuracy(scores[val.group == g], val.y[val.group == g]) for g in set(val.group.tolist()))
 
         cfg = TrainConfig(epochs=3, lr=0.01)
         chosen = train_jtt(small_train, val, cfg, 0)
@@ -519,6 +539,12 @@ class TestJtt:
         best = candidates[ranked.index(max(ranked))]  # the first of any tie, as the grid search keeps
         assert chosen.info == best.info
         assert params_equal(chosen.params, best.params)
+
+    def test_refuses_a_val_split_no_scheme_annotated(self, small_train, small_val, val_a):
+        """JTT selects by worst group, so its val split needs a scheme's groups."""
+        for val in (small_val, replace(val_a, group_scheme=None)):
+            with pytest.raises(InvalidScheme, match="annotate its validation split first"):
+                train_jtt(small_train, val, TrainConfig(epochs=1), 0)
 
     def test_dispatcher_requires_val(self, small_train):
         with pytest.raises(InvalidScheme):
