@@ -7,11 +7,13 @@ Subcommands
     correlate    per-method Pearson correlation of min divergence vs AUC
     ablate       rerun the sweep under weaker bias and a smaller train set
 
-Reproducibility: every cell derives its RNG seed from
-hash(master_seed, method, scheme, seed), the seed's value rather than its
+A sweep's plan lists every (method, scheme, seed) cell with its RNG seed,
+hash(master_seed, method, scheme, seed): the seed's value rather than its
 position in the list, so extending the scheme or seed list never perturbs
-existing cells, and a repeated run writes byte-identical CSVs. Timestamps
-live only in manifest.json.
+existing cells, and a repeated run writes byte-identical CSVs. ERM ignores
+the grouping, so its scheme is "-" and its row is copied to every scheme.
+Error rows come out in plan order: method, then scheme, then seed.
+Timestamps live only in manifest.json.
 """
 
 from __future__ import annotations
@@ -179,7 +181,11 @@ def _doom(spec: ExperimentSpec, data_seed: int):
 
 
 def _plan_sweep(spec: ExperimentSpec):
-    """Every decision a sweep makes before it builds a table or draws features: ((seed, data_seed, doom), ...)."""
+    """Every decision a sweep makes before it builds a table or draws features: (seeds, cells).
+
+    seeds holds each (seed, data_seed, doom). cells holds every (method, scheme, seed, cell_seed) in
+    error-row order: method, then scheme, then seed. ERM's one scheme is "-".
+    """
     for method in spec.methods:
         for name in spec.schemes:
             mitigation.refuse_y_based(method, GroupingScheme(name))
@@ -218,7 +224,10 @@ def _plan_sweep(spec: ExperimentSpec):
     if all(doom is not None for _, _, doom in seeds):
         seed, _, (size, exc) = seeds[0]
         raise type(exc)(f"no seed can be scored: seed {seed}'s {size[2:]} split ({size}={getattr(spec, size)}): {exc}")
-    return seeds
+    cells = [
+        (m, name, seed) for m in spec.methods for name in (("-",) if m == "erm" else spec.schemes) for seed in spec.seeds
+    ]
+    return seeds, tuple((*cell, _derive_seed(spec.master_seed, *cell)) for cell in cells)
 
 
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
@@ -227,96 +236,85 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     The sweep is planned before any features are drawn: every (method, scheme)
     pair goes through mitigation.refuse_y_based, an array the spec sizes (a
     split's features, the encoder's weights, a resampling batch's features)
-    that the allocator refuses raises InvalidConfig, and each seed's val and
-    test labels are checked. A seed whose cells must all fail when scored
-    trains nothing: each cell is an error row with that failure, or, when no
-    seed can be scored, the first seed's failure is raised. Only then is the
-    min-KL table built. Seeds then run one by one, each in two phases, fit then
-    score. The fit phase draws the seed's train and val splits, trains ERM once
-    (ERM ignores the grouping, so its row is replicated across schemes), then
-    annotates train and val with one scheme at a time just before that scheme's
-    cells, and records each model's validation AUC. The score phase releases
-    train, val and the last annotation, draws the seed's test split and
-    evaluates every fitted model on it; the test split is released before the
-    next seed draws. A sweep thus holds one seed's train/val while fitting, its
-    test split while scoring, and one scheme's annotation at a time, so memory
+    that the allocator refuses raises InvalidConfig, each seed's val and test
+    labels are checked, and every cell is listed with its seed. ERM's one cell
+    per seed has the scheme "-", and its row is copied to every scheme. A seed
+    whose cells must all fail when scored trains nothing: each of its cells is
+    an error row with that failure, or, when no seed can be scored, the first
+    seed's failure is raised. Only then is the min-KL table built. Seeds then
+    run one by one, each in two phases. Fit draws the seed's train and val
+    splits, trains ERM, then annotates train and val with one scheme at a time
+    just before that scheme's cells, and records each model's validation AUC.
+    Score releases train, val and the last annotation, draws the seed's test
+    split and evaluates every fitted model on it, then releases it. So memory
     does not grow with the number of seeds or schemes. Cells run one after
     another: the work is Python and numpy dispatch that holds the interpreter
     lock, so threads would not overlap it. A cell whose training, validation
-    AUC or evaluation raises a SubshiftError is recorded as one error row and
-    skipped; any other exception is a bug and propagates. Error rows come out
-    in spec order (method, then scheme, then seed), not run order.
+    AUC or evaluation raises a SubshiftError is one error row and is skipped;
+    any other exception is a bug and propagates. Error rows come out in plan
+    order (method, then scheme, then seed), not run order.
     """
-    seeds = _plan_sweep(spec)
-    return _run_plan(spec, compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1), seeds)
+    plan = _plan_sweep(spec)
+    return _run_plan(spec, compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1), plan)
 
 
-def _run_plan(spec: ExperimentSpec, kl_rows, seeds) -> RunRecord:
+def _run_plan(spec: ExperimentSpec, kl_rows, plan) -> RunRecord:
     """Run the cells of a _plan_sweep plan against its min-KL table, as run_sweep describes."""
     started = _now()
+    seeds, cells = plan
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_by_scheme = {r.scheme: r for r in kl_rows}
-    # Each scheme with the methods trained on it; ERM trains once, under None.
-    passes = [(name, [m for m in spec.methods if (m == "erm") == (name is None)]) for name in (None, *spec.schemes)]
 
     rows = []
-    errors = []
+    errors = {}  # cell -> its error row
     for seed, data_seed, doom in seeds:
+        planned = [cell for cell in cells if cell[2] == seed]
         if doom is not None:
-            errors += [_error_row(method, name, seed, doom[1]) for name, methods in passes for method in methods]
+            errors.update((cell, _error_row(cell, doom[1])) for cell in planned)
             continue
-        fitted = []  # (method, scheme name or None for ERM, model, val AUC)
+        fitted = []  # (cell, model, val AUC)
         train, val = make_splits(spec.feature, spec.n_train, spec.n_val, spec.p_s0, spec.p_s1, seed=data_seed)
-        for name, methods in passes:
-            if not methods:
-                continue
+        for name in ("-", *spec.schemes):
+            todo = [cell for cell in planned if cell[1] == name]
             cell_train, cell_val = train, val
-            if name is not None:
+            if todo and name != "-":  # a sweep without a grouped method annotates nothing
                 scheme = GroupingScheme(name)
-                cell_train = annotate_samples(
-                    train, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "train"), p_train
+                cell_train, cell_val = (
+                    annotate_samples(split, scheme, _derive_seed(spec.master_seed, "annot", name, seed, part), p_train)
+                    for split, part in ((train, "train"), (val, "val"))
                 )
-                cell_val = annotate_samples(
-                    val, scheme, _derive_seed(spec.master_seed, "annot", name, seed, "val"), p_train
-                )
-            for method in methods:
-                cell_seed = _derive_seed(spec.master_seed, method, name or "-", seed)
+            for cell in todo:
+                method, _, _, cell_seed = cell
                 try:
                     model = mitigation.train(method, cell_train, spec.train, cell_seed, val=cell_val)
-                    fitted.append((method, name, model, auc(model.predict_scores(cell_val.features), cell_val.y)))
+                    fitted.append((cell, model, auc(model.predict_scores(cell_val.features), cell_val.y)))
                 except SubshiftError as exc:
-                    errors.append(_error_row(method, name, seed, exc))
+                    errors[cell] = _error_row(cell, exc)
             del cell_train, cell_val  # before the next scheme annotates
         del train, val  # before the test split is drawn
 
         test = make_test_split(spec.feature, spec.n_test, seed=data_seed)
-        for method, name, model, val_auc in fitted:
+        for cell, model, val_auc in fitted:
+            method, name, _, _ = cell
             try:
                 report = evaluate(model, test)
             except SubshiftError as exc:
-                errors.append(_error_row(method, name, seed, exc))
+                errors[cell] = _error_row(cell, exc)
                 continue
             scores = (val_auc, report.overall_auc, report.min_acc_A, report.gap_A, report.min_acc_S, report.gap_S)
-            for grouping in spec.schemes if name is None else (name,):
+            for grouping in spec.schemes if name == "-" else (name,):
                 kl = kl_by_scheme[grouping]
                 rows.append(dict(zip(RESULT_COLUMNS, (method, grouping, seed, *scores, kl.kl_gdro, kl.kl_resampling))))
         del test  # before the next seed draws its splits
 
     rows.sort(key=lambda r: (r["method"], r["grouping"], r["seed"]))
-    errors.sort(
-        key=lambda e: (
-            spec.methods.index(e["method"]),
-            (*spec.schemes, "-").index(e["grouping"]),
-            spec.seeds.index(e["seed"]),
-        )
-    )
-    return RunRecord(
-        rows=tuple(rows), kl_rows=tuple(kl_rows), errors=tuple(errors), started=started, finished=_now()
-    )
+    ordered = tuple(errors[cell] for cell in cells if cell in errors)
+    return RunRecord(rows=tuple(rows), kl_rows=tuple(kl_rows), errors=ordered, started=started, finished=_now())
 
 
-def _error_row(method, name, seed, exc) -> dict:
-    return {"method": method, "grouping": name or "-", "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
+def _error_row(cell, exc) -> dict:
+    method, name, seed, _ = cell
+    return {"method": method, "grouping": name, "seed": seed, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _csv(header: str, rows) -> str:
@@ -566,8 +564,8 @@ def cmd_ablate(args) -> int:
     base = None
     failed = False
     summary = []
-    for (name, variant_spec), kl_rows, seeds in zip(variants, tables, plans):
-        record = _write_and_report(_run_plan(variant_spec, kl_rows, seeds), variant_spec, out / name)
+    for (name, variant_spec), kl_rows, plan in zip(variants, tables, plans):
+        record = _write_and_report(_run_plan(variant_spec, kl_rows, plan), variant_spec, out / name)
         failed = failed or bool(record.errors)
         try:
             report = _correlate_dir(out / name)

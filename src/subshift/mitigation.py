@@ -18,7 +18,8 @@ adversaries), and the model's shape (``n_heads``, ``adv_groups``). ``_fit``
 owns the parameters, Adam's moments and the step count, updates them in
 place, keeps each epoch's mean report and returns the ``TrainedModel``.
 Grouped trainers count their groups in ``_group_sizes``. JTT runs ``_fit``
-for stage one and per upweighting candidate, and tags each in its ``info``.
+for stage one and per upweighting candidate, tags each in its ``info``, and
+names the run in the error of one that diverges.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
 label, since their mechanisms would leak y into inference. One function,
@@ -289,22 +290,29 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
     get weight lambda in a from-scratch stage-two run. The (stage-1 epochs,
     lambda) pair is the cell of JTT_STAGE1_GRID x JTT_UPWEIGHT_GRID with
     the best worst-group accuracy on the validation split, which a scheme
-    must have annotated. The grids are read when the function runs.
+    must have annotated. The grids are read when the function runs. A run
+    that diverges raises _fit's DegenerateInput with the run named after it:
+    "(jtt stage 1, 1 epoch)" or "(jtt stage 2, stage-1 epochs 1, upweight 5)".
     """
     if val.group_scheme is None:
         raise InvalidScheme("jtt selects by worst-group accuracy; annotate its validation split first")
     best = None
     for s1 in JTT_STAGE1_GRID:
-        stage1 = train_erm(dataset, replace(cfg, epochs=int(s1)), seed)
+        s1 = int(s1)
+        try:
+            stage1 = train_erm(dataset, replace(cfg, epochs=s1), seed)
+        except DegenerateInput as exc:
+            raise DegenerateInput(f"{exc} (jtt stage 1, {s1} epoch{'s' if s1 > 1 else ''})") from None
         wrong = ~correct(stage1.predict_scores(dataset.features), dataset.y)
         if not wrong.any():
             warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
         for lam in JTT_UPWEIGHT_GRID:
-            weights = np.where(wrong, float(lam), 1.0)
-            candidate = replace(
-                _fit(dataset, cfg, seed, _bce_step(dataset, sample_weights=weights)),
-                info={"stage1_epochs": int(s1), "upweight": float(lam), "n_upweighted": int(wrong.sum())},
-            )
+            lam = float(lam)
+            try:
+                fitted = _fit(dataset, cfg, seed, _bce_step(dataset, sample_weights=np.where(wrong, lam, 1.0)))
+            except DegenerateInput as exc:
+                raise DegenerateInput(f"{exc} (jtt stage 2, stage-1 epochs {s1}, upweight {lam:g})") from None
+            candidate = replace(fitted, info={"stage1_epochs": s1, "upweight": lam, "n_upweighted": int(wrong.sum())})
             score = group_accuracies(candidate.predict_scores(val.features), val.y, val.group).min()
             if best is None or score > best[0]:
                 best = (score, candidate)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subshift.dist_core import (
@@ -29,11 +29,15 @@ def random_distribution(rng, allow_zeros=False):
     return Distribution(raw / raw.sum())
 
 
-def near_simplex_vectors():
-    """Length-8 vectors with zeros, normalized, then scaled to a mass the constructor may refuse."""
+@st.composite
+def accepted_pairs(draw):
+    """Two length-8 vectors with zeros, normalized, then scaled to a mass within Distribution's
+    1e-9 slack; q's zero counts are lifted to 1 where p's count is positive, so q's support covers p's."""
     counts = st.lists(st.integers(0, 1000), min_size=N_ATOMS, max_size=N_ATOMS).filter(any)
-    mass = st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10, 0.5, 2.0])
-    return st.builds(lambda c, m: np.array(c) / sum(c) * m, counts, mass)
+    mass = st.sampled_from([1.0, 1.0 + 5e-10, 1.0 - 5e-10])
+    p_counts, q_counts = draw(counts), draw(counts)
+    q_counts = [max(qc, 1) if pc else qc for pc, qc in zip(p_counts, q_counts)]
+    return tuple(np.array(c) / sum(c) * draw(mass) for c in (p_counts, q_counts))
 
 
 class TestAtom:
@@ -220,15 +224,11 @@ class TestKlDivergence:
         else:
             assert kl > 0.0 or 0.5 * np.abs(p.probs - q.probs).sum() < 1e-9
 
-    @given(near_simplex_vectors(), near_simplex_vectors())
+    @given(accepted_pairs())
     @settings(max_examples=200, deadline=None)
-    def test_nonnegative_for_any_accepted_pair(self, p_raw, q_raw):
+    def test_nonnegative_for_any_accepted_pair(self, pair):
         # Gibbs' inequality holds for every pair the constructor lets through
-        try:
-            p, q = Distribution(p_raw), Distribution(q_raw)
-        except NonNormalizable:
-            assume(False)
-        assume(np.all(q.probs[p.probs > 0.0] > 0.0))
+        p, q = (Distribution(raw) for raw in pair)
         assert kl_divergence(p, q) >= -1e-12
 
 

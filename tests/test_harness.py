@@ -227,30 +227,43 @@ class TestRunSweep:
             assert len(messages) == 1 and messages[0].startswith(f"n_train={n_train} risks empty groups for {warned}")
 
     def test_errors_come_out_in_spec_order(self, monkeypatch):
-        # The sweep runs seed-major, so (gdro, S, 0) and (erm, -, 0) fail before
-        # (gdro, A, 1); the record lists them by method, then scheme, then seed.
+        # The sweep runs seed-major, so (erm, -, 0) and (gdro, S, 0) fail to train
+        # before (gdro, A, 1) does, and ERM's seed-1 model fails last, when scored;
+        # the record lists them by method, then scheme, then seed.
         spec = tiny_spec(methods=("gdro", "erm"), schemes=("A", "S"), seeds=(0, 1))
         failing = {
             _derive_seed(spec.master_seed, "gdro", "S", 0),
             _derive_seed(spec.master_seed, "gdro", "A", 1),
             _derive_seed(spec.master_seed, "erm", "-", 0),
         }
-        real_train = mitigation.train
+        unscorable = _derive_seed(spec.master_seed, "erm", "-", 1)
+        seed_of_model = {}
+        real_train, real_evaluate = mitigation.train, harness.evaluate
 
         def flaky_train(method, dataset, cfg, seed, val=None):
             if seed in failing:
                 raise EmptyGroup("injected")
-            return real_train(method, dataset, cfg, seed, val=val)
+            model = real_train(method, dataset, cfg, seed, val=val)
+            seed_of_model[id(model)] = seed
+            return model
+
+        def flaky_evaluate(model, test):
+            if seed_of_model[id(model)] == unscorable:
+                raise SubshiftError("injected when scored")
+            return real_evaluate(model, test)
 
         monkeypatch.setattr(mitigation, "train", flaky_train)
+        monkeypatch.setattr(harness, "evaluate", flaky_evaluate)
         record = run_sweep(spec)
-        assert [(e["method"], e["grouping"], e["seed"]) for e in record.errors] == [
-            ("gdro", "A", 1),
-            ("gdro", "S", 0),
-            ("erm", "-", 0),
+        assert [(e["method"], e["grouping"], e["seed"], e["error"]) for e in record.errors] == [
+            ("gdro", "A", 1, "EmptyGroup: injected"),
+            ("gdro", "S", 0, "EmptyGroup: injected"),
+            ("erm", "-", 0, "EmptyGroup: injected"),
+            ("erm", "-", 1, "SubshiftError: injected when scored"),
         ]
+        # ERM's unscorable model is copied to no scheme
         cells = {(r["method"], r["grouping"], r["seed"]) for r in record.rows}
-        assert cells == {("gdro", "A", 0), ("gdro", "S", 1), ("erm", "A", 1), ("erm", "S", 1)}
+        assert cells == {("gdro", "A", 0), ("gdro", "S", 1)}
 
     def test_peak_memory_does_not_grow_with_seeds(self):
         """A sweep holds one seed's splits and one scheme's annotation at a
@@ -316,11 +329,18 @@ class TestRunSweep:
         assert run_sweep(spec).errors == ()
         assert len(calls) == 2 * (1 + len(spec.schemes))  # per seed: ERM once, gdro per scheme
         assert all(cfg is spec.train for _, _, cfg, _ in calls)
-        cells = [(method, None if scheme is None else scheme.name, seed) for method, scheme, _, seed in calls]
+        cells = [(method, "-" if scheme is None else scheme.name, seed) for method, scheme, _, seed in calls]
         assert cells == [
-            (method, name, _derive_seed(5, method, name or "-", seed))
+            (method, name, _derive_seed(5, method, name, seed))
             for seed in spec.seeds
-            for method, name in (("erm", None), ("gdro", "A"), ("gdro", "S"))
+            for method, name in (("erm", "-"), ("gdro", "A"), ("gdro", "S"))
+        ]
+        # The plan lists the same cells and seeds, method-major; the sweep trains them seed-major.
+        _, planned = harness._plan_sweep(spec)
+        run_order = sorted(planned, key=lambda c: (spec.seeds.index(c[2]), ("-", *spec.schemes).index(c[1])))
+        assert cells == [(method, name, cell_seed) for method, name, _, cell_seed in run_order]
+        assert [c[:3] for c in planned] == [
+            (method, name, seed) for method, name in (("erm", "-"), ("gdro", "A"), ("gdro", "S")) for seed in spec.seeds
         ]
 
     def test_sweep_never_imports_numpy_ma(self):
@@ -821,8 +841,9 @@ class TestCli:
         errors = json.loads((out / "manifest.json").read_text())["errors"]
         cells = [("erm", "-")] * ("erm" in methods) + [(m, s) for m in methods if m != "erm" for s in config["schemes"]]
         assert [(e["method"], e["grouping"]) for e in errors] == cells
-        # JTT's first run is its one-epoch stage one
+        # JTT's first run is its one-epoch stage one, and its rows say so
         assert all(re.match(r"DegenerateInput: training diverged in epoch 1 of [12]: ", e["error"]) for e in errors)
+        assert [e["error"].endswith(" (jtt stage 1, 1 epoch)") for e in errors] == [m == "jtt" for m, _ in cells]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(errors)
         assert all(line.startswith("cell failed: ") and "training diverged in epoch 1" in line for line in err)

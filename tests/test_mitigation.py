@@ -540,6 +540,16 @@ class TestJtt:
         assert chosen.info == best.info
         assert params_equal(chosen.params, best.params)
 
+    def test_divergence_names_the_run_that_diverged(self, small_train, val_a, pin_jtt_grid):
+        """At lr 1e300 stage one diverges; at upweight 1e308 only the stage-two run does.
+        The suffix keeps _fit's message first, so the diverged epoch still leads."""
+        with pytest.raises(DegenerateInput, match=r"^training diverged in epoch 1 of 1: .* \(jtt stage 1, 1 epoch\)$"):
+            train_jtt(small_train, val_a, TrainConfig(epochs=2, lr=1e300), 0)
+        pin_jtt_grid(2, 1e308)
+        stage2 = r"^training diverged in epoch 1 of 2: .* \(jtt stage 2, stage-1 epochs 2, upweight 1e\+308\)$"
+        with pytest.raises(DegenerateInput, match=stage2):
+            train_jtt(small_train, val_a, TrainConfig(epochs=2), 0)
+
     def test_refuses_a_val_split_no_scheme_annotated(self, small_train, small_val, val_a):
         """JTT selects by worst group, so its val split needs a scheme's groups."""
         for val in (small_val, replace(val_a, group_scheme=None)):
