@@ -13,7 +13,8 @@ position in the list, so extending the scheme or seed list never perturbs
 existing cells, and a repeated run writes byte-identical CSVs. ERM ignores
 the grouping, so its scheme is "-" and its row is copied to every scheme.
 Error rows come out in plan order: method, then scheme, then seed.
-Timestamps live only in manifest.json.
+Timestamps and the numeric environment (Python, numpy, BLAS, SIMD) live only
+in manifest.json.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
 import time
 import warnings
@@ -205,12 +207,16 @@ def _plan_sweep(spec: ExperimentSpec):
         except (MemoryError, ValueError) as exc:  # ValueError: a size numpy cannot even index
             raise InvalidConfig(f"{rows}={shape[0]} rows of {cols}={shape[1]} {what}: {exc}") from None
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
+    cells = [
+        (m, name, seed) for m in spec.methods for name in (("-",) if m == "erm" else spec.schemes) for seed in spec.seeds
+    ]
 
     # Train group g draws each sample with probability pi_g, so the expected
     # number of empty groups, sum_g (1 - pi_g)^n_train, bounds the chance
-    # that any is empty; above 1% the sweep warns. A warning, not an error:
-    # an empty group only fails the cells it reaches, as error rows.
-    for name in spec.schemes:
+    # that any is empty; above 1% the sweep warns, for each scheme a cell of
+    # a method that counts train groups uses. A warning, not an error: an
+    # empty group only fails the cells it reaches, as error rows.
+    for name in dict.fromkeys(name for m, name, _ in cells if m in mitigation.NEEDS_TRAIN_GROUPS):
         grouping = atom_grouping(GroupingScheme(name), p_train)
         empty = float(np.sum((1.0 - p_train.probs @ grouping.assign) ** spec.n_train))
         if empty > 0.01:
@@ -224,9 +230,6 @@ def _plan_sweep(spec: ExperimentSpec):
     if all(doom is not None for _, _, doom in seeds):
         seed, _, (size, exc) = seeds[0]
         raise type(exc)(f"no seed can be scored: seed {seed}'s {size[2:]} split ({size}={getattr(spec, size)}): {exc}")
-    cells = [
-        (m, name, seed) for m in spec.methods for name in (("-",) if m == "erm" else spec.schemes) for seed in spec.seeds
-    ]
     return seeds, tuple((*cell, _derive_seed(spec.master_seed, *cell)) for cell in cells)
 
 
@@ -360,6 +363,22 @@ _MANIFEST = "manifest.json"
 RUN_FILES = (*RUN_CSVS, _MANIFEST)
 
 
+def _environment() -> dict:
+    """The Python, numpy, BLAS and SIMD builds a run's floats come from; None where numpy cannot say."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 takes no mode= and only prints its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "simd": {key: simd.get(key) for key in ("baseline", "found")},
+    }
+
+
 def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -374,6 +393,7 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
         "n_rows": len(record.rows),
         "errors": list(record.errors),
         "outputs": list(RUN_CSVS),
+        "environment": _environment(),
     }
     (out / _MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

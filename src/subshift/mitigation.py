@@ -17,9 +17,10 @@ only in three things it hands that loop: how an epoch's batches are drawn
 adversaries), and the model's shape (``n_heads``, ``adv_groups``). ``_fit``
 owns the parameters, Adam's moments and the step count, updates them in
 place, keeps each epoch's mean report and returns the ``TrainedModel``.
-Grouped trainers count their groups in ``_group_sizes``. JTT runs ``_fit``
-for stage one and per upweighting candidate, tags each in its ``info``, and
-names the run in the error of one that diverges.
+Grouped trainers (``NEEDS_TRAIN_GROUPS``) count their groups in
+``_group_sizes``. JTT runs ``_fit`` for stage one and per upweighting
+candidate, tags each in its ``info``, and names the run in the error of one
+that diverges.
 
 domain_ind and cfair (``NEEDS_Y_FREE``) refuse groupings that depend on the
 label, since their mechanisms would leak y into inference. One function,
@@ -46,6 +47,7 @@ from .nnet import expit
 __all__ = [
     "METHODS",
     "NEEDS_Y_FREE",
+    "NEEDS_TRAIN_GROUPS",
     "refuse_y_based",
     "TrainConfig",
     "TrainedModel",
@@ -91,18 +93,12 @@ class TrainedModel:
     info: dict = field(default_factory=dict)
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        """Scores for every row of x, computed _SCORE_BLOCK rows at a time.
-
-        Several heads, which only domain_ind trains, reduce to one logit per
-        row: the one with the largest |logit|.
-        """
+        """Scores for every row of x, _SCORE_BLOCK rows at a time, each from its largest-|logit| head."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         scores = np.empty(len(x))
         for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
             logits, _ = nnet.forward(self.params, x[start:stop])
-            if logits.ndim == 2:
-                logits = logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)]
-            scores[start:stop] = expit(logits)
+            scores[start:stop] = expit(logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)])
         return scores
 
 
@@ -131,7 +127,7 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape) -> TrainedModel:
     """The one training loop every method runs; returns the trained model,
-    which carries no method name: only its head count changes how it scores.
+    which carries no method name and scores by its largest-|logit| head.
 
     seed starts both the batch RNG and the parameter initialisation.
     batches(rng) yields one epoch of row indices (default: a fresh
@@ -233,21 +229,21 @@ def train_gdro(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
 
 
 def train_resampling(dataset, cfg: TrainConfig, seed: int) -> TrainedModel:
-    """Group-balanced sampling with replacement: batches pick a group
-    uniformly, then a sample uniformly inside it."""
-    k = len(_group_sizes(dataset))
-    by_group = [np.flatnonzero(dataset.group == g) for g in range(k)]
+    """Group-balanced sampling with replacement: each batch slot picks a group
+    uniformly, then a row uniformly inside it; one generator call draws a
+    batch's rows, group by group and in slot order inside each group."""
+    sizes = _group_sizes(dataset)
+    members = np.argsort(dataset.group, kind="stable")  # group 0's rows, then group 1's, ...
+    first = np.cumsum(sizes) - sizes  # where each group's rows start in members
     steps_per_epoch = max(1, int(np.ceil(len(dataset.y) / cfg.batch_size)))
 
     def batches(rng):
         for _ in range(steps_per_epoch):
-            picks = rng.integers(0, k, size=cfg.batch_size)
+            picks = rng.integers(0, len(sizes), size=cfg.batch_size)
+            slots = np.argsort(picks, kind="stable")  # group by group, slot order inside each
+            groups = picks[slots]
             batch = np.empty(cfg.batch_size, dtype=int)
-            for g in range(k):
-                mask = picks == g
-                m = int(mask.sum())
-                if m:
-                    batch[mask] = by_group[g][rng.integers(0, len(by_group[g]), size=m)]
+            batch[slots] = members[first[groups] + rng.integers(0, sizes[groups])]
             yield batch
 
     return _fit(dataset, cfg, seed, _bce_step(dataset), batches=batches)
@@ -333,6 +329,10 @@ METHODS = (*_TRAINERS, "jtt")
 # Methods whose mechanism would carry a label-based grouping into inference;
 # their trainers refuse any grouping that is not y-free.
 NEEDS_Y_FREE = ("domain_ind", "cfair")
+
+# Methods whose trainers count the train split's groups (_group_sizes) and so
+# refuse one with an empty group; erm ignores groups and jtt reads only val's.
+NEEDS_TRAIN_GROUPS = ("gdro", "resampling", "domain_ind", "cfair")
 
 
 def train(method: str, dataset, cfg: TrainConfig, seed: int, val=None) -> TrainedModel:

@@ -3,6 +3,7 @@
 Supports three head configurations: a single sigmoid head, k routed heads
 (each sample's loss flows only through its group's head), and an optional
 per-class adversary bank predicting group from the hidden representation.
+Logits are [B, k] for every model, k = 1 included.
 Everything is plain numpy; gradients are validated against central finite
 differences in the test suite.
 
@@ -78,10 +79,6 @@ class ModelParams:
         out._bind(flat, self._layout)
         return out
 
-    @property
-    def n_heads(self) -> int:
-        return self.w_heads.shape[0]
-
 
 def init_params(
     dim: int,
@@ -108,17 +105,14 @@ def init_params(
 
 
 def forward(params: ModelParams, x: np.ndarray):
-    """Return (logits, hidden). Logits are [B] for one head, [B, k] otherwise."""
+    """Return (logits, hidden): logits are [B, k] for k heads, k = 1 included."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != params.w1.shape[0]:
         raise DimensionMismatch(f"{x.shape[1]} features vs {params.w1.shape[0]} input weights")
     hidden = x @ params.w1
     hidden += params.b1
     np.tanh(hidden, out=hidden)
-    logits = hidden @ params.w_heads.T + params.b_heads
-    if params.n_heads == 1:
-        logits = logits[:, 0]
-    return logits, hidden
+    return hidden @ params.w_heads.T + params.b_heads, hidden
 
 
 def row_blocks(n: int, size: int):
@@ -177,10 +171,10 @@ def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=N
     y = np.asarray(y, dtype=float)
     b = len(y)
     logits, hidden = forward(params, x)
-    multi = logits.ndim == 2
-    if multi and head_ids is None:
+    if head_ids is None and logits.shape[1] > 1:
         raise DimensionMismatch("multi-head model needs head_ids")
-    z = logits[np.arange(b), np.asarray(head_ids)] if multi else logits
+    rows = (slice(None), 0) if head_ids is None else (np.arange(b), np.asarray(head_ids))
+    z = logits[rows]
 
     bce = _bce(z, y)
     if callable(sample_weights):
@@ -189,11 +183,11 @@ def bce_loss_and_grad(params: ModelParams, x, y, sample_weights=None, head_ids=N
     loss = float(np.sum(w * bce) / b)
     dz = w * (expit(z) - y) / b
 
-    if multi:
-        dlogits = np.zeros_like(logits)
-        dlogits[np.arange(b), np.asarray(head_ids)] = dz
-    else:
+    if head_ids is None:
         dlogits = dz[:, None]
+    else:
+        dlogits = np.zeros_like(logits)
+        dlogits[rows] = dz
 
     g = params.like(np.zeros_like(params.flat))
     _head_encoder_backward(params, g, x, hidden, dlogits)
@@ -217,9 +211,10 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
     b = len(y)
 
     logits, hidden = forward(params, x)
+    z = logits[:, 0]
     yf = y.astype(float)
-    bce = float(np.sum(_bce(logits, yf)) / b)
-    dz = (expit(logits) - yf) / b
+    bce = float(np.sum(_bce(z, yf)) / b)
+    dz = (expit(z) - yf) / b
 
     grads = params.like(np.zeros_like(params.flat))
     adv_loss = 0.0

@@ -65,9 +65,6 @@ class Dataset:
     group_scheme: GroupingScheme | None = None
     group_count: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.y)
-
     def atom_indices(self) -> np.ndarray:
         return atom_index(self.y, self.s, self.a)
 

@@ -304,7 +304,7 @@ class TestAnnotateSamples:
 
     def test_random_frequencies(self, big_dataset):
         ds = annotate_samples(big_dataset, GroupingScheme("Random"), seed=7)
-        freqs = np.bincount(ds.group, minlength=4) / len(ds)
+        freqs = np.bincount(ds.group, minlength=4) / len(ds.y)
         assert np.allclose(freqs, 0.25, atol=0.01)
 
     def test_noisy_keep_fraction(self, p_train, big_dataset):

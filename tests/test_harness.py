@@ -1,4 +1,5 @@
 import json
+import platform
 import re
 import subprocess
 import sys
@@ -225,6 +226,17 @@ class TestRunSweep:
             assert messages == []
         else:
             assert len(messages) == 1 and messages[0].startswith(f"n_train={n_train} risks empty groups for {warned}")
+
+    def test_no_warning_for_methods_that_count_no_train_groups(self, monkeypatch):
+        """erm ignores groups and jtt reads only val's, so an empty train group fails neither."""
+        def no_data(*args, **kwargs):
+            raise RuntimeError("data drawn")
+
+        monkeypatch.setattr(harness, "make_splits", no_data)
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(RuntimeError, match="data drawn"):
+            warnings.simplefilter("always")
+            run_sweep(tiny_spec(methods=("erm", "jtt"), schemes=("A", "SC_noSC", "Random"), n_train=20))
+        assert [str(w.message) for w in caught] == []
 
     def test_errors_come_out_in_spec_order(self, monkeypatch):
         # The sweep runs seed-major, so (erm, -, 0) and (gdro, S, 0) fail to train
@@ -483,6 +495,26 @@ class TestCsvOutputs:
         assert manifest["spec"]["feature"]["d_y"] == 2
         assert manifest["n_rows"] == 6
         assert manifest["errors"] == []
+
+    def test_manifest_records_the_numeric_environment(self, tiny_record, tmp_path):
+        write_run_outputs(tiny_record, tiny_spec(), tmp_path)
+        env = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+        assert env == harness._environment()  # survives the JSON round trip
+        assert set(env) == {"python", "numpy", "blas", "simd"}
+        assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+        assert set(env["simd"]) == {"baseline", "found"}
+        assert env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+
+    def test_environment_is_null_where_numpy_cannot_report_it(self, monkeypatch):
+        def show_config():  # numpy before 1.26: no mode= argument, prints only
+            raise AssertionError("printed")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        env = harness._environment()
+        assert env["numpy"] == np.__version__
+        assert env["blas"] == {"name": None, "version": None, "openblas configuration": None}
+        assert env["simd"] == {"baseline": None, "found": None}
 
     def test_one_version_in_package_manifest_and_pyproject(self, tiny_record, tmp_path):
         write_run_outputs(tiny_record, tiny_spec(), tmp_path)

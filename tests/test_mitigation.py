@@ -13,6 +13,8 @@ from subshift.metrics import auc
 from subshift.mitigation import (
     JTT_STAGE1_GRID,
     JTT_UPWEIGHT_GRID,
+    METHODS,
+    NEEDS_TRAIN_GROUPS,
     NEEDS_Y_FREE,
     TrainConfig,
     TrainedModel,
@@ -65,7 +67,7 @@ def hand_grouped(ds, groups, k):
 
 
 def single_group(ds):
-    return hand_grouped(ds, np.zeros(len(ds), dtype=np.int64), 1)
+    return hand_grouped(ds, np.zeros(len(ds.y), dtype=np.int64), 1)
 
 
 @pytest.fixture
@@ -248,9 +250,26 @@ class TestErm:
 
 @pytest.mark.parametrize("method", ("gdro", "resampling", "domain_ind", "cfair"))
 def test_rejects_empty_group(method, small_train):
-    bad = hand_grouped(small_train, np.zeros(len(small_train), dtype=np.int64), 2)
+    bad = hand_grouped(small_train, np.zeros(len(small_train.y), dtype=np.int64), 2)
     with pytest.raises(EmptyGroup, match="group 1 has no training samples"):
         train(method, bad, TrainConfig(epochs=1), 0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_exactly_the_group_counting_methods_refuse_an_empty_train_group(method, p_train, val_a, pin_jtt_grid):
+    """NEEDS_TRAIN_GROUPS, which the sweep's empty-group warning reads, names the trainers that refuse."""
+    pin_jtt_grid(1, 5.0)
+    tiny = sample_dataset(p_train, 3, FeatureConfig(d_y=2, d_a=2, d_s=2), seed=2)
+    tiny = annotate_samples(tiny, GroupingScheme("Random"), seed=0)
+    assert np.bincount(tiny.group, minlength=4).tolist() == [1, 1, 1, 0]
+    if method in NEEDS_TRAIN_GROUPS:
+        with pytest.raises(EmptyGroup, match="^group 3 has no training samples$"):
+            train(method, tiny, TrainConfig(epochs=1), 0, val=val_a)
+    else:
+        with warnings.catch_warnings():  # three rows may leave JTT's stage 1 without an error
+            warnings.filterwarnings("ignore", "stage-1 model makes no training errors")
+            model = train(method, tiny, TrainConfig(epochs=1), 0, val=val_a)
+        assert len(model.history) == 1
 
 
 @pytest.mark.parametrize("method", NEEDS_Y_FREE)
@@ -377,6 +396,31 @@ class TestResampling:
         assert seen.sum() == 64 * 10_000
         assert np.all(np.abs(freq - 0.25) < 0.01)
 
+    @pytest.mark.parametrize("k", (1, 2, 4, 8))
+    def test_batches_match_a_per_group_draw_bit_for_bit(self, k, small_train, monkeypatch):
+        """A batch is one draw, taken group by group and in slot order inside
+        each group: its rows and the generator's final state are those of a
+        loop that draws each group's slots in turn. Group k - 1 has one row."""
+        groups = np.random.default_rng(k).integers(0, max(k - 1, 1), size=len(small_train.y))
+        groups[0] = k - 1
+        monkeypatch.setattr(mitigation, "_fit", lambda dataset, cfg, seed, step, batches: batches)
+        batches = train_resampling(hand_grouped(small_train, groups, k), TrainConfig(batch_size=100), 0)
+        by_group = [np.flatnonzero(groups == g) for g in range(k)]
+        drawn, ref = np.random.default_rng(7), np.random.default_rng(7)
+        n_batches = 0
+        for _ in range(2):  # two epochs
+            for batch in batches(drawn):
+                picks = ref.integers(0, k, size=100)
+                want = np.empty(100, dtype=int)
+                for g in range(k):
+                    mask = picks == g
+                    if mask.any():
+                        want[mask] = by_group[g][ref.integers(0, len(by_group[g]), size=mask.sum())]
+                np.testing.assert_array_equal(batch, want)
+                n_batches += 1
+        assert n_batches == 2 * 12
+        assert drawn.bit_generator.state == ref.bit_generator.state
+
     def test_single_group_runs(self, small_train):
         model = train_resampling(single_group(small_train), TrainConfig(epochs=2), 0)
         assert len(model.history) == 2
@@ -434,8 +478,7 @@ class TestPredictScores:
         x = rng.normal(size=(n, 15))
         model = TrainedModel(params=params, history=())
         logits, _ = nnet.forward(params, x)
-        if n_heads > 1:
-            logits = logits[np.arange(n), np.argmax(np.abs(logits), axis=1)]
+        logits = logits[np.arange(n), np.argmax(np.abs(logits), axis=1)]
         np.testing.assert_array_equal(model.predict_scores(x), nnet.expit(logits))
 
     def test_peak_memory_is_bounded(self, rng):

@@ -136,7 +136,7 @@ class TestForward:
         ref_hidden = np.tanh(x @ params.w1 + params.b1)
         ref_logits = ref_hidden @ params.w_heads.T + params.b_heads
         assert np.array_equal(hidden, ref_hidden)
-        assert np.array_equal(logits, ref_logits[:, 0] if n_heads == 1 else ref_logits)
+        assert np.array_equal(logits, ref_logits)
 
     def test_leaves_inputs_and_params_unchanged(self, rng):
         params = init_params(4, hidden=3, n_heads=2, adv_groups=2, seed=5)
@@ -183,7 +183,7 @@ class TestBceLoss:
     def test_per_sample_losses_match_formula(self, rng):
         params = init_params(3, hidden=4, seed=5)
         x, y, _ = random_batch(rng, 3, 6)
-        logits, _ = forward(params, x)
+        logits = forward(params, x)[0][:, 0]
         want = np.log1p(np.exp(-np.abs(logits))) + np.maximum(logits, 0) - y * logits
         assert np.allclose(sample_losses_seen(params, x, y), want, atol=1e-12)
 
@@ -208,7 +208,7 @@ class TestBceLoss:
 
         loss, grads = bce_loss_and_grad(params, x, y, sample_weights=ones, head_ids=head_ids)
         logits, _ = forward(params, x)
-        z = logits if n_heads == 1 else logits[np.arange(8), g]
+        z = logits[np.arange(8), g]
         want = np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - y * z
         assert len(seen) == 1
         assert np.allclose(seen[0], want, atol=1e-12)
@@ -441,7 +441,6 @@ class TestFlatLayout:
                   "w_heads": rng.normal(size=(1, 2)), "b_heads": rng.normal(size=1)}
         params = ModelParams(**blocks)
         assert params.w_adv is None and params.b_adv is None
-        assert params.n_heads == 1
         for f, a in blocks.items():
             assert getattr(params, f).shape == a.shape
             assert np.array_equal(getattr(params, f), a)

@@ -46,7 +46,7 @@ class TestFeatureConfig:
 
 class TestSampleDataset:
     def test_uniform_atom_frequencies(self, big_uniform):
-        freq = np.bincount(big_uniform.atom_indices(), minlength=8) / len(big_uniform)
+        freq = np.bincount(big_uniform.atom_indices(), minlength=8) / len(big_uniform.y)
         assert np.all(np.abs(freq - 0.125) < 0.005)
 
     def test_biased_conditional(self, big_biased):
@@ -121,7 +121,7 @@ class TestMakeSplits:
         splits = (*make_splits(cfg, 80_000, 80_000, 0.95, 0.8, seed=0), make_test_split(cfg, 80_000, seed=0))
         biased = biased_distribution(0.95, 0.8).probs
         for ds, probs in zip(splits, (biased, biased, uniform_distribution().probs)):
-            freq = np.bincount(ds.atom_indices(), minlength=N_ATOMS) / len(ds)
+            freq = np.bincount(ds.atom_indices(), minlength=N_ATOMS) / len(ds.y)
             assert np.all(np.abs(freq - probs) < 0.005)
 
     def test_child_seeds_distinct(self):
