@@ -131,30 +131,29 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
     Convention 0*ln(0) = 0. Mass of p outside q's support is a
     SupportMismatch error rather than +inf, to surface configuration bugs.
+    A sum that rounds to 0 or below, -0.0 included, is returned as 0.0.
     """
     pv, qv = p.probs, q.probs
     pos = pv > 0.0
     if np.any(qv[pos] == 0.0):
         raise SupportMismatch("p has mass where q is zero")
-    return float(np.sum(pv[pos] * np.log(pv[pos] / qv[pos])))
+    kl = float(np.sum(pv[pos] * np.log(pv[pos] / qv[pos])))
+    return 0.0 if kl <= 0.0 else kl  # NaN passes, as max(0.0, kl) would not
 
 
-def group_conditionals(p: Distribution, g: SoftGrouping):
-    """R[j, i] = share of group i's mass contributed by atom j, and which groups have mass.
+def group_conditionals(p: Distribution, g: SoftGrouping) -> np.ndarray:
+    """R[j, i] = share of group i's mass contributed by atom j.
 
     g is a SoftGrouping, the conditionals P(group | atom); anything else
     raises InvalidScheme. With m_ji = p_j * P(group i | atom j) and
     M_i = sum_j m_ji, R[j, i] = m_ji / M_i, so P^w = R @ w. A group with
-    M_i = 0 gets a zero column and alive[i] False.
+    M_i = 0 gets a zero column; every other column has a positive entry.
     """
     if not isinstance(g, SoftGrouping):
         raise InvalidScheme(f"expected a SoftGrouping, got {type(g).__name__}")
     m = p.probs[:, None] * g.assign
     mass = m.sum(axis=0)
-    alive = mass > 0.0
-    r = np.zeros_like(m)
-    r[:, alive] = m[:, alive] / mass[alive]
-    return r, alive
+    return np.divide(m, mass, out=np.zeros_like(m), where=mass > 0.0)
 
 
 def reweighted_distribution(p: Distribution, g: SoftGrouping, w) -> Distribution:
@@ -168,13 +167,13 @@ def reweighted_distribution(p: Distribution, g: SoftGrouping, w) -> Distribution
     group's conditional distribution by its weight. A positive weight on a
     group without mass raises EmptyGroup.
     """
-    r, alive = group_conditionals(p, g)
+    r = group_conditionals(p, g)
     wv = np.asarray(w, dtype=float)
     if wv.shape != (g.k,):
         raise SupportMismatch(f"weights of shape {wv.shape} do not fit {g.k} groups")
     if not (np.all(wv >= 0.0) and abs(wv.sum() - 1.0) <= 1e-10):
         raise OutOfRange(f"weights must lie on the simplex, got {wv.tolist()} with sum {float(wv.sum())}")
-    dead = ~alive & (wv > 0.0)
+    dead = ~r.any(axis=0) & (wv > 0.0)
     if np.any(dead):
         raise EmptyGroup(f"groups {np.nonzero(dead)[0].tolist()} have weight but no mass")
     return Distribution(r @ wv)

@@ -93,12 +93,18 @@ class TrainedModel:
     info: dict = field(default_factory=dict)
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        """Scores for every row of x, _SCORE_BLOCK rows at a time, each from its largest-|logit| head."""
+        """Scores for every row of x, _SCORE_BLOCK rows at a time, each from its largest-|logit| head.
+
+        Overflow and invalid values are silenced, as in _fit: a score that is
+        not finite is refused where it is used (metrics.auc), so an extreme
+        model is an error row, not a numpy warning.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         scores = np.empty(len(x))
-        for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
-            logits, _ = nnet.forward(self.params, x[start:stop])
-            scores[start:stop] = expit(logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
+                logits, _ = nnet.forward(self.params, x[start:stop])
+                scores[start:stop] = expit(logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)])
         return scores
 
 

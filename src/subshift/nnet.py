@@ -221,8 +221,6 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
     d_hidden_adv = np.zeros_like(hidden)
     for c in range(params.w_adv.shape[0]):
         idx = np.nonzero(y == c)[0]
-        if len(idx) == 0:
-            continue
         h_c = hidden[idx]
         za = h_c @ params.w_adv[c].T + params.b_adv[c]
         za = za - za.max(axis=1, keepdims=True)

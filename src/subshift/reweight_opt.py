@@ -38,6 +38,10 @@ __all__ = [
     "table_to_csv",
 ]
 
+# Cover's iteration stops at a gap of _TOL nats, or after _MAX_ITERS updates.
+_TOL = 1e-11
+_MAX_ITERS = 100_000
+
 # Grid points per product: 1024 x k <= 4 coordinates x 8 atoms stays far under
 # OpenBLAS's single-thread GEMM cutoff, and the buffers stay a few tens of KB.
 _GRID_BLOCK = 1024
@@ -59,35 +63,23 @@ def resampling_weights(grouping: SoftGrouping) -> np.ndarray:
     return w
 
 
-def optimal_weights(
-    p_train: Distribution,
-    grouping: SoftGrouping,
-    p_target: Distribution,
-    tol: float = 1e-11,
-    max_iters: int = 100_000,
-) -> OptimizationResult:
+def optimal_weights(p_train: Distribution, grouping: SoftGrouping, p_target: Distribution) -> OptimizationResult:
     """Minimize kl_divergence(p_target, P^w) over the weight simplex.
 
     Cover's iteration from uniform w: w <- w * r(w), renormalized, where
     r_i(w) = sum_j t_j R_ji / (R w)_j over the atoms j with target mass.
-    Every iterate satisfies f(w) - f* <= gap = log max_i r_i(w), so tol is a
-    bound in nats on f(w) - f*: the iteration stops once gap <= tol. On
-    iteration exhaustion the last iterate is returned with its gap and
+    Every iterate satisfies f(w) - f* <= gap = log max_i r_i(w), so _TOL is
+    a bound in nats on f(w) - f*: the iteration stops once gap <= _TOL. After
+    _MAX_ITERS updates the last iterate is returned with its gap and
     converged=False rather than raising.
 
-    Groups with zero mass under p_train get weight 0 and a warning; a
-    positive-weight request on such a group is impossible by construction
-    here since the optimizer owns the weights. Target mass on an atom that
-    no remaining group covers makes every P^w miss it: SupportMismatch.
+    A group with no mass under p_train has a zero column in R, so its ratio
+    is 0 and the first update gives it weight exactly 0, where it stays.
+    Target mass on an atom that no group with mass covers makes every P^w
+    miss it: SupportMismatch.
     """
-    r_full, alive = group_conditionals(p_train, grouping)
-    if not np.all(alive):
-        warnings.warn(
-            f"dropping zero-mass groups {np.nonzero(~alive)[0].tolist()} from optimization",
-            stacklevel=2,
-        )
     pos = p_target.probs > 0.0
-    r = r_full[np.ix_(pos, alive)]
+    r = group_conditionals(p_train, grouping)[pos]
     t = p_target.probs[pos]
     uncovered = ~np.any(r > 0.0, axis=1)
     if np.any(uncovered):
@@ -96,23 +88,22 @@ def optimal_weights(
 
     k = r.shape[1]
     w = np.full(k, 1.0 / k)
-    for iterations in range(max_iters + 1):
+    for iterations in range(_MAX_ITERS + 1):
         pw = r @ w
         ratio = (t / pw) @ r
         gap = float(np.log(ratio.max()))
-        if gap <= tol or iterations == max_iters:
+        if gap <= _TOL or iterations == _MAX_ITERS:
             break
         w = w * ratio
         w /= w.sum()
 
-    full = np.zeros(len(alive))
-    full[alive] = w
-    full.setflags(write=False)
+    w.setflags(write=False)
+    kl = float(np.sum(t * np.log(t / pw)))
     return OptimizationResult(
-        weights=full,
-        achieved_kl=float(np.sum(t * np.log(t / pw))),
+        weights=w,
+        achieved_kl=0.0 if kl <= 0.0 else kl,  # as kl_divergence rounds: never below 0.0
         iterations=iterations,
-        converged=gap <= tol,
+        converged=gap <= _TOL,
         gap=gap,
     )
 
@@ -138,7 +129,7 @@ def brute_force_min_kl(
     product over the whole prefix would, so the result does not depend on
     the block size.
     """
-    r, _ = group_conditionals(p_train, grouping)
+    r = group_conditionals(p_train, grouping)
     k = grouping.k
     if k > 4:
         raise TooManyGroups(f"grid search over a {k}-simplex is not tractable")

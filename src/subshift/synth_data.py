@@ -75,19 +75,30 @@ def _labels(rng, dist: Distribution, n: int) -> np.ndarray:
 
 
 def sample_dataset(dist: Distribution, n: int, cfg: FeatureConfig, seed: int) -> Dataset:
-    """Draw n i.i.d. samples; bitwise deterministic for fixed arguments."""
+    """Draw n i.i.d. samples; bitwise deterministic for fixed arguments.
+
+    A feature that overflows float64 raises OutOfRange, naming noise_sd and
+    the three means.
+    """
     if n < 1:
         raise OutOfRange(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     y, s, a = _labels(rng, dist, n)
 
-    # noise * noise_sd + centers, built in the one array the draw returns
+    # noise * noise_sd + centers, built in the one array the draw returns;
+    # an overflow is refused below, by name, rather than warned about
     features = rng.standard_normal((n, cfg.dim))
-    features *= cfg.noise_sd
     signs = lambda v: (2.0 * v - 1.0)[:, None]
-    features[:, : cfg.d_y] += cfg.mu_y * signs(y)
-    features[:, cfg.d_y : cfg.d_y + cfg.d_a] += cfg.mu_a * signs(a)
-    features[:, cfg.d_y + cfg.d_a :] += cfg.mu_s * signs(s)
+    with np.errstate(over="ignore"):
+        features *= cfg.noise_sd
+        features[:, : cfg.d_y] += cfg.mu_y * signs(y)
+        features[:, cfg.d_y : cfg.d_y + cfg.d_a] += cfg.mu_a * signs(a)
+        features[:, cfg.d_y + cfg.d_a :] += cfg.mu_s * signs(s)
+    if not np.isfinite(features).all():
+        raise OutOfRange(
+            f"features overflow: noise_sd={cfg.noise_sd}, mu_y={cfg.mu_y}, mu_a={cfg.mu_a} "
+            f"and mu_s={cfg.mu_s} draw values beyond float64's range"
+        )
 
     return Dataset(features=features, y=y, s=s, a=a)
 

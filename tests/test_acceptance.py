@@ -315,15 +315,14 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
 
 
 def test_criterion_12_refinement_and_pinsker():
-    tight = dict(tol=1e-11, max_iters=500_000)
-    kl_ay = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY")), UNIFORM, **tight)
-    kl_ay8 = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY_8")), UNIFORM, **tight)
+    kl_ay = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY")), UNIFORM)
+    kl_ay8 = optimal_weights(P_TRAIN, atom_grouping(GroupingScheme("AY_8")), UNIFORM)
     assert abs(kl_ay8.achieved_kl - kl_ay.achieved_kl) < EQUALITY_TOL
 
     for scheme in reweighting_schemes():
         grouping = atom_grouping(scheme, P_TRAIN)
-        base = optimal_weights(P_TRAIN, grouping, UNIFORM, **tight).achieved_kl
-        split = optimal_weights(P_TRAIN, refine(grouping), UNIFORM, **tight).achieved_kl
+        base = optimal_weights(P_TRAIN, grouping, UNIFORM).achieved_kl
+        split = optimal_weights(P_TRAIN, refine(grouping), UNIFORM).achieved_kl
         assert split <= base + EQUALITY_TOL, scheme.name
 
     rng = np.random.default_rng(12345)

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -617,6 +618,11 @@ class TestCli:
         assert lines[0] == "scheme,kl_gdro,kl_resampling"
         assert lines[1] == "AY,0.113415,0.113415"
         assert len(lines) == 2
+
+    def test_divergence_that_rounds_below_zero_prints_zero(self, capsys):
+        # -3.7e-23 before rounding; a KL divergence is never written negative
+        assert main(["analyze-kl", "--p-s0", "0.6", "--p-s1", "0.6", "--scheme", "Noisy_AY_0.10"]) == 0
+        assert "Noisy_AY_0.10,0.000000,0.000200" in capsys.readouterr().out.splitlines()
 
     def test_correlate_without_results_errors(self, tmp_path, capsys):
         assert main(["correlate", "--out", str(tmp_path / "nowhere")]) == 2
@@ -1386,6 +1392,70 @@ class TestMalformedSpecs:
         reached = AssertionError("make_splits reached")
         with mock.patch.object(harness, "make_splits", side_effect=reached), pytest.raises(AssertionError, match="reached"):
             main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+CONTRACT_BASE = {
+    "methods": ["erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"],
+    "schemes": ["A", "AS", "SC_noSC"],
+    "seeds": [0],
+    "n_train": 64,
+    "n_val": 64,
+    "n_test": 128,
+    "train": {"epochs": 1},
+}
+# The warnings a run may raise; the README documents each
+DOCUMENTED_WARNINGS = (
+    "risks empty groups",
+    "the min-KL solve stopped",
+    "stage-1 model makes no training errors; upweighting is a no-op",
+)
+
+
+def _edge_values(cls):
+    """(field, value) pairs at the edges of cls's numeric fields: each int at its declared
+    min; each float at 1e308 and at its lower edge (5e-324 above a bound, the bound itself
+    as a min, or -1e308 when unbounded)."""
+    for f in fields(cls):
+        if isinstance(f.default, int):
+            yield f.name, f.metadata["min"]
+            continue
+        yield f.name, 1e308
+        if "above" in f.metadata:
+            yield f.name, 5e-324
+        elif "min" in f.metadata:
+            yield f.name, float(f.metadata["min"])
+        else:
+            yield f.name, -1e308
+
+
+EDGE_CASES = [
+    pytest.param(section, name, value, id=f"{section}.{name}={value!r}")
+    for section, cls in (("feature", FeatureConfig), ("train", TrainConfig))
+    for name, value in _edge_values(cls)
+]
+
+
+class TestAcceptedSpecs:
+    """An accepted config exits 0, 1 or 2 by the CLI contract, with no numpy warning."""
+
+    @pytest.mark.parametrize("section,key,value", EDGE_CASES)
+    def test_edge_value_meets_the_contract(self, tmp_path, capsys, section, key, value):
+        cfg_path, out = tmp_path / "config.json", tmp_path / "out"
+        cfg_path.write_text(json.dumps({**CONTRACT_BASE, section: {**CONTRACT_BASE.get(section, {}), key: value}}))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert err == []
+        elif code == 1:
+            assert err and all(line.startswith("cell failed: ") for line in err), err
+        else:
+            assert code == 2
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert not out.exists()
+        for w in seen:
+            assert w.category is UserWarning and any(d in str(w.message) for d in DOCUMENTED_WARNINGS), w
 
 
 class TestDefaults:

@@ -481,6 +481,16 @@ class TestPredictScores:
         logits = logits[np.arange(n), np.argmax(np.abs(logits), axis=1)]
         np.testing.assert_array_equal(model.predict_scores(x), nnet.expit(logits))
 
+    def test_overflow_raises_no_warning(self):
+        """Scoring silences overflow, as _fit does."""
+        params = nnet.init_params(15, seed=0)
+        params.flat[:] = 1e308  # the first layer's sums overflow to inf
+        model = TrainedModel(params=params, history=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = model.predict_scores(np.ones((4, 15)))
+        np.testing.assert_array_equal(scores, 1.0)
+
     def test_peak_memory_is_bounded(self, rng):
         """Scoring holds the [n] score vector and one block's activations,
         never an [n, hidden] activation of the whole split."""

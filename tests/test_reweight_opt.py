@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from subshift.grouping import (
     refine,
     reweighting_schemes,
 )
+from subshift import reweight_opt
 from subshift.reweight_opt import (
     brute_force_min_kl,
     min_kl_table,
@@ -43,7 +45,7 @@ def reference_brute_force(p_train, grouping, p_target, grid_step):
     """The grid search as first written: one meshgrid block per leading coordinate."""
     k = grouping.k
     n = int(round(1.0 / grid_step))
-    r, _ = group_conditionals(p_train, grouping)
+    r = group_conditionals(p_train, grouping)
     t = p_target.probs
     pos = t > 0.0
     t_pos = t[pos]
@@ -144,29 +146,31 @@ class TestOptimalWeights:
         assert res.gap <= 1e-11
         assert res.achieved_kl == pytest.approx(0.113415290770, abs=1e-9)
 
-    def test_exhausted_iterations_reports_not_converged(self, p_train, p_uniform):
+    def test_exhausted_iterations_reports_not_converged(self, p_train, p_uniform, monkeypatch):
         g = atom_grouping(GroupingScheme("Noisy_AY_0.25"), p_train)
-        res = optimal_weights(p_train, g, p_uniform, tol=0.0, max_iters=1)
+        monkeypatch.setattr(reweight_opt, "_MAX_ITERS", 1)
+        res = optimal_weights(p_train, g, p_uniform)
         assert not res.converged
         assert res.iterations == 1
         assert np.isfinite(res.achieved_kl)
         assert np.isfinite(res.gap) and res.gap > 0.0
 
-    def test_zero_mass_group_dropped_with_warning(self):
+    def test_zero_mass_groups_get_exactly_zero_weight(self):
         p = Distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
         target = Distribution([0.3, 0.7, 0, 0, 0, 0, 0, 0])
         g = atom_grouping(GroupingScheme("YSA"))
-        with pytest.warns(UserWarning):
-            res = optimal_weights(p, g, target)
+        res = optimal_weights(p, g, target)
         assert res.achieved_kl == pytest.approx(0.0, abs=1e-8)
-        assert np.allclose(res.weights[2:], 0.0)
+        assert res.achieved_kl >= 0.0
+        assert np.all(res.weights[2:] == 0.0)
         assert res.weights[:2] == pytest.approx([0.3, 0.7], abs=1e-4)
+        assert not res.weights.flags.writeable
 
     @pytest.mark.parametrize("name", ["Y", "YSA"])
     def test_target_outside_training_support_rejected(self, p_uniform, name):
         p = Distribution([0.6, 0.4, 0, 0, 0, 0, 0, 0])
         g = atom_grouping(GroupingScheme(name))
-        with pytest.warns(UserWarning), pytest.raises(SupportMismatch):
+        with pytest.raises(SupportMismatch):
             optimal_weights(p, g, p_uniform)
 
     def test_weights_stay_strictly_positive_on_active_groups(self, p_train, p_uniform):
@@ -291,7 +295,8 @@ class TestOptimalityProperties:
         # convergence is asserted on the program's own groupings below.
         assert res.converged == (res.gap <= 1e-11)
         # Two iterations leave the gap wide enough for probes to beat the iterate.
-        early = optimal_weights(p, g, target, max_iters=2)
+        with mock.patch.object(reweight_opt, "_MAX_ITERS", 2):  # monkeypatch is function-scoped
+            early = optimal_weights(p, g, target)
         for _ in range(50):
             w = rng.dirichlet(np.ones(k))
             probe_kl = kl_divergence(target, reweighted_distribution(p, g, w))
@@ -396,6 +401,12 @@ class TestMinKlTable:
     def test_empty_rejected(self, p_train, p_uniform):
         with pytest.raises(OutOfRange):
             min_kl_table([], p_train, p_uniform)
+
+    def test_no_bias_reads_exactly_zero(self, p_uniform):
+        # Noisy_AY_0.10's two sums round to -1.1e-16 here; neither is kept below 0.0
+        rows = min_kl_table(reweighting_schemes(), biased_distribution(0.5, 0.5), p_uniform)
+        for row in rows:
+            assert str(row.kl_gdro) == str(row.kl_resampling) == "0.0", row
 
     def test_unconverged_solve_warns(self, p_uniform):
         """At this bias Cover's iteration on Noisy_AY_0.80 runs out of

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ class TestFeatureConfig:
 
 
 class TestSampleDataset:
+    def test_overflowing_draw_is_refused_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=r"noise_sd=1e\+308, mu_y=0\.6, mu_a=2\.0 and mu_s=1\.0"):
+                sample_dataset(uniform_distribution(), 16, FeatureConfig(noise_sd=1e308), seed=0)
+            ds = sample_dataset(uniform_distribution(), 16, FeatureConfig(noise_sd=1e307), seed=0)
+        assert np.isfinite(ds.features).all()
+
     def test_uniform_atom_frequencies(self, big_uniform):
         freq = np.bincount(big_uniform.atom_indices(), minlength=8) / len(big_uniform.y)
         assert np.all(np.abs(freq - 0.125) < 0.005)
