@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, SoftGrouping
+from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, SoftGrouping, atom_index
 from .errors import InvalidScheme
 
 __all__ = [
@@ -140,7 +140,7 @@ def annotate_samples(dataset, scheme: GroupingScheme, seed: int, p_train: Distri
     are untouched.
     """
     grouping = atom_grouping(scheme, p_train)
-    atoms = dataset.atom_indices()
+    atoms = atom_index(dataset.y, dataset.s, dataset.a)
     u = np.random.default_rng(seed).random(len(atoms))
     cdf = np.cumsum(grouping.assign, axis=1)
     groups = np.zeros(len(atoms), dtype=np.int64)

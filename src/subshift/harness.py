@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, mitigation
-from .dist_core import Distribution, biased_distribution, uniform_distribution
+from .dist_core import biased_distribution, uniform_distribution
 from .errors import (
     DegenerateInput,
     InsufficientSchemes,
@@ -506,8 +506,7 @@ def _correlate_dir(out) -> dict:
 def cmd_analyze_kl(args) -> int:
     spec = _spec_from_args(args)
     if args.check and (spec.p_s0 != DEFAULT_P_S0 or spec.p_s1 != DEFAULT_P_S1):
-        print("error: --check only applies at the default bias levels", file=sys.stderr)
-        return 2
+        raise InvalidConfig("--check only applies at the default bias levels")
     table = None if args.out is None else Path(args.out, "kl_table.csv")
     if table is not None:
         _refuse_blocked(args.out, [table.name])
@@ -523,15 +522,14 @@ def cmd_analyze_kl(args) -> int:
     failures = 0
     for row in rows:
         if row.scheme not in reference:
-            print(f"{row.scheme}: no reference value", file=sys.stderr)
+            print(f"check {row.scheme}: no reference value")
             failures += 1
             continue
         ref_g, ref_r = reference[row.scheme]
         dev = max(abs(row.kl_gdro - ref_g), abs(row.kl_resampling - ref_r))
-        status = "ok" if dev <= CHECK_TOLERANCE else "DEVIATION"
-        print(f"check {row.scheme}: max deviation {dev:.2e} {status}")
-        if dev > CHECK_TOLERANCE:
-            failures += 1
+        ok = dev <= CHECK_TOLERANCE
+        print(f"check {row.scheme}: max deviation {dev:.2e} {'ok' if ok else 'DEVIATION'}")
+        failures += not ok
     return 1 if failures else 0
 
 
@@ -558,14 +556,16 @@ def cmd_correlate(args) -> int:
     return 0
 
 
+def _ablation_variants(spec: ExperimentSpec) -> list:
+    """ablate's (name, spec) pairs: the spec, then weaker bias, then an eighth of its train set."""
+    weak, small = replace(spec, p_s0=0.85, p_s1=0.70), replace(spec, n_train=max(spec.n_train // 8, 8))
+    return [("baseline", spec), ("weak_shift", weak), ("small_n", small)]
+
+
 def cmd_ablate(args) -> int:
     spec = _spec_from_args(args)
     out = Path(args.out)
-    variants = [
-        ("baseline", spec),
-        ("weak_shift", replace(spec, p_s0=0.85, p_s1=0.70)),
-        ("small_n", replace(spec, n_train=max(spec.n_train // 8, 8))),
-    ]
+    variants = _ablation_variants(spec)
     correlated = _correlation_files(m for m in spec.methods if m != "erm")
     summary_csv = "ablation_summary.csv"
     _refuse_blocked(args.out, [Path(name, f) for name, _ in variants for f in (*RUN_FILES, *correlated)] + [summary_csv])

@@ -291,25 +291,25 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
     Stage one is a short ERM run; its training-set errors (threshold 0.5)
     get weight lambda in a from-scratch stage-two run. The (stage-1 epochs,
     lambda) pair is the cell of JTT_STAGE1_GRID x JTT_UPWEIGHT_GRID with
-    the best worst-group accuracy on the validation split, which a scheme
-    must have annotated. The grids are read when the function runs. A run
-    that diverges raises _fit's DegenerateInput with the run named after it:
+    the best worst-group accuracy on val, which must be a split a scheme
+    annotated. The grids are read when the function runs; one warning names
+    the stage-one lengths whose model made no training error. A run that
+    diverges raises _fit's DegenerateInput with the run named after it:
     "(jtt stage 1, 1 epoch)" or "(jtt stage 2, stage-1 epochs 1, upweight 5)".
     """
-    if val.group_scheme is None:
+    if val is None or val.group_scheme is None:
         raise InvalidScheme("jtt selects by worst-group accuracy; annotate its validation split first")
     best = None
+    no_errors = []
     for s1 in JTT_STAGE1_GRID:
-        s1 = int(s1)
         try:
             stage1 = train_erm(dataset, replace(cfg, epochs=s1), seed)
         except DegenerateInput as exc:
             raise DegenerateInput(f"{exc} (jtt stage 1, {s1} epoch{'s' if s1 > 1 else ''})") from None
         wrong = ~correct(stage1.predict_scores(dataset.features), dataset.y)
         if not wrong.any():
-            warnings.warn("stage-1 model makes no training errors; upweighting is a no-op")
+            no_errors.append(str(s1))
         for lam in JTT_UPWEIGHT_GRID:
-            lam = float(lam)
             try:
                 fitted = _fit(dataset, cfg, seed, _bce_step(dataset, sample_weights=np.where(wrong, lam, 1.0)))
             except DegenerateInput as exc:
@@ -318,6 +318,9 @@ def train_jtt(dataset, val, cfg: TrainConfig, seed: int) -> TrainedModel:
             score = group_accuracies(candidate.predict_scores(val.features), val.y, val.group).min()
             if best is None or score > best[0]:
                 best = (score, candidate)
+    if no_errors:
+        where = f"jtt on {val.group_scheme.name}, stage-1 epochs {', '.join(no_errors)}"
+        warnings.warn(f"stage-1 model makes no training errors ({where}); upweighting is a no-op")
     return best[1]
 
 
@@ -342,9 +345,8 @@ NEEDS_TRAIN_GROUPS = ("gdro", "resampling", "domain_ind", "cfair")
 
 
 def train(method: str, dataset, cfg: TrainConfig, seed: int, val=None) -> TrainedModel:
+    """Train one method on dataset; only jtt reads val, and train_jtt refuses a missing one."""
     if method == "jtt":
-        if val is None:
-            raise InvalidScheme("jtt needs a validation split for model selection")
         return train_jtt(dataset, val, cfg, seed)
     if method not in _TRAINERS:
         raise InvalidScheme(f"unknown method {method!r}")

@@ -80,13 +80,8 @@ class ModelParams:
         return out
 
 
-def init_params(
-    dim: int,
-    hidden: int = 16,
-    n_heads: int = 1,
-    adv_groups: int = 0,
-    seed: int = 0,
-) -> ModelParams:
+def init_params(dim: int, hidden: int, n_heads: int = 1, adv_groups: int = 0, *, seed: int) -> ModelParams:
+    """Seeded weights, normal with SD 1/sqrt(fan-in), and zero biases; TrainConfig owns hidden's default."""
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(dim, hidden))
     w_heads = rng.normal(0.0, 1.0 / np.sqrt(hidden), size=(n_heads, hidden))
@@ -239,10 +234,8 @@ def cfair_loss_and_grad(params: ModelParams, x, y, g_ids, mu: float):
     return bce, adv_loss, grads
 
 
-def sgd_adam_step(
-    params: ModelParams, grads: ModelParams, moments: tuple, t: int, lr: float, weight_decay: float = 0.0
-) -> None:
-    """Adam step number t (counting from 1) with decoupled weight decay.
+def sgd_adam_step(params: ModelParams, grads: ModelParams, moments: tuple, t: int, lr: float, weight_decay: float) -> None:
+    """Adam step number t (counting from 1) with decoupled weight decay, which TrainConfig owns.
 
     Updates ``params.flat`` and the moment vectors ``moments = (m, v)``,
     laid out like it, in place. Every expression acts on the whole flat

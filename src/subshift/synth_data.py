@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, atom_index, biased_distribution, uniform_distribution
+from .dist_core import ATOM_LABELS, Distribution, N_ATOMS, biased_distribution, uniform_distribution
 from .errors import OutOfRange, check_fields
 
 if TYPE_CHECKING:
@@ -64,9 +64,6 @@ class Dataset:
     group: np.ndarray | None = None
     group_scheme: GroupingScheme | None = None
     group_count: int | None = None
-
-    def atom_indices(self) -> np.ndarray:
-        return atom_index(self.y, self.s, self.a)
 
 
 def _labels(rng, dist: Distribution, n: int) -> np.ndarray:

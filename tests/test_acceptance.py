@@ -30,6 +30,7 @@ from subshift.harness import (
     CHECK_TOLERANCE,
     REFERENCE_TABLE,
     ExperimentSpec,
+    _ablation_variants,
     compute_kl_rows,
     correlate_results,
     main,
@@ -277,11 +278,12 @@ def test_criterion_09_kl_auc_correlation(default_sweep):
 
 
 def test_criterion_10_ablation_directions_hold():
-    variants = {
-        "weak_shift": ExperimentSpec(p_s0=0.85, p_s1=0.70),
-        "small_n": ExperimentSpec(n_train=1000),
-    }
-    for name, spec in variants.items():
+    variants = dict(_ablation_variants(ExperimentSpec()))
+    assert list(variants) == ["baseline", "weak_shift", "small_n"]
+    assert variants["weak_shift"] == ExperimentSpec(p_s0=0.85, p_s1=0.70)
+    assert variants["small_n"] == ExperimentSpec(n_train=1000)
+    for name in ("weak_shift", "small_n"):
+        spec = variants[name]
         record = run_sweep(spec)
         assert record.errors == (), name
         report = _trend_report(record.rows)

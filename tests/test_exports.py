@@ -1,3 +1,4 @@
+import ast
 import collections
 import importlib
 import json
@@ -5,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ import subshift
 MODULES = sorted(m.name for m in pkgutil.iter_modules(subshift.__path__) if m.name != "__main__")
 # The layers below the trainers and the CLI: importing any of them must not load those two.
 LOWER_LAYERS = ("errors", "dist_core", "grouping", "nnet", "metrics", "synth_data", "reweight_opt")
+SOURCES = sorted(Path(subshift.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -63,3 +66,23 @@ def test_lower_layers_load_neither_trainers_nor_cli():
     dist_core_only, lower = (json.loads(line) for line in proc.stdout.splitlines())
     assert dist_core_only == ["subshift", "subshift.dist_core", "subshift.errors"]
     assert lower == sorted(["subshift", *(f"subshift.{name}" for name in LOWER_LAYERS)])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    """Each name an import binds, bar __future__'s, is read in its module or listed in its __all__."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        ast.literal_eval(elt)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+        for elt in node.value.elts
+    }
+    assert {name: line for name, line in imported.items() if name not in read | exported} == {}

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from subshift.dist_core import SoftGrouping, biased_distribution, uniform_distribution
+from subshift.dist_core import SoftGrouping, atom_index, biased_distribution, uniform_distribution
 from subshift.errors import InvalidScheme, YBasedGrouping
 from subshift.grouping import (
     GroupingScheme,
@@ -252,7 +252,7 @@ def big_dataset(p_train):
 def per_atom_annotation(dataset, scheme, seed, p_train):
     """Reference annotation: argmax for hard rows, else a searchsorted per atom."""
     grouping = atom_grouping(scheme, p_train)
-    atoms = dataset.atom_indices()
+    atoms = atom_index(dataset.y, dataset.s, dataset.a)
     if grouping.is_hard:
         return np.argmax(grouping.assign, axis=1)[atoms].astype(np.int64)
     u = np.random.default_rng(seed).random(len(atoms))
@@ -269,7 +269,7 @@ def cdf_matrix_annotation(dataset, scheme, seed, p_train):
     """The [n, k] formula annotate_samples used before it counted one CDF
     column at a time: the number of CDF entries at or below u."""
     grouping = atom_grouping(scheme, p_train)
-    atoms = dataset.atom_indices()
+    atoms = atom_index(dataset.y, dataset.s, dataset.a)
     u = np.random.default_rng(seed).random(len(atoms))
     cdf = np.cumsum(grouping.assign, axis=1)
     cdf[:, -1] = 1.0
@@ -283,7 +283,7 @@ class TestAnnotateSamples:
         label = np.empty(8, dtype=np.int64)
         for g, atoms in enumerate(HARD_INDEX_SETS[name]):
             label[sorted(atoms)] = g
-        assert np.array_equal(ds.group, label[ds.atom_indices()])
+        assert np.array_equal(ds.group, label[atom_index(ds.y, ds.s, ds.a)])
 
     @pytest.mark.parametrize("name", ALL_SCHEME_NAMES)
     def test_matches_per_atom_reference(self, p_train, big_dataset, name):

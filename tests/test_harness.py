@@ -228,16 +228,25 @@ class TestRunSweep:
         else:
             assert len(messages) == 1 and messages[0].startswith(f"n_train={n_train} risks empty groups for {warned}")
 
-    def test_no_warning_for_methods_that_count_no_train_groups(self, monkeypatch):
-        """erm ignores groups and jtt reads only val's, so an empty train group fails neither."""
-        def no_data(*args, **kwargs):
-            raise RuntimeError("data drawn")
-
-        monkeypatch.setattr(harness, "make_splits", no_data)
-        with warnings.catch_warnings(record=True) as caught, pytest.raises(RuntimeError, match="data drawn"):
+    def test_no_warning_for_methods_that_count_no_train_groups(self):
+        """erm ignores groups and jtt reads only val's, so at n_train 20, where a train group
+        may be empty, the sweep neither warns nor fails a cell."""
+        spec = ExperimentSpec(
+            methods=("erm", "jtt"),
+            schemes=("A", "SC_noSC", "Random"),
+            seeds=(0,),
+            n_train=20,
+            n_val=60,
+            n_test=80,
+            train=TrainConfig(epochs=1),
+        )
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            run_sweep(tiny_spec(methods=("erm", "jtt"), schemes=("A", "SC_noSC", "Random"), n_train=20))
+            record = run_sweep(spec)
         assert [str(w.message) for w in caught] == []
+        assert record.errors == ()
+        cells = [(m, g) for m in ("erm", "jtt") for g in sorted(spec.schemes)]
+        assert [(r["method"], r["grouping"]) for r in record.rows] == cells
 
     def test_errors_come_out_in_spec_order(self, monkeypatch):
         # The sweep runs seed-major, so (erm, -, 0) and (gdro, S, 0) fail to train
@@ -611,6 +620,18 @@ class TestCli:
 
     def test_check_refuses_nondefault_bias(self, capsys):
         assert main(["analyze-kl", "--check", "--p-s0", "0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --check only applies at the default bias levels\n"
+
+    def test_check_reports_a_scheme_without_reference_on_stdout(self, capsys):
+        assert main(["analyze-kl", "--check", "--scheme", "Noisy_A_0.10", "--scheme", "AY"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2:] == [
+            "check Noisy_A_0.10: no reference value",
+            "check AY: max deviation 4.15e-04 ok",
+        ]
 
     def test_scheme_restriction_and_table_output(self, tmp_path, capsys):
         assert main(["analyze-kl", "--scheme", "AY", "--out", str(tmp_path)]) == 0
@@ -1061,7 +1082,7 @@ class TestCli:
 
     def test_ablate_writes_every_variant(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(ABLATE_CONFIG))
+        cfg_path.write_text(json.dumps({**ABLATE_CONFIG, "methods": ["erm", "gdro", "resampling"]}))
         tables = []
         real_table = harness.min_kl_table
 
@@ -1077,7 +1098,7 @@ class TestCli:
             assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
             assert len(tables) == 2  # one per distinct bias, shared by its variants' checks and sweeps
             csvs[run] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
-        names = ("results", "relative_auc", "disparity", "correlation", "scatter_gdro")
+        names = ("results", "relative_auc", "disparity", "correlation", "scatter_gdro", "scatter_resampling")
         for variant in ABLATE_VARIANTS:
             for name in names:
                 assert f"{variant}/{name}.csv" in csvs["first"]
@@ -1088,7 +1109,8 @@ class TestCli:
             assert rewritten == csvs["first"][f"{variant}/correlation.csv"], variant
         summary = csvs["first"]["ablation_summary.csv"].decode().splitlines()
         assert summary[0] == "variant,method,pearson_r,p_value,baseline_r,sign_preserved,erm_val_test_auc_drop"
-        assert [line.split(",")[:2] for line in summary[1:]] == [[v, "gdro"] for v in ABLATE_VARIANTS]
+        rows = [[v, m] for v in ABLATE_VARIANTS for m in ("gdro", "resampling")]
+        assert [line.split(",")[:2] for line in summary[1:]] == rows
         assert summary[1].split(",")[5] == "1"
 
     def test_ablate_builds_one_table_per_distinct_bias(self, tmp_path, monkeypatch):
@@ -1407,8 +1429,14 @@ CONTRACT_BASE = {
 DOCUMENTED_WARNINGS = (
     "risks empty groups",
     "the min-KL solve stopped",
-    "stage-1 model makes no training errors; upweighting is a no-op",
+    "stage-1 model makes no training errors",
 )
+# Edges whose outcome is pinned beyond the contract: (exit code, results.csv data rows), warning-free.
+PINNED_EDGES = {
+    ("feature", "noise_sd", 1e308): (2, None),  # the feature draw overflows float64
+    ("feature", "mu_a", 1e308): (0, 18),  # extreme features still score
+    ("train", "gdro_eta", 1e308): (0, 18),  # gDRO's group weights stay finite
+}
 
 
 def _edge_values(cls):
@@ -1456,6 +1484,24 @@ class TestAcceptedSpecs:
             assert not out.exists()
         for w in seen:
             assert w.category is UserWarning and any(d in str(w.message) for d in DOCUMENTED_WARNINGS), w
+        if (section, key, value) in PINNED_EDGES:
+            rows = None if code == 2 else (out / "results.csv").read_text().count("\n") - 1
+            assert (code, rows, seen) == (*PINNED_EDGES[section, key, value], [])
+
+    def test_every_pinned_edge_is_drawn(self):
+        assert set(PINNED_EDGES) <= {tuple(case.values) for case in EDGE_CASES}
+
+    def test_jtt_warns_once_per_cell_naming_its_scheme(self, tmp_path):
+        """At mu_y -1e308 no stage-one model errs on train: each JTT cell warns once, for both lengths."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**CONTRACT_BASE, "feature": {"mu_y": -1e308}}))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert [str(w.message) for w in seen] == [
+            f"stage-1 model makes no training errors (jtt on {name}, stage-1 epochs 1, 2); upweighting is a no-op"
+            for name in CONTRACT_BASE["schemes"]
+        ]
 
 
 class TestDefaults:

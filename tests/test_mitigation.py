@@ -483,7 +483,7 @@ class TestPredictScores:
 
     def test_overflow_raises_no_warning(self):
         """Scoring silences overflow, as _fit does."""
-        params = nnet.init_params(15, seed=0)
+        params = nnet.init_params(15, hidden=16, seed=0)
         params.flat[:] = 1e308  # the first layer's sums overflow to inf
         model = TrainedModel(params=params, history=())
         with warnings.catch_warnings():
@@ -495,7 +495,7 @@ class TestPredictScores:
         """Scoring holds the [n] score vector and one block's activations,
         never an [n, hidden] activation of the whole split."""
         x = rng.normal(size=(200_000, 15))
-        model = TrainedModel(params=nnet.init_params(15, seed=0), history=())
+        model = TrainedModel(params=nnet.init_params(15, hidden=16, seed=0), history=())
         model.predict_scores(x)  # one-time allocations
         tracemalloc.start()
         try:

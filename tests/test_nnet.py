@@ -337,7 +337,7 @@ class TestAdam:
     def test_zero_grads_leave_params_unchanged(self):
         params = init_params(3, hidden=4, seed=0)
         before = params.flat.copy()
-        sgd_adam_step(params, zeros_like(params), zero_moments(params), 1, lr=0.1)
+        sgd_adam_step(params, zeros_like(params), zero_moments(params), 1, lr=0.1, weight_decay=0.0)
         assert np.array_equal(params.flat, before)
 
     def test_weight_decay_is_decoupled(self):
@@ -351,7 +351,7 @@ class TestAdam:
         params = init_params(2, hidden=3, seed=4)
         moments = zero_moments(params)
         for t in range(1, 501):
-            sgd_adam_step(params, params.like(params.flat.copy()), moments, t, lr=0.01)
+            sgd_adam_step(params, params.like(params.flat.copy()), moments, t, lr=0.01, weight_decay=0.0)
         for f in PARAM_FIELDS[:4]:
             assert np.all(np.abs(getattr(params, f)) < 1e-3)
 
@@ -381,7 +381,7 @@ class TestAdam:
         for t in range(1, 201):
             loss, grads = bce_loss_and_grad(params, x, y)
             losses.append(loss)
-            sgd_adam_step(params, grads, moments, t, lr=0.01)
+            sgd_adam_step(params, grads, moments, t, lr=0.01, weight_decay=0.0)
         for k in range(50, len(losses)):
             assert losses[k] <= losses[k - 1] + 1e-6
         assert losses[-1] < losses[0]

@@ -18,7 +18,6 @@ from subshift.dist_core import (
 from subshift.errors import (
     InvalidScheme,
     NonNormalizable,
-    OutOfRange,
     SupportMismatch,
     TooManyGroups,
 )
@@ -398,9 +397,9 @@ class TestMinKlTable:
         assert rows[0].kl_gdro == pytest.approx(0.114, abs=5e-3)
         assert rows[0].kl_resampling == pytest.approx(0.131, abs=5e-3)
 
-    def test_empty_rejected(self, p_train, p_uniform):
-        with pytest.raises(OutOfRange):
-            min_kl_table([], p_train, p_uniform)
+    def test_empty_list_gives_empty_table(self, p_train, p_uniform):
+        """ExperimentSpec refuses an empty scheme list; the table itself has nothing to refuse."""
+        assert min_kl_table([], p_train, p_uniform) == []
 
     def test_no_bias_reads_exactly_zero(self, p_uniform):
         # Noisy_AY_0.10's two sums round to -1.1e-16 here; neither is kept below 0.0

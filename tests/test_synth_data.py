@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from subshift.dist_core import N_ATOMS, biased_distribution, uniform_distribution
+from subshift.dist_core import N_ATOMS, atom_index, biased_distribution, uniform_distribution
 from subshift.errors import OutOfRange
 from subshift.metrics import auc
 from subshift.mitigation import TrainConfig, train
@@ -56,7 +56,7 @@ class TestSampleDataset:
         assert np.isfinite(ds.features).all()
 
     def test_uniform_atom_frequencies(self, big_uniform):
-        freq = np.bincount(big_uniform.atom_indices(), minlength=8) / len(big_uniform.y)
+        freq = np.bincount(atom_index(big_uniform.y, big_uniform.s, big_uniform.a), minlength=8) / len(big_uniform.y)
         assert np.all(np.abs(freq - 0.125) < 0.005)
 
     def test_biased_conditional(self, big_biased):
@@ -131,7 +131,7 @@ class TestMakeSplits:
         splits = (*make_splits(cfg, 80_000, 80_000, 0.95, 0.8, seed=0), make_test_split(cfg, 80_000, seed=0))
         biased = biased_distribution(0.95, 0.8).probs
         for ds, probs in zip(splits, (biased, biased, uniform_distribution().probs)):
-            freq = np.bincount(ds.atom_indices(), minlength=N_ATOMS) / len(ds.y)
+            freq = np.bincount(atom_index(ds.y, ds.s, ds.a), minlength=N_ATOMS) / len(ds.y)
             assert np.all(np.abs(freq - probs) < 0.005)
 
     def test_child_seeds_distinct(self):
@@ -165,7 +165,7 @@ class TestMakeSplits:
         got = (*make_splits(cfg, 120, 60, 0.95, 0.8, seed=9), make_test_split(cfg, 90, seed=9))
         for ds, want in zip(got, expected):
             assert np.array_equal(ds.features, want.features)
-            assert np.array_equal(ds.atom_indices(), want.atom_indices())
+            assert np.array_equal(atom_index(ds.y, ds.s, ds.a), atom_index(want.y, want.s, want.a))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_scored_labels_replay_the_val_and_test_draws(self, seed):
