@@ -399,8 +399,8 @@ def write_run_outputs(record: RunRecord, spec: ExperimentSpec, out_dir) -> None:
 
 
 def read_results_csv(path):
-    """The typed rows of a results.csv; an unreadable file, a missing column or a bad value raises InvalidConfig."""
-    rows = []
+    """The typed rows of a results.csv; an unreadable file, a missing column, a bad value or a repeated cell raises InvalidConfig."""
+    rows, cells = [], set()
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -414,6 +414,10 @@ def read_results_csv(path):
                         row[col] = (int if col == "seed" else float)(raw[col])
                     except (TypeError, ValueError):
                         raise InvalidConfig(f"{path} line {reader.line_num}: cannot read {col} from {raw[col]!r}") from None
+                cell = (row["method"], row["grouping"], row["seed"])
+                if cell in cells:
+                    raise InvalidConfig(f"{path} line {reader.line_num}: lists {cell} more than once")
+                cells.add(cell)
                 rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:  # e.g. a directory, or bytes that are not text
         raise InvalidConfig(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None

@@ -63,11 +63,6 @@ __all__ = [
 JTT_STAGE1_GRID = (1, 2)
 JTT_UPWEIGHT_GRID = (5.0, 20.0, 50.0)
 
-# 1024 rows x 15 features x 16 hidden units stays under OpenBLAS's
-# single-thread GEMM cutoff (65,536 x 4 multiply-adds), and no whole-split
-# activation is allocated.
-_SCORE_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -93,7 +88,7 @@ class TrainedModel:
     info: dict = field(default_factory=dict)
 
     def predict_scores(self, x: np.ndarray) -> np.ndarray:
-        """Scores for every row of x, _SCORE_BLOCK rows at a time, each from its largest-|logit| head.
+        """Scores for every row of x, nnet.BLOCK_ROWS rows at a time, each from its largest-|logit| head.
 
         Overflow and invalid values are silenced, as in _fit: a score that is
         not finite is refused where it is used (metrics.auc), so an extreme
@@ -102,7 +97,7 @@ class TrainedModel:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         scores = np.empty(len(x))
         with np.errstate(over="ignore", invalid="ignore"):
-            for start, stop in nnet.row_blocks(len(x), _SCORE_BLOCK):
+            for start, stop in nnet.row_blocks(len(x)):
                 logits, _ = nnet.forward(self.params, x[start:stop])
                 scores[start:stop] = expit(logits[np.arange(len(logits)), np.argmax(np.abs(logits), axis=1)])
         return scores

@@ -44,6 +44,11 @@ _FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
 # Adam's moment decay rates and denominator guard, the published defaults.
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Rows per row_blocks block. A block's product, 1024 rows x 15 features x 16 hidden units when a
+# split is scored or 1024 grid points x k <= 4 weights x 8 atoms in the min-KL grid search, stays
+# under OpenBLAS's single-thread GEMM cutoff (65,536 x 4 multiply-adds), and its buffers stay small.
+BLOCK_ROWS = 1024
+
 
 class ModelParams:
     """Named blocks stored back to back in one contiguous float64 vector.
@@ -110,17 +115,17 @@ def forward(params: ModelParams, x: np.ndarray):
     return hidden @ params.w_heads.T + params.b_heads, hidden
 
 
-def row_blocks(n: int, size: int):
-    """Yield (start, stop) row ranges of size rows that cover range(n).
+def row_blocks(n: int):
+    """Yield (start, stop) row ranges of BLOCK_ROWS rows that cover range(n).
 
     Each product over the blocks rounds as one product over all n rows
-    would: every block starts at a multiple of size, where BLAS's row
+    would: every block starts at a multiple of BLOCK_ROWS, where BLAS's row
     unrolling lines up as it does over the whole range, and a lone last row,
     which numpy would multiply as a matrix-vector product, joins the block
-    before it, which then has size + 1 rows.
+    before it, which then has BLOCK_ROWS + 1 rows.
     """
-    for start in range(0, n, size):
-        stop = start + size
+    for start in range(0, n, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
         if stop >= n - 1:
             yield start, n
             return

@@ -26,7 +26,7 @@ import numpy as np
 from .dist_core import Distribution, SoftGrouping, group_conditionals, kl_divergence, reweighted_distribution
 from .errors import OutOfRange, SupportMismatch, TooManyGroups
 from .grouping import atom_grouping
-from .nnet import row_blocks
+from .nnet import BLOCK_ROWS, row_blocks
 
 __all__ = [
     "OptimizationResult",
@@ -41,10 +41,6 @@ __all__ = [
 # Cover's iteration stops at a gap of _TOL nats, or after _MAX_ITERS updates.
 _TOL = 1e-11
 _MAX_ITERS = 100_000
-
-# Grid points per product: 1024 x k <= 4 coordinates x 8 atoms stays far under
-# OpenBLAS's single-thread GEMM cutoff, and the buffers stay a few tens of KB.
-_GRID_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -121,13 +117,13 @@ def brute_force_min_kl(
     0.005), and returns the minimum divergence found. Exponential in k,
     hence restricted to k <= 4.
 
-    The points stream through buffers of _GRID_BLOCK rows, one leading
+    The points stream through buffers of nnet.BLOCK_ROWS rows, one leading
     coordinate c1 at a time. The middle coordinates (c2[, c3]) are tabulated
     once in order of their sum, so the points with room for a given c1 are a
     prefix of that table, which is walked in nnet.row_blocks slices. Each
     slice's product stays on OpenBLAS's single-thread path and rounds as one
     product over the whole prefix would, so the result does not depend on
-    the block size.
+    BLOCK_ROWS.
     """
     r = group_conditionals(p_train, grouping)
     k = grouping.k
@@ -157,7 +153,7 @@ def brute_force_min_kl(
         np.subtract(np.arange(len(sums)), sums * (sums + 1.0) / 2.0, out=middle[:, 0])
         np.subtract(sums, middle[:, 0], out=middle[:, 1])
     middle *= grid_step
-    rows = min(len(sums), _GRID_BLOCK + 1)  # row_blocks may end on a block one row longer
+    rows = min(len(sums), BLOCK_ROWS + 1)  # row_blocks may end on a block one row longer
     block = np.empty((rows, k))
     pw = np.empty((rows, len(t_pos)))
     dots = np.empty(rows)
@@ -168,7 +164,7 @@ def brute_force_min_kl(
             rem = n - c1
             m = int(np.searchsorted(sums, rem, side="right"))
             block[:, 0] = c1 * grid_step
-            for start, stop in row_blocks(m, _GRID_BLOCK):
+            for start, stop in row_blocks(m):
                 w, p, d = block[: stop - start], pw[: stop - start], dots[: stop - start]
                 w[:, 1:-1] = middle[start:stop]
                 np.subtract(rem, sums[start:stop], out=w[:, -1])

@@ -1,17 +1,29 @@
-"""Library inputs that a constructor refuses with a SubshiftError when it is built.
+"""Inputs the package refuses, the bounds the configs declare, and the command line's refusal contract.
 
-Each would otherwise run, or fail only after data is drawn: a string of
-schemes runs as its letters, a float seed writes a seed column `correlate`
-cannot read, a numpy integer trains the whole sweep and then fails to go
-into manifest.json, a float size ends in a numpy TypeError, and True
-hashes differently from 1. A second table holds atom-space values that the
-Distribution or SoftGrouping constructor refuses; each would otherwise give
-a negative KL divergence, a numpy error inside sampling, or a misleading
-error from the optimizer.
+REFUSED_INPUTS holds library inputs that a constructor refuses with a
+SubshiftError when it is built. Each would otherwise run, or fail only after
+data is drawn: a string of schemes runs as its letters, a float seed writes a
+seed column `correlate` cannot read, a numpy integer trains the whole sweep
+and then fails to go into manifest.json, a float size ends in a numpy
+TypeError, and True hashes differently from 1. REFUSED_ATOM_SPACE_VALUES
+holds atom-space values that the Distribution or SoftGrouping constructor
+refuses; each would otherwise give a negative KL divergence, a numpy error
+inside sampling, or a misleading error from the optimizer.
+
+CONFIG_BOUNDS is every numeric config field with the bound its metadata
+declares; every bounds test reads it. refuses() runs the command line and
+checks the whole contract of a refused command.
 """
+
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from subshift import harness, mitigation
 from subshift.dist_core import Distribution, SoftGrouping
 from subshift.harness import ExperimentSpec
 from subshift.mitigation import TrainConfig
@@ -24,6 +36,7 @@ REFUSED_INPUTS = {
     "seed_float": (ExperimentSpec, {"seeds": (0.5,)}),
     "n_train_float": (ExperimentSpec, {"n_train": 2.5}),
     "d_y_float": (FeatureConfig, {"d_y": 2.5}),
+    "epochs_float": (TrainConfig, {"epochs": 2.0}),
     "epochs_bool": (TrainConfig, {"epochs": True}),
     "epochs_numpy_int": (TrainConfig, {"epochs": np.int64(2)}),
     "lr_str": (TrainConfig, {"lr": "0.1"}),
@@ -31,6 +44,22 @@ REFUSED_INPUTS = {
 
 # the ExperimentSpec field that holds each nested config
 SPEC_FIELD = {FeatureConfig: "feature", TrainConfig: "train"}
+
+# class -> {numeric field: its declared bound}: {"min": m} means value >= m, {"above": m} value > m
+CONFIG_BOUNDS = {
+    ExperimentSpec: {
+        "p_s0": {}, "p_s1": {}, "n_train": {"min": 1}, "n_val": {"min": 1}, "n_test": {"min": 1}, "master_seed": {},
+    },
+    FeatureConfig: {
+        "d_y": {"min": 1}, "d_a": {"min": 1}, "d_s": {"min": 1}, "mu_y": {}, "mu_a": {}, "mu_s": {},
+        "noise_sd": {"above": 0},
+    },
+    TrainConfig: {
+        "epochs": {"min": 1}, "batch_size": {"min": 1}, "lr": {"above": 0}, "weight_decay": {"min": 0},
+        "lr_decay_epoch": {"min": 0}, "lr_decay_factor": {"above": 0}, "hidden": {"min": 1},
+        "gdro_eta": {"min": 0}, "gdro_size_adjust": {"min": 0}, "cfair_mu": {"min": 0},
+    },
+}
 
 # id -> (constructor, value); each raises NonNormalizable or InvalidScheme
 REFUSED_ATOM_SPACE_VALUES = {
@@ -42,3 +71,44 @@ REFUSED_ATOM_SPACE_VALUES = {
     "shape_7": (Distribution, [1 / 7] * 7),
     "nan_grouping": (SoftGrouping, np.full((8, 2), np.nan)),
 }
+
+
+def run_main(argv):
+    """harness.main(argv) with its output and warnings captured: (exit code, stdout, stderr lines, warnings)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as seen, redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = harness.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue().splitlines(), seen
+
+
+def check_refusal(code, stdout, err, message=""):
+    """A refusal's output: exit 2, nothing on stdout, and one `error: ` line on stderr that contains message."""
+    assert (code, stdout) == (2, ""), (code, stdout, err)
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    return err[0]
+
+
+def _tree(root) -> dict:
+    return {path: path.is_file() and path.read_bytes() for path in Path(root).rglob("*")}
+
+
+def refuses(argv, root, message=""):
+    """Run main(argv), check the whole refusal contract, and return the error line.
+
+    Beyond check_refusal's output: no warning is raised, no path or byte
+    under root changes, and no data is drawn or cell trained.
+    """
+    before = _tree(root)
+    work = AssertionError("work started before the refusal")
+    with (
+        mock.patch.object(harness, "make_splits", side_effect=work) as splits,
+        mock.patch.object(harness, "make_test_split", side_effect=work) as test_split,
+        mock.patch.object(mitigation, "train", side_effect=work) as train,
+    ):
+        code, stdout, err, seen = run_main(argv)
+    line = check_refusal(code, stdout, err, message)
+    assert not seen, [str(w.message) for w in seen]
+    assert _tree(root) == before, "the refusal changed files under root"
+    assert not (splits.called or test_split.called or train.called), "work started before the refusal"
+    return line

@@ -7,6 +7,7 @@ import tempfile
 import tracemalloc
 import warnings
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -48,7 +49,7 @@ from subshift.harness import (
 from subshift.mitigation import TrainConfig
 from subshift.synth_data import FeatureConfig
 
-from refused_inputs import REFUSED_INPUTS, SPEC_FIELD
+from refused_inputs import CONFIG_BOUNDS, REFUSED_INPUTS, SPEC_FIELD, check_refusal, refuses, run_main
 
 
 RESULTS_HEADER = ",".join(harness.RESULT_COLUMNS)
@@ -99,11 +100,6 @@ class TestSpecValidation:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(InvalidScheme, match="unknown scheme name 'NOPE'"):
             tiny_spec(schemes=("AY", "NOPE"))
-
-    @pytest.mark.parametrize("field", ["n_train", "n_val", "n_test"])
-    def test_rejects_empty_split(self, field):
-        with pytest.raises(OutOfRange, match=field):
-            tiny_spec(**{field: 0})
 
     @pytest.mark.parametrize(
         "field,values,repeated",
@@ -387,12 +383,12 @@ class TestRunSweep:
         assert proc.stdout.strip() == "False"
 
     def test_cell_seed_hashes_seed_value_not_position(self):
-        # (gdro, AY, 1) is first in one sweep and in the middle of the other
-        alone = run_sweep(tiny_spec(seeds=(1,), schemes=("AY",)))
-        among = run_sweep(tiny_spec(seeds=(0, 1), schemes=("Y", "AY", "S")))
-        cell = ("gdro", "AY", 1)
-        [row] = [r for r in alone.rows if (r["method"], r["grouping"], r["seed"]) == cell]
-        assert row in among.rows
+        """Every method's row is the same wherever the plan puts its cell: each of the
+        first sweep's cells sits at another position, and beside other cells, in the second."""
+        first = run_sweep(tiny_spec(methods=mitigation.METHODS, schemes=("A", "SC_noSC"), seeds=(0,)))
+        second = run_sweep(tiny_spec(methods=mitigation.METHODS, schemes=("S", "SC_noSC", "AS", "A"), seeds=(3, 0)))
+        assert len(first.rows) == 12 and first.errors == ()
+        assert [row for row in first.rows if row not in second.rows] == []
 
     def test_doomed_seed_trains_nothing(self, monkeypatch):
         """At n_test=8 and master seed 0, seed 1's test split has no (a=0, s=0)
@@ -618,11 +614,9 @@ class TestCli:
         assert out.count("ok") == len(REFERENCE_TABLE)
         assert "DEVIATION" not in out
 
-    def test_check_refuses_nondefault_bias(self, capsys):
-        assert main(["analyze-kl", "--check", "--p-s0", "0.9"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --check only applies at the default bias levels\n"
+    def test_check_refuses_nondefault_bias(self, tmp_path):
+        line = refuses(["analyze-kl", "--check", "--p-s0", "0.9"], tmp_path)
+        assert line == "error: --check only applies at the default bias levels"
 
     def test_check_reports_a_scheme_without_reference_on_stdout(self, capsys):
         assert main(["analyze-kl", "--check", "--scheme", "Noisy_A_0.10", "--scheme", "AY"]) == 1
@@ -645,18 +639,15 @@ class TestCli:
         assert main(["analyze-kl", "--p-s0", "0.6", "--p-s1", "0.6", "--scheme", "Noisy_AY_0.10"]) == 0
         assert "Noisy_AY_0.10,0.000000,0.000200" in capsys.readouterr().out.splitlines()
 
-    def test_correlate_without_results_errors(self, tmp_path, capsys):
-        assert main(["correlate", "--out", str(tmp_path / "nowhere")]) == 2
+    def test_correlate_without_results_errors(self, tmp_path):
+        results = tmp_path / "nowhere" / "results.csv"
+        refuses(["correlate", "--out", str(results.parent)], tmp_path, f"cannot read {results}: ")
 
-    def test_unknown_scheme_is_a_clean_error(self, capsys):
-        assert main(["analyze-kl", "--scheme", "NOPE"]) == 2
-        assert "unknown scheme name" in capsys.readouterr().err
+    def test_unknown_scheme_is_a_clean_error(self, tmp_path):
+        refuses(["analyze-kl", "--scheme", "NOPE"], tmp_path, "unknown scheme name")
 
-    def test_analyze_kl_rejects_noncanonical_scheme(self, capsys):
-        assert main(["analyze-kl", "--scheme", "Noisy_AY_0.1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'" in captured.err
+    def test_analyze_kl_rejects_noncanonical_scheme(self, tmp_path):
+        refuses(["analyze-kl", "--scheme", "Noisy_AY_0.1"], tmp_path, "'Noisy_AY_0.1' must be written 'Noisy_AY_0.10'")
 
     def test_analyze_kl_config_skips_only_the_method_scheme_pairing(self, tmp_path, capsys):
         """The table reads the schemes and the bias levels, never the methods."""
@@ -685,28 +676,21 @@ class TestCli:
         ],
         ids=["unknown_key", "wrong_type", "unknown_scheme", "repeated_scheme", "p_s0_1", "p_s1_0"],
     )
-    def test_analyze_kl_config_keeps_its_other_checks(self, tmp_path, capsys, config, message):
+    def test_analyze_kl_config_keeps_its_other_checks(self, tmp_path, config, message):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["analyze-kl", "--config", str(cfg_path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and message in captured.err
+        refuses(["analyze-kl", "--config", str(cfg_path)], tmp_path, message)
 
-    def test_analyze_kl_rejects_repeated_scheme(self, capsys):
+    def test_analyze_kl_rejects_repeated_scheme(self, tmp_path):
         """--scheme fills the spec's scheme list, so it is checked as --schemes is."""
-        assert main(["analyze-kl", "--scheme", "A", "--scheme", "A"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "schemes lists 'A' more than once" in captured.err
+        refuses(["analyze-kl", "--scheme", "A", "--scheme", "A"], tmp_path, "schemes lists 'A' more than once")
 
-    def test_correlate_names_the_method_with_constant_kl(self, tmp_path, capsys):
+    def test_correlate_names_the_method_with_constant_kl(self, tmp_path):
         rows = synthetic_rows("gdro", "min_kl_gdro", [0.5, 0.5, 0.5], lambda kl: 0.9 - kl)
         filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
         (tmp_path / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
-        assert main(["correlate", "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: gdro: every scheme has the same min_kl_gdro (0.500000), so its correlation is undefined\n"
+        assert refuses(["correlate", "--out", str(tmp_path)], tmp_path) == (
+            "error: gdro: every scheme has the same min_kl_gdro (0.500000), so its correlation is undefined"
         )
 
     @pytest.mark.parametrize(
@@ -715,51 +699,33 @@ class TestCli:
             (RESULTS_HEADER.replace("seed,", ""), "gdro,A," + "0.5," * 7 + "0.5", "results.csv line 1: no column seed"),
             (RESULTS_HEADER, "gdro,A,0,x," + "0.5," * 6 + "0.5", "results.csv line 2: cannot read val_auc from 'x'"),
             (RESULTS_HEADER, "gdro,A,0.5," + "0.5," * 7 + "0.5", "results.csv line 2: cannot read seed from '0.5'"),
+            # a repeated cell would count twice in its scheme's mean AUC
+            (RESULTS_HEADER, "\n".join(["gdro,A,0," + "0.5," * 7 + "0.5"] * 2), "results.csv line 3: lists ('gdro', 'A', 0) more than once"),
         ],
-        ids=["missing_column", "non_numeric_metric", "non_integer_seed"],
+        ids=["missing_column", "non_numeric_metric", "non_integer_seed", "repeated_cell"],
     )
-    def test_correlate_refuses_a_malformed_results_csv(self, tmp_path, capsys, header, row, message):
+    def test_correlate_refuses_a_malformed_results_csv(self, tmp_path, header, row, message):
         (tmp_path / "results.csv").write_text(f"{header}\n{row}\n")
-        assert main(["correlate", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert message in err
+        refuses(["correlate", "--out", str(tmp_path)], tmp_path, message)
 
     @pytest.mark.parametrize(
         "make",
         [lambda path: path.mkdir(), lambda path: path.write_bytes(b"\xff\xfe" + RESULTS_HEADER.encode("utf-16-le"))],
         ids=["directory", "utf16_bytes"],
     )
-    def test_correlate_refuses_an_unreadable_results_csv(self, tmp_path, capsys, make):
+    def test_correlate_refuses_an_unreadable_results_csv(self, tmp_path, make):
         make(tmp_path / "results.csv")
-        assert main(["correlate", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: cannot read {tmp_path / 'results.csv'}: ")
+        line = refuses(["correlate", "--out", str(tmp_path)], tmp_path)
+        assert line.startswith(f"error: cannot read {tmp_path / 'results.csv'}: ")
 
     @pytest.mark.parametrize("command", ["run", "ablate", "analyze-kl", "correlate"])
     @pytest.mark.parametrize("below", [(), ("x",), ("x", "y")], ids=["file", "under_file", "two_under_file"])
-    def test_out_blocked_by_a_file_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, below):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before --out was checked")
-
-        monkeypatch.setattr(harness, "make_splits", no_work)  # no data is drawn
-        monkeypatch.setattr(harness, "compute_kl_rows", no_work)  # and no table is built
+    def test_out_blocked_by_a_file_is_refused_before_any_work(self, tmp_path, monkeypatch, command, below):
+        monkeypatch.setattr(harness, "compute_kl_rows", mock.Mock(side_effect=AssertionError("table built")))
         blocker = tmp_path / "file"
         blocker.write_text("kept")
         out = blocker.joinpath(*below)
-        assert main([command, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --out {out}: {blocker} is not a directory\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["file"] and blocker.read_text() == "kept"
-
-    @staticmethod
-    def no_work(monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("work started before the outputs were checked")
-
-        monkeypatch.setattr(harness, "make_splits", fail)  # no data is drawn
-        monkeypatch.setattr(harness, "compute_kl_rows", fail)  # and no table is built
+        assert refuses([command, "--out", str(out)], tmp_path) == f"error: --out {out}: {blocker} is not a directory"
 
     @pytest.mark.parametrize(
         "command,blocked,kind",
@@ -775,9 +741,9 @@ class TestCli:
         ],
         ids=["run_results", "run_manifest", "kl_table", "correlation", "scatter", "ablate_variant", "ablate_scatter", "ablate_summary"],
     )
-    def test_blocked_output_inside_out_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, blocked, kind):
+    def test_blocked_output_inside_out_is_refused_before_any_work(self, tmp_path, monkeypatch, command, blocked, kind):
         """A directory where a file goes, or a file where a directory goes, exits 2 and creates nothing."""
-        self.no_work(monkeypatch)
+        monkeypatch.setattr(harness, "compute_kl_rows", mock.Mock(side_effect=AssertionError("table built")))
         out = tmp_path / "out"
         out.mkdir()
         if command == "correlate":  # correlate reads results.csv to learn its scatter files' names
@@ -787,13 +753,8 @@ class TestCli:
         path = out / blocked
         path.parent.mkdir(parents=True, exist_ok=True)
         path.mkdir() if kind == "dir" else path.write_text("kept")
-        before = sorted(tmp_path.rglob("*"))
-        assert main([command, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
         reason = "is a directory" if kind == "dir" else "is not a directory"
-        assert captured.err == f"error: --out {out}: {path} {reason}\n"
-        assert sorted(tmp_path.rglob("*")) == before
+        assert refuses([command, "--out", str(out)], tmp_path) == f"error: --out {out}: {path} {reason}"
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize(
@@ -805,16 +766,10 @@ class TestCli:
         ],
         ids=["methods", "schemes", "seeds"],
     )
-    def test_blank_list_flag_is_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, flag, message):
+    def test_blank_list_flag_is_refused_before_any_work(self, tmp_path, monkeypatch, command, flag, message):
         """A blank flag is the list [""], refused as {"methods": []} is, not read as an absent flag."""
-        self.no_work(monkeypatch)
-        out = tmp_path / "out"
-        assert main([command, flag, "", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
-        assert message in captured.err
-        assert not out.exists()
+        monkeypatch.setattr(harness, "compute_kl_rows", mock.Mock(side_effect=AssertionError("table built")))
+        refuses([command, flag, "", "--out", str(tmp_path / "out")], tmp_path, message)
 
     def test_run_then_correlate(self, tmp_path, capsys):
         config = {
@@ -941,15 +896,8 @@ class TestCli:
             (["--methods", "erm,cfair", "--schemes", "A,SY"], "cfair needs y-free groups, but SY groups"),
         ],
     )
-    def test_bad_spec_exits_2_before_any_work(self, tmp_path, capsys, argv, message):
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["run", "--out", str(out), *argv]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert message in err
-        assert not out.exists()
+    def test_bad_spec_exits_2_before_any_work(self, tmp_path, argv, message):
+        refuses(["run", "--out", str(tmp_path / "out"), *argv], tmp_path, message)
 
     @pytest.mark.parametrize(
         "config,message,flag,value",
@@ -970,8 +918,7 @@ class TestCli:
         small = {"seeds": [0], "n_train": 64, "n_val": 32, "n_test": 64, "train": {"epochs": 1}}
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**small, **config}))
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "alone")]) == 2
-        assert message in capsys.readouterr().err
+        refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "alone")], tmp_path, message)
         out = tmp_path / "out"
         argv = ["run", "--config", str(cfg_path), "--out", str(out), f"--{flag}", ",".join(map(str, value))]
         assert main(argv) == 0
@@ -1014,21 +961,12 @@ class TestCli:
             ({"epochs": 3}, "unknown top-level key 'epochs'"),
             ({"feature": {"mu": 1.0}}, "unknown feature key 'mu'"),
             ({"train": {"epochz": 3}}, "unknown train key 'epochz'"),
-            ({"train": {"jtt_upweight": 5.0}}, "unknown train key 'jtt_upweight'"),
-            # neither is a TrainConfig field, so even the old default value is refused
-            ({"train": {"seed": 0}}, "unknown train key 'seed'"),
-            ({"train": {"domain_ind_rule": "max_abs"}}, "unknown train key 'domain_ind_rule'"),
         ],
     )
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys, config, message):
+    def test_unknown_config_key_exits_2(self, tmp_path, config, message):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
-        reached = AssertionError("make_splits ran for a malformed spec")
-        with mock.patch.object(harness, "make_splits", side_effect=reached):
-            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert message in err
+        refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path, message)
 
     @pytest.mark.parametrize(
         "text,message",
@@ -1037,48 +975,17 @@ class TestCli:
             ("{bad json", "cannot read --config"),
             ('{"seeds": 5}', "ExperimentSpec field 'seeds' has the wrong type: 5"),
             ('{"n_train": "abc"}', "ExperimentSpec field 'n_train' has the wrong type: 'abc'"),
-            ('{"train": {"batch_size": 0}}', "batch_size must be >= 1, got 0"),
-            ('{"train": {"epochs": 0}}', "epochs must be >= 1, got 0"),
-            ('{"train": {"hidden": 0}}', "hidden must be >= 1, got 0"),
-            ('{"train": {"lr": -1.0}}', "lr must be > 0, got -1.0"),
-            ('{"train": {"domain_ind_rule": "vote"}}', "unknown train key 'domain_ind_rule' in --config"),
             ('{"train": {"epochs": 1.5}}', "TrainConfig field 'epochs' has the wrong type: 1.5"),
-            ('{"train": {"weight_decay": -0.1}}', "weight_decay must be >= 0, got -0.1"),
-            ('{"train": {"lr_decay_epoch": -1}}', "lr_decay_epoch must be >= 0, got -1"),
-            ('{"train": {"lr_decay_factor": 0}}', "lr_decay_factor must be > 0, got 0"),
-            ('{"train": {"seed": 12345}}', "unknown train key 'seed' in --config"),
             ('{"methods": []}', "at least one method is required"),
             ('{"schemes": "AY"}', "ExperimentSpec field 'schemes' has the wrong type: 'AY'"),
         ],
-        ids=[
-            "missing_file",
-            "invalid_json",
-            "seeds_not_a_list",
-            "n_train_not_an_int",
-            "batch_size_0",
-            "epochs_0",
-            "hidden_0",
-            "lr_negative",
-            "domain_ind_rule_unknown",
-            "epochs_float",
-            "weight_decay_negative",
-            "lr_decay_epoch_negative",
-            "lr_decay_factor_0",
-            "train_seed_nonzero",
-            "methods_empty",
-            "schemes_str",
-        ],
+        ids=["missing_file", "invalid_json", "seeds_not_a_list", "n_train_not_an_int", "epochs_float", "methods_empty", "schemes_str"],
     )
-    def test_malformed_config_exits_2(self, tmp_path, capsys, text, message):
+    def test_malformed_config_exits_2(self, tmp_path, text, message):
         cfg_path = tmp_path / "config.json"
         if text is not None:
             cfg_path.write_text(text)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert message in err
-        assert not out.exists()
+        refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path, message)
 
     def test_ablate_writes_every_variant(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "config.json"
@@ -1173,16 +1080,10 @@ class TestCli:
         ],
         ids=["two_schemes", "equal_min_kl", "equal_at_six_decimals"],
     )
-    def test_ablate_undefined_correlation_fails_before_any_data(self, tmp_path, capsys, overrides, message):
+    def test_ablate_undefined_correlation_fails_before_any_data(self, tmp_path, overrides, message):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**ABLATE_CONFIG, **overrides}))
-        out = tmp_path / "out"
-        reached = AssertionError("make_splits ran for an ablation whose correlation is undefined")
-        with mock.patch.object(harness, "make_splits", side_effect=reached):
-            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith(message)
-        assert not out.exists()
+        assert refuses(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path).startswith(message)
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize(
@@ -1193,21 +1094,12 @@ class TestCli:
         ],
         ids=["n_test_1", "n_val_1"],
     )
-    def test_unscorable_splits_exit_2_before_training(self, tmp_path, capsys, monkeypatch, command, size, message):
+    def test_unscorable_splits_exit_2_before_training(self, tmp_path, command, size, message):
         """A split too small to score fails every cell of every seed, so the sweep trains nothing."""
-        def no_training(*args, **kwargs):
-            raise AssertionError("a cell trained")
-
-        monkeypatch.setattr(harness.mitigation, "train", no_training)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**ABLATE_CONFIG, "seeds": [0, 1], **size}))
-        out = tmp_path / "out"
-        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith(f"error: {message}")
-        assert not out.exists()
+        line = refuses([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path)
+        assert f"{line}\n".startswith(f"error: {message}")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux only")
     @pytest.mark.parametrize(
@@ -1329,84 +1221,77 @@ def _unknown_scheme(name: str) -> bool:
     return name not in SCHEME_NAMES and not re.fullmatch(r"Noisy_AY?_0\.\d\d", name)
 
 
+def _with_field(cls, name, value) -> dict:
+    """VALID_CONFIG's entry for one field of cls set to value, as a dict to merge over VALID_CONFIG."""
+    if cls is ExperimentSpec:
+        return {name: value}
+    section = SPEC_FIELD[cls]
+    return {section: {**VALID_CONFIG.get(section, {}), name: value}}
+
+
+# every float field of CONFIG_BOUNDS; the others are ints
+FLOATS = {(cls, f.name) for cls in CONFIG_BOUNDS for f in fields(cls) if isinstance(f.default, float)}
+NON_FINITE = {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "10**400": 10**400}
+
+
+def _refused_values():
+    """(class, field, value, message) for each value past a declared bound, the bound itself when
+    the value must lie above it, and each non-finite value of a float field."""
+    for cls, bounds in CONFIG_BOUNDS.items():
+        for name, bound in bounds.items():
+            for kind, edge in bound.items():
+                op = ">=" if kind == "min" else ">"
+                for value in (edge - 1, edge) if kind == "above" else (edge - 1,):
+                    yield pytest.param(cls, name, value, f"{name} must be {op} {edge}, got {value}", id=f"{name}={value}")
+            if (cls, name) in FLOATS:
+                for label, value in NON_FINITE.items():
+                    yield pytest.param(cls, name, value, f"{name} must be finite, got {value}", id=f"{name}={label}")
+
+
+def _past_bound(cls, name):
+    """Values of one field that its declared bound, or the finiteness check of a float, refuses."""
+    bound, is_float = CONFIG_BOUNDS[cls][name], (cls, name) in FLOATS
+    drawn = [st.sampled_from(list(NON_FINITE.values()))] if is_float else []
+    if "min" in bound:
+        drawn.append(st.floats(max_value=bound["min"], exclude_max=True) if is_float else st.integers(max_value=bound["min"] - 1))
+    if "above" in bound:
+        drawn.append(st.floats(max_value=bound["above"]))
+    return st.one_of(drawn).map(partial(_with_field, cls, name))
+
+
 def _malformed_configs():
     """One malformation of VALID_CONFIG, as a dict merged over it."""
     names = st.text(max_size=10)
+    train_keys = {f.name for f in fields(TrainConfig)}
     unknown = st.one_of(
         names.filter(lambda n: n not in mitigation.METHODS).map(lambda n: {"methods": ["erm", n]}),
         st.one_of(names, names.map("Noisy_AY_".__add__))
         .filter(_unknown_scheme)
         .map(lambda n: {"schemes": ["A", n]}),
+        names.filter(lambda n: n not in train_keys).map(lambda n: _with_field(TrainConfig, n, 0)),
     )
     repeated = st.one_of(
         st.sampled_from(mitigation.METHODS).map(lambda m: {"methods": [m, m]}),
         st.sampled_from(DEFAULT_SCHEMES).map(lambda s: {"schemes": [s, "A", s]}),
         st.integers(0, 2**31).map(lambda i: {"seeds": [i, 0, i]}),
     )
-    small = st.tuples(st.sampled_from(["n_train", "n_val", "n_test"]), st.integers(max_value=0))
     bias = st.tuples(
         st.sampled_from(["p_s0", "p_s1"]),
         st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0)),
-    )
-    below_one = st.tuples(st.sampled_from(["epochs", "batch_size", "hidden"]), st.integers(max_value=0))
-    not_positive = st.tuples(st.sampled_from(["lr", "lr_decay_factor"]), st.floats(max_value=0.0))
-    negative = st.one_of(
-        st.tuples(
-            st.sampled_from(["weight_decay", "gdro_eta", "gdro_size_adjust", "cfair_mu"]),
-            st.floats(max_value=0.0, exclude_max=True),
-        ),
-        st.tuples(st.just("lr_decay_epoch"), st.integers(max_value=-1)),
-    )
-    non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
-    train_floats = ["lr", "weight_decay", "lr_decay_factor", "gdro_eta", "gdro_size_adjust", "cfair_mu"]
-    feature = st.one_of(
-        st.tuples(st.sampled_from(["mu_y", "mu_a", "mu_s", "noise_sd"]), non_finite),
-        st.tuples(st.just("noise_sd"), st.floats(max_value=0.0)),
-    ).map(lambda kv: {"feature": dict([kv])})
-    train = st.one_of(
-        below_one,
-        not_positive,
-        negative,
-        st.tuples(st.sampled_from(train_floats), non_finite),
-        st.tuples(st.just("epochs"), st.floats()),  # JSON floats never fit an int field
-        st.tuples(st.just("domain_ind_rule"), names.filter(lambda n: n not in ("max_abs", "sum"))),
-        st.tuples(st.just("seed"), st.integers().filter(bool)),  # cells derive seeds from master_seed
-    ).map(lambda kv: {"train": {"epochs": 1, kv[0]: kv[1]}})
-    return st.one_of(unknown, repeated, st.one_of(small, bias).map(lambda kv: dict([kv])), feature, train)
+    ).map(lambda kv: dict([kv]))
+    past_bound = st.one_of([_past_bound(cls, name) for cls, bounds in CONFIG_BOUNDS.items() for name in bounds])
+    epochs_float = st.floats().map(partial(_with_field, TrainConfig, "epochs"))  # JSON floats never fit an int field
+    return st.one_of(unknown, repeated, bias, past_bound, epochs_float)
 
 
 class TestMalformedSpecs:
     @given(malformed=_malformed_configs())
     @settings(max_examples=150, deadline=None)
     def test_rejected_before_data_is_drawn(self, malformed):
-        reached = AssertionError("make_splits ran for a malformed spec")
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(harness, "make_splits", side_effect=reached):
-            cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "config.json"
             cfg_path.write_text(json.dumps({**VALID_CONFIG, **malformed}))
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2, malformed
-            assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "section,key,value,message",
-        [
-            ("train", "gdro_eta", float("nan"), "gdro_eta must be finite, got nan"),
-            ("feature", "noise_sd", float("nan"), "noise_sd must be finite, got nan"),
-            ("feature", "mu_a", float("inf"), "mu_a must be finite, got inf"),
-            ("train", "cfair_mu", -5, "cfair_mu must be >= 0, got -5"),
-        ],
-        ids=["gdro_eta_nan", "noise_sd_nan", "mu_a_inf", "cfair_mu_negative"],
-    )
-    def test_non_finite_or_negative_strength_exits_2(self, tmp_path, capsys, section, key, value, message):
-        """JSON carries NaN and Infinity; each such value fails with one error line."""
-        cfg_path, out = tmp_path / "config.json", tmp_path / "out"
-        cfg_path.write_text(json.dumps({**VALID_CONFIG, section: {key: value}}))
-        reached = AssertionError("make_splits ran for a malformed spec")
-        with mock.patch.object(harness, "make_splits", side_effect=reached):
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert message in err
-        assert not out.exists()
+            refuses(["run", "--config", str(cfg_path), "--out", str(Path(tmp) / "out")], tmp)
 
     def test_valid_config_reaches_make_splits(self, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -1414,6 +1299,26 @@ class TestMalformedSpecs:
         reached = AssertionError("make_splits reached")
         with mock.patch.object(harness, "make_splits", side_effect=reached), pytest.raises(AssertionError, match="reached"):
             main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+class TestConfigBounds:
+    def test_table_is_every_numeric_field_and_its_declared_bound(self):
+        for cls, bounds in CONFIG_BOUNDS.items():
+            assert {f.name: f.metadata for f in fields(cls) if type(f.default) in (int, float)} == bounds, cls
+
+    @pytest.mark.parametrize("cls,name,value,message", _refused_values())
+    def test_refused_by_the_constructor_and_by_run_config(self, tmp_path, cls, name, value, message):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            cls(**{name: value})
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**VALID_CONFIG, **_with_field(cls, name, value)}))
+        assert refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path) == f"error: {message}"
+
+    def test_every_min_bound_itself_is_accepted(self):
+        for cls, bounds in CONFIG_BOUNDS.items():
+            for name, bound in bounds.items():
+                if "min" in bound:
+                    assert getattr(cls(**{name: bound["min"]}), name) == bound["min"]
 
 
 CONTRACT_BASE = {
@@ -1443,17 +1348,17 @@ def _edge_values(cls):
     """(field, value) pairs at the edges of cls's numeric fields: each int at its declared
     min; each float at 1e308 and at its lower edge (5e-324 above a bound, the bound itself
     as a min, or -1e308 when unbounded)."""
-    for f in fields(cls):
-        if isinstance(f.default, int):
-            yield f.name, f.metadata["min"]
+    for name, bound in CONFIG_BOUNDS[cls].items():
+        if (cls, name) not in FLOATS:
+            yield name, bound["min"]
             continue
-        yield f.name, 1e308
-        if "above" in f.metadata:
-            yield f.name, 5e-324
-        elif "min" in f.metadata:
-            yield f.name, float(f.metadata["min"])
+        yield name, 1e308
+        if "above" in bound:
+            yield name, 5e-324
+        elif "min" in bound:
+            yield name, float(bound["min"])
         else:
-            yield f.name, -1e308
+            yield name, -1e308
 
 
 EDGE_CASES = [
@@ -1467,20 +1372,16 @@ class TestAcceptedSpecs:
     """An accepted config exits 0, 1 or 2 by the CLI contract, with no numpy warning."""
 
     @pytest.mark.parametrize("section,key,value", EDGE_CASES)
-    def test_edge_value_meets_the_contract(self, tmp_path, capsys, section, key, value):
+    def test_edge_value_meets_the_contract(self, tmp_path, section, key, value):
         cfg_path, out = tmp_path / "config.json", tmp_path / "out"
         cfg_path.write_text(json.dumps({**CONTRACT_BASE, section: {**CONTRACT_BASE.get(section, {}), key: value}}))
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
-        err = capsys.readouterr().err.splitlines()
+        code, stdout, err, seen = run_main(["run", "--config", str(cfg_path), "--out", str(out)])
         if code == 0:
             assert err == []
         elif code == 1:
             assert err and all(line.startswith("cell failed: ") for line in err), err
-        else:
-            assert code == 2
-            assert len(err) == 1 and err[0].startswith("error: "), err
+        else:  # a refusal met while the data is drawn, as at noise_sd 1e308
+            check_refusal(code, stdout, err)
             assert not out.exists()
         for w in seen:
             assert w.category is UserWarning and any(d in str(w.message) for d in DOCUMENTED_WARNINGS), w
@@ -1495,10 +1396,8 @@ class TestAcceptedSpecs:
         """At mu_y -1e308 no stage-one model errs on train: each JTT cell warns once, for both lengths."""
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**CONTRACT_BASE, "feature": {"mu_y": -1e308}}))
-        with warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-        assert [str(w.message) for w in seen] == [
+        code, _, _, seen = run_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 0 and [str(w.message) for w in seen] == [
             f"stage-1 model makes no training errors (jtt on {name}, stage-1 epochs 1, 2); upweighting is a no-op"
             for name in CONTRACT_BASE["schemes"]
         ]
