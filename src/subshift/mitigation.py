@@ -140,8 +140,10 @@ def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape
     Trainers count their groups with _group_sizes before they call it.
 
     Training that diverges raises DegenerateInput naming the epoch: after
-    each epoch the parameters, Adam's moments and every epoch mean must be
-    finite, so numpy's overflow warnings are silenced inside the loop.
+    each epoch the parameters' squared norm, Adam's moments and every epoch
+    mean must be finite, so numpy's overflow warnings are silenced inside
+    the loop. The norm also catches parameters that are finite but too large
+    to square (above about 1e154), as one step at lr 1e300 leaves them.
     """
     if batches is None:
         batches = partial(_epoch_batches, len(dataset.y), cfg.batch_size)
@@ -160,7 +162,7 @@ def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape
                 nnet.sgd_adam_step(params, grads, moments, t, lr, cfg.weight_decay)
                 reports.append(report)
             means = {key: np.mean([r[key] for r in reports], axis=0) for key in (reports[0] if reports else ())}
-            checked = (("parameters", params.flat), ("Adam moments", moments), *means.items())
+            checked = (("parameters", params.flat @ params.flat), ("Adam moments", moments), *means.items())
             bad = [name for name, value in checked if not np.isfinite(value).all()]
             if bad:
                 raise DegenerateInput(

@@ -45,6 +45,8 @@ from subshift.reweight_opt import (
     resampling_weights,
 )
 
+from finite_differences import central_differences
+
 P_TRAIN = biased_distribution(0.95, 0.8)
 UNIFORM = uniform_distribution()
 
@@ -175,21 +177,6 @@ def _writable(params):
     )
 
 
-def _fd_grads(params, field, loss_fn, step=1e-5):
-    live = getattr(params, field)
-    out = np.zeros_like(live)
-    flat_live, flat_out = live.ravel(), out.ravel()
-    base = live.copy().ravel()
-    for i in range(base.size):
-        flat_live[i] = base[i] + step
-        hi = loss_fn()
-        flat_live[i] = base[i] - step
-        lo = loss_fn()
-        flat_live[i] = base[i]
-        flat_out[i] = (hi - lo) / (2 * step)
-    return out
-
-
 def test_criterion_05_gradients_match_finite_differences():
     rng = np.random.default_rng(20260816)
     worst = 0.0
@@ -231,7 +218,7 @@ def test_criterion_05_gradients_match_finite_differences():
             _, grads = nnet.bce_loss_and_grad(params, x, y, sample_weights=weights, head_ids=head_ids)
             checks = [(f, loss_fn) for f in ("w1", "b1", "w_heads", "b_heads")]
         for field, fn in checks:
-            numeric = _fd_grads(params, field, fn)
+            numeric = central_differences(params, field, fn)
             err = np.linalg.norm(getattr(grads, field) - numeric) / max(
                 np.linalg.norm(numeric), 1e-12
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from subshift.dist_core import SoftGrouping, atom_index, biased_distribution, uniform_distribution
-from subshift.errors import InvalidScheme, YBasedGrouping
+from subshift.errors import InvalidScheme
 from subshift.grouping import (
     GroupingScheme,
     NOISE_LEVELS,

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import subshift
 from subshift import harness, mitigation
 from subshift.errors import (
+    DegenerateInput,
     EmptyGroup,
     InsufficientSchemes,
     InvalidConfig,
@@ -34,7 +35,6 @@ from subshift.harness import (
     REFERENCE_TABLE,
     ExperimentSpec,
     _derive_seed,
-    compute_kl_rows,
     correlate_results,
     disparity_csv,
     main,
@@ -181,9 +181,15 @@ class TestRunSweep:
     def test_kl_rows_cover_schemes(self, tiny_record):
         assert [r.scheme for r in tiny_record.kl_rows] == ["Y", "AY", "S"]
 
-    def test_repeat_is_byte_identical(self, tiny_record):
-        again = run_sweep(tiny_spec())
-        assert results_csv(again.rows) == results_csv(tiny_record.rows)
+    def test_a_cell_does_not_depend_on_the_rest_of_the_sweep(self):
+        """Adding schemes and seeds around a cell, in any order, leaves its row unchanged."""
+        spec = partial(tiny_spec, methods=mitigation.METHODS, feature=FeatureConfig())
+        small = run_sweep(spec(schemes=("A", "SC_noSC"), seeds=(0,)))
+        large = run_sweep(spec(schemes=("S", "SC_noSC", "AS", "A"), seeds=(3, 0)))
+        assert small.errors == large.errors == ()
+        by_cell = {(r["method"], r["grouping"], r["seed"]): r for r in large.rows}
+        assert len(small.rows) == 12
+        assert [by_cell[r["method"], r["grouping"], r["seed"]] for r in small.rows] == list(small.rows)
 
     def test_y_based_scheme_for_y_free_method_fails_before_any_data(self, monkeypatch):
         def no_data(*args, **kwargs):
@@ -547,6 +553,12 @@ def synthetic_rows(method, kl_field, kl_values, auc_of_kl):
     return rows
 
 
+def write_results_csv(out_dir, rows):
+    """Write rows as out_dir/results.csv, with 0.0 in each metric column they leave out."""
+    filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
+    (out_dir / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
+
+
 class TestCorrelate:
     def test_perfect_negative_line(self):
         rows = synthetic_rows("gdro", "min_kl_gdro", [0.0, 0.1, 0.2, 0.3], lambda kl: 0.9 - kl)
@@ -687,11 +699,17 @@ class TestCli:
 
     def test_correlate_names_the_method_with_constant_kl(self, tmp_path):
         rows = synthetic_rows("gdro", "min_kl_gdro", [0.5, 0.5, 0.5], lambda kl: 0.9 - kl)
-        filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
-        (tmp_path / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
+        write_results_csv(tmp_path, rows)
         assert refuses(["correlate", "--out", str(tmp_path)], tmp_path) == (
             "error: gdro: every scheme has the same min_kl_gdro (0.500000), so its correlation is undefined"
         )
+
+    def test_correlate_names_the_method_with_constant_auc(self, tmp_path):
+        rows = synthetic_rows("gdro", "min_kl_gdro", [0.0, 0.1, 0.2], lambda kl: 0.8)
+        with pytest.raises(DegenerateInput, match=r"^gdro: zero variance$"):
+            correlate_results(rows)
+        write_results_csv(tmp_path, rows)
+        assert refuses(["correlate", "--out", str(tmp_path)], tmp_path) == "error: gdro: zero variance"
 
     @pytest.mark.parametrize(
         "header,row,message",
@@ -748,8 +766,7 @@ class TestCli:
         out.mkdir()
         if command == "correlate":  # correlate reads results.csv to learn its scatter files' names
             rows = synthetic_rows("gdro", "min_kl_gdro", [0.1, 0.2, 0.3], lambda kl: 0.9 - kl)
-            filler = dict.fromkeys(harness.RESULT_COLUMNS[3:], 0.0)
-            (out / "results.csv").write_text(results_csv([{**filler, **r} for r in rows]))
+            write_results_csv(out, rows)
         path = out / blocked
         path.parent.mkdir(parents=True, exist_ok=True)
         path.mkdir() if kind == "dir" else path.write_text("kept")
@@ -826,26 +843,30 @@ class TestCli:
         assert [line.split(",")[0] for line in results.splitlines()[1:]] == ["erm"] * 3
 
     @pytest.mark.parametrize(
-        "methods,train_cfg",
+        "overrides",
         [
-            (["erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"], {"epochs": 2, "lr": 1e300}),
-            (["cfair"], {"epochs": 2, "cfair_mu": 1e308}),
+            {"train": {"epochs": 2, "lr": 1e300}},
+            {"methods": ["cfair"], "train": {"epochs": 2, "cfair_mu": 1e308}},
+            {"schemes": ["A", "AS"], "n_train": 100, "train": {"epochs": 1, "lr": 1e300}},
         ],
-        ids=("lr", "cfair_mu"),
+        ids=("lr", "cfair_mu", "lr_one_step"),
     )
-    def test_diverging_training_is_one_warning_free_error_row_per_cell(self, tmp_path, capsys, methods, train_cfg):
+    def test_diverging_training_is_one_warning_free_error_row_per_cell(self, tmp_path, capsys, overrides):
         """An accepted config whose training overflows ends each cell in the
         epoch where it diverged; numpy warns of nothing. At cfair_mu 1e308
-        only Adam's second moment overflows, which would freeze the model."""
+        only Adam's second moment overflows, which would freeze the model.
+        At n_train 100 an epoch is one batch, whose single step leaves the
+        weights finite but near 1e300."""
         config = {
-            "methods": methods,
+            "methods": ["erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"],
             "schemes": ["A", "AS", "SC_noSC"],
             "seeds": [0],
             "n_train": 400,
             "n_val": 200,
             "n_test": 400,
-            "train": train_cfg,
+            **overrides,
         }
+        methods = config["methods"]
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -1412,10 +1433,3 @@ class TestDefaults:
     def test_reference_table_shape(self):
         assert len(REFERENCE_TABLE) == 15
         assert CHECK_TOLERANCE == 5e-3
-
-    def test_compute_kl_rows_matches_reference(self):
-        rows = compute_kl_rows([n for n, _, _ in REFERENCE_TABLE], 0.95, 0.8)
-        for row, (name, ref_g, ref_r) in zip(rows, REFERENCE_TABLE):
-            assert row.scheme == name
-            assert row.kl_gdro == pytest.approx(ref_g, abs=CHECK_TOLERANCE)
-            assert row.kl_resampling == pytest.approx(ref_r, abs=CHECK_TOLERANCE)

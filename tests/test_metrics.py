@@ -5,7 +5,7 @@ import pytest
 
 from subshift.dist_core import uniform_distribution
 from subshift.errors import DegenerateInput, MissingCell, SingleClass
-from subshift.metrics import EvalReport, _betainc, auc, correct, evaluate, group_accuracies, pearson
+from subshift.metrics import _betainc, auc, correct, evaluate, group_accuracies, pearson
 from subshift.mitigation import TrainConfig, train_erm
 from subshift.synth_data import Dataset, FeatureConfig, make_splits, make_test_split, sample_dataset
 

@@ -18,6 +18,8 @@ from subshift.nnet import (
 )
 from subshift.synth_data import FeatureConfig, sample_dataset
 
+from finite_differences import central_differences
+
 PARAM_FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
 
 
@@ -55,27 +57,6 @@ def reference_adam_step(params, grads, m, v, t, lr, weight_decay, beta1=0.9, bet
         step = lr * (new_m[f] / bc1) / (np.sqrt(new_v[f] / bc2) + eps)
         new_p[f] = params[f] - step - lr * weight_decay * params[f]
     return new_p, new_m, new_v, t
-
-
-def finite_difference_grads(params, field, loss_fn, step=1e-5):
-    """Central differences on one parameter block, mutating in place."""
-    flat = getattr(params, field).ravel()
-    out = np.zeros(flat.size)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        up = loss_fn(params)
-        flat[i] = orig - step
-        down = loss_fn(params)
-        flat[i] = orig
-        out[i] = (up - down) / (2.0 * step)
-    return out.reshape(getattr(params, field).shape)
-
-
-def assert_block_close(analytic, numeric, rel=1e-4):
-    scale = max(float(np.linalg.norm(numeric)), 1e-12)
-    err = float(np.linalg.norm(analytic - numeric)) / scale
-    assert err <= rel, f"relative block error {err:.2e}"
 
 
 def random_batch(rng, dim, batch, n_groups=4):
@@ -223,67 +204,7 @@ class TestBceLoss:
 
 
 class TestGradientChecks:
-    """Analytic gradients against central finite differences, blockwise."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_plain_bce(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        params = init_params(5, hidden=7, seed=seed)
-        x, y, _ = random_batch(rng, 5, 12)
-        _, grads = bce_loss_and_grad(params, x, y)
-        for f in PARAM_FIELDS[:4]:
-            fd = finite_difference_grads(params, f, lambda p: bce_loss_and_grad(p, x, y)[0])
-            assert_block_close(getattr(grads, f), fd)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_weighted_bce(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        params = init_params(4, hidden=6, seed=seed)
-        x, y, _ = random_batch(rng, 4, 10)
-        w = rng.uniform(0.1, 3.0, size=10)
-        _, grads = bce_loss_and_grad(params, x, y, sample_weights=w)
-        for f in PARAM_FIELDS[:4]:
-            fd = finite_difference_grads(
-                params, f, lambda p: bce_loss_and_grad(p, x, y, sample_weights=w)[0]
-            )
-            assert_block_close(getattr(grads, f), fd)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_multi_head(self, seed):
-        rng = np.random.default_rng(300 + seed)
-        params = init_params(4, hidden=5, n_heads=4, seed=seed)
-        x, y, g = random_batch(rng, 4, 12)
-        _, grads = bce_loss_and_grad(params, x, y, head_ids=g)
-        for f in PARAM_FIELDS[:4]:
-            fd = finite_difference_grads(
-                params, f, lambda p: bce_loss_and_grad(p, x, y, head_ids=g)[0]
-            )
-            assert_block_close(getattr(grads, f), fd)
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_adversarial(self, seed):
-        """Encoder sees bce - mu*adv, adversary sees adv, heads see bce."""
-        mu = 0.1
-        rng = np.random.default_rng(400 + seed)
-        params = init_params(4, hidden=5, adv_groups=3, seed=seed)
-        x, y, g = random_batch(rng, 4, 14, n_groups=3)
-        _, _, grads = cfair_loss_and_grad(params, x, y, g, mu)
-
-        def bce_of(p):
-            return cfair_loss_and_grad(p, x, y, g, mu)[0]
-
-        def adv_of(p):
-            return cfair_loss_and_grad(p, x, y, g, mu)[1]
-
-        for f in ("w1", "b1"):
-            fd = finite_difference_grads(params, f, lambda p: bce_of(p) - mu * adv_of(p))
-            assert_block_close(getattr(grads, f), fd)
-        for f in ("w_heads", "b_heads"):
-            fd = finite_difference_grads(params, f, bce_of)
-            assert_block_close(getattr(grads, f), fd)
-        for f in ("w_adv", "b_adv"):
-            fd = finite_difference_grads(params, f, adv_of)
-            assert_block_close(getattr(grads, f), fd)
+    """Gradient properties that criterion 5's finite differences do not reach."""
 
     def test_permutation_invariance(self, rng):
         params = init_params(4, hidden=5, n_heads=4, seed=9)
@@ -317,11 +238,8 @@ class TestGradReversal:
         _, _, g_hi = cfair_loss_and_grad(params, x, y, g, mu=0.5)
         adv_part = (g_hi.w1 - g_lo.w1) / 0.5
 
-        def adv_of(p):
-            return cfair_loss_and_grad(p, x, y, g, mu=0.0)[1]
-
-        fd = finite_difference_grads(params, "w1", adv_of)
-        assert_block_close(adv_part, -fd)
+        fd = central_differences(params, "w1", lambda: cfair_loss_and_grad(params, x, y, g, mu=0.0)[1])
+        assert np.linalg.norm(adv_part + fd) <= 1e-4 * np.linalg.norm(fd)
 
     def test_rejects_model_without_adversary(self):
         params = init_params(3, hidden=4, seed=0)
