@@ -69,6 +69,11 @@ def test_lower_layers_load_neither_trainers_nor_cli():
     assert lower == sorted(["subshift", *(f"subshift.{name}" for name in LOWER_LAYERS)])
 
 
+def test_source_file_names_are_distinct():
+    """test_every_imported_name_is_used names its cases by file name alone."""
+    assert len({path.name for path in SOURCES}) == len(SOURCES)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     """Each name an import binds, bar __future__'s, is read in its module or listed in its __all__."""

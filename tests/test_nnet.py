@@ -203,6 +203,24 @@ class TestBceLoss:
             bce_loss_and_grad(params, np.zeros((2, 3)), np.array([0, 1]))
 
 
+class TestCentralDifferences:
+    """The suite's gradient oracle, which criterion 5 and TestGradReversal trust."""
+
+    def test_exact_on_a_quadratic(self, rng):
+        params = init_params(4, hidden=5, seed=3)
+        c, d = rng.uniform(0.5, 2.0, size=params.w1.shape), rng.normal(size=params.w1.shape)
+        fd = central_differences(params, "w1", lambda: float(np.sum(c * params.w1**2 + d * params.w1)))
+        assert np.allclose(fd, 2 * c * params.w1 + d, rtol=0, atol=1e-8)
+
+    def test_leaves_every_block_bit_identical(self, rng):
+        params = init_params(4, hidden=5, adv_groups=3, seed=5)
+        x, y, g = random_batch(rng, 4, 12, n_groups=3)
+        before = params.flat.copy()
+        for field in blocks_of(params):
+            central_differences(params, field, lambda: cfair_loss_and_grad(params, x, y, g, mu=0.1)[0])
+        assert np.array_equal(params.flat, before)
+
+
 class TestGradientChecks:
     """Gradient properties that criterion 5's finite differences do not reach."""
 
