@@ -183,10 +183,11 @@ def _doom(spec: ExperimentSpec, data_seed: int):
 
 
 def _plan_sweep(spec: ExperimentSpec):
-    """Every decision a sweep makes before it builds a table or draws features: (seeds, cells).
+    """Every decision a sweep makes before it draws features: (seeds, cells, kl_rows).
 
     seeds holds each (seed, data_seed, doom). cells holds every (method, scheme, seed, cell_seed) in
-    error-row order: method, then scheme, then seed. ERM's one scheme is "-".
+    error-row order: method, then scheme, then seed. ERM's one scheme is "-". kl_rows is the min-KL
+    table, built last, once every check has passed.
     """
     for method in spec.methods:
         for name in spec.schemes:
@@ -230,7 +231,8 @@ def _plan_sweep(spec: ExperimentSpec):
     if all(doom is not None for _, _, doom in seeds):
         seed, _, (size, exc) = seeds[0]
         raise type(exc)(f"no seed can be scored: seed {seed}'s {size[2:]} split ({size}={getattr(spec, size)}): {exc}")
-    return seeds, tuple((*cell, _derive_seed(spec.master_seed, *cell)) for cell in cells)
+    cells = tuple((*cell, _derive_seed(spec.master_seed, *cell)) for cell in cells)
+    return seeds, cells, compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1)
 
 
 def run_sweep(spec: ExperimentSpec) -> RunRecord:
@@ -257,14 +259,13 @@ def run_sweep(spec: ExperimentSpec) -> RunRecord:
     any other exception is a bug and propagates. Error rows come out in plan
     order (method, then scheme, then seed), not run order.
     """
-    plan = _plan_sweep(spec)
-    return _run_plan(spec, compute_kl_rows(spec.schemes, spec.p_s0, spec.p_s1), plan)
+    return _run_plan(spec, _plan_sweep(spec))
 
 
-def _run_plan(spec: ExperimentSpec, kl_rows, plan) -> RunRecord:
+def _run_plan(spec: ExperimentSpec, plan) -> RunRecord:
     """Run the cells of a _plan_sweep plan against its min-KL table, as run_sweep describes."""
     started = _now()
-    seeds, cells = plan
+    seeds, cells, kl_rows = plan
     p_train = biased_distribution(spec.p_s0, spec.p_s1)
     kl_by_scheme = {r.scheme: r for r in kl_rows}
 
@@ -573,14 +574,11 @@ def cmd_ablate(args) -> int:
     correlated = _correlation_files(m for m in spec.methods if m != "erm")
     summary_csv = "ablation_summary.csv"
     _refuse_blocked(args.out, [Path(name, f) for name, _ in variants for f in (*RUN_FILES, *correlated)] + [summary_csv])
-    # Plan every variant and build one table per distinct bias, then refuse, before any features
-    # are drawn, a variant whose correlation is undefined by its spec alone, judged on the
-    # six-decimal min KL that results.csv holds.
+    # Plan every variant, its table included, then refuse, before any features are drawn, a
+    # variant whose correlation is undefined by its spec alone, judged on the six-decimal min KL
+    # that results.csv holds.
     plans = [_plan_sweep(variant_spec) for _, variant_spec in variants]
-    keys = [(v.schemes, v.p_s0, v.p_s1) for _, v in variants]
-    built = {key: compute_kl_rows(*key) for key in dict.fromkeys(keys)}
-    tables = [built[key] for key in keys]
-    for (name, variant_spec), kl_rows in zip(variants, tables):
+    for (name, variant_spec), (_, _, kl_rows) in zip(variants, plans):
         columns = {"min_kl_gdro": [r.kl_gdro for r in kl_rows], "min_kl_resampling": [r.kl_resampling for r in kl_rows]}
         where = f" in the {name} variant (p_s0={variant_spec.p_s0}, p_s1={variant_spec.p_s1})"
         for method in [m for m in variant_spec.methods if m != "erm"]:
@@ -588,8 +586,8 @@ def cmd_ablate(args) -> int:
     base = None
     failed = False
     summary = []
-    for (name, variant_spec), kl_rows, plan in zip(variants, tables, plans):
-        record = _write_and_report(_run_plan(variant_spec, kl_rows, plan), variant_spec, out / name)
+    for (name, variant_spec), plan in zip(variants, plans):
+        record = _write_and_report(_run_plan(variant_spec, plan), variant_spec, out / name)
         failed = failed or bool(record.errors)
         try:
             report = _correlate_dir(out / name)

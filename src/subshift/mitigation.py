@@ -162,7 +162,7 @@ def _fit(dataset, cfg: TrainConfig, seed: int, step, batches=None, **model_shape
                 nnet.sgd_adam_step(params, grads, moments, t, lr, cfg.weight_decay)
                 reports.append(report)
             means = {key: np.mean([r[key] for r in reports], axis=0) for key in (reports[0] if reports else ())}
-            checked = (("parameters", params.flat @ params.flat), ("Adam moments", moments), *means.items())
+            checked = (("parameters' squared norm", params.flat @ params.flat), ("Adam moments", moments), *means.items())
             bad = [name for name, value in checked if not np.isfinite(value).all()]
             if bad:
                 raise DegenerateInput(

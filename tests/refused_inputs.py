@@ -11,11 +11,13 @@ refuses; each would otherwise give a negative KL divergence, a numpy error
 inside sampling, or a misleading error from the optimizer.
 
 CONFIG_BOUNDS is every numeric config field with the bound its metadata
-declares; every bounds test reads it. refuses() runs the command line and
+declares; every bounds test reads it. config_argv() writes a test's --config
+and returns the command that reads it; refuses() runs the command line and
 checks the whole contract of a refused command.
 """
 
 import io
+import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -71,6 +73,21 @@ REFUSED_ATOM_SPACE_VALUES = {
     "shape_7": (Distribution, [1 / 7] * 7),
     "nan_grouping": (SoftGrouping, np.full((8, 2), np.nan)),
 }
+
+
+def config_argv(root, config, command="run", *flags, out="out"):
+    """Write config to root/config.json and return the argv of `command --config <that file> --out root/out *flags`.
+
+    config is a dict, written as JSON, or raw text, written as it is; None writes no file.
+    out names the output directory under root, or is None to pass no --out.
+    """
+    path = Path(root) / "config.json"
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    argv = [command, "--config", str(path)]
+    if out is not None:
+        argv += ["--out", str(Path(root) / out)]
+    return [*argv, *flags]
 
 
 def run_main(argv):

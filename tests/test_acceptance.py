@@ -168,15 +168,6 @@ def test_criterion_04_optimizer_matches_brute_force_and_probes():
             assert result.achieved_kl <= probe_kl + PROBE_SLACK, scheme.name
 
 
-PARAM_FIELDS = ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
-
-
-def _writable(params):
-    return nnet.ModelParams(
-        *(None if getattr(params, f) is None else getattr(params, f).copy() for f in PARAM_FIELDS)
-    )
-
-
 def test_criterion_05_gradients_match_finite_differences():
     rng = np.random.default_rng(20260816)
     worst = 0.0
@@ -187,11 +178,9 @@ def test_criterion_05_gradients_match_finite_differences():
         batch = int(rng.integers(6, 13))
         n_heads = int(rng.integers(2, 4)) if mode == "multihead" else 1
         adv_groups = int(rng.integers(2, 5)) if mode == "adversarial" else 0
-        params = _writable(
-            nnet.init_params(
-                dim, hidden=hidden, n_heads=n_heads, adv_groups=adv_groups,
-                seed=int(rng.integers(0, 10**6)),
-            )
+        params = nnet.init_params(
+            dim, hidden=hidden, n_heads=n_heads, adv_groups=adv_groups,
+            seed=int(rng.integers(0, 10**6)),
         )
         x = rng.normal(size=(batch, dim))
         y = np.zeros(batch, dtype=np.int64)

@@ -23,6 +23,8 @@ from subshift.grouping import model_based_schemes, reweighting_schemes
 from subshift.harness import DEFAULT_SCHEMES, ExperimentSpec, main, write_run_outputs
 from subshift.mitigation import METHODS
 
+from refused_inputs import config_argv
+
 GOLDEN = json.loads((Path(__file__).parent / "golden.json").read_text())
 SMALL_RUNS = sorted(name for name in GOLDEN["run"] if name != "default")
 
@@ -34,9 +36,7 @@ def digests(out: Path, entry) -> dict:
 
 def rerun(tmp_path, command, entry) -> dict:
     """Run `subshift <command>` on the entry's config; return the digests of the files the entry lists."""
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(entry["config"]))
-    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert main(config_argv(tmp_path, entry["config"], command)) == 0
     return digests(tmp_path / "out", entry)
 
 
@@ -85,13 +85,11 @@ def test_small_jobs_match_golden_on_baseline_cpu_kernels(tmp_path):
     jobs = [("analyze-kl", "analyze-kl", GOLDEN["analyze-kl"])]
     jobs += [("run", name, GOLDEN["run"][name]) for name in SMALL_RUNS]
     for command, name, entry in jobs:
-        config = tmp_path / f"{name}.json"
-        config.write_text(json.dumps(entry["config"]))
-        out = tmp_path / name
-        args = [sys.executable, "-m", "subshift", command, "--config", str(config), "--out", str(out)]
-        proc = subprocess.run(args, env=env, capture_output=True, text=True)
+        (tmp_path / name).mkdir()
+        argv = config_argv(tmp_path / name, entry["config"], command)
+        proc = subprocess.run([sys.executable, "-m", "subshift", *argv], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert digests(out, entry) == entry["sha256"], name
+        assert digests(tmp_path / name / "out", entry) == entry["sha256"], name
 
 
 def test_small_runs_cover_every_scheme_and_method():

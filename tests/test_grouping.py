@@ -356,10 +356,6 @@ class TestYFreedom:
 
 
 class TestSchemeLists:
-    def test_counts(self):
-        assert len(reweighting_schemes()) == 15
-        assert len(model_based_schemes()) == 12
-
     def test_all_constructible(self, p_train):
         for scheme in reweighting_schemes() + model_based_schemes():
             g = atom_grouping(scheme, p_train)

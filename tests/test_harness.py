@@ -30,7 +30,6 @@ from subshift.errors import (
 )
 from subshift.grouping import model_based_schemes, reweighting_schemes
 from subshift.harness import (
-    CHECK_TOLERANCE,
     DEFAULT_SCHEMES,
     REFERENCE_TABLE,
     ExperimentSpec,
@@ -49,7 +48,7 @@ from subshift.harness import (
 from subshift.mitigation import TrainConfig
 from subshift.synth_data import FeatureConfig
 
-from refused_inputs import CONFIG_BOUNDS, REFUSED_INPUTS, SPEC_FIELD, check_refusal, refuses, run_main
+from refused_inputs import CONFIG_BOUNDS, REFUSED_INPUTS, SPEC_FIELD, check_refusal, config_argv, refuses, run_main
 
 
 RESULTS_HEADER = ",".join(harness.RESULT_COLUMNS)
@@ -137,16 +136,6 @@ class TestSpecValidation:
         with pytest.raises(SubshiftError, match=f"{cls.__name__} field '{next(iter(kwargs))}' has the wrong type"):
             cls(**kwargs)
 
-    @pytest.mark.parametrize("cls,kwargs", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS.keys())
-    def test_refused_input_never_reaches_make_splits(self, cls, kwargs):
-        def build():
-            return cls(**kwargs) if cls is ExperimentSpec else ExperimentSpec(**{SPEC_FIELD[cls]: cls(**kwargs)})
-
-        with mock.patch.object(harness, "make_splits", side_effect=AssertionError("make_splits ran")) as drawn:
-            with pytest.raises(SubshiftError):
-                run_sweep(build())
-        drawn.assert_not_called()
-
 
 class TestDeriveSeed:
     def test_stable(self):
@@ -181,9 +170,13 @@ class TestRunSweep:
     def test_kl_rows_cover_schemes(self, tiny_record):
         assert [r.scheme for r in tiny_record.kl_rows] == ["Y", "AY", "S"]
 
-    def test_a_cell_does_not_depend_on_the_rest_of_the_sweep(self):
-        """Adding schemes and seeds around a cell, in any order, leaves its row unchanged."""
-        spec = partial(tiny_spec, methods=mitigation.METHODS, feature=FeatureConfig())
+    @pytest.mark.parametrize(
+        "feature", [FeatureConfig(), FeatureConfig(d_y=2, d_a=2, d_s=2)], ids=["default_features", "two_per_block"]
+    )
+    def test_a_cell_does_not_depend_on_the_rest_of_the_sweep(self, feature):
+        """Adding schemes and seeds around a cell, in any order, leaves its row unchanged:
+        a cell's seed hashes its seed value, not its position in the plan."""
+        spec = partial(tiny_spec, methods=mitigation.METHODS, feature=feature)
         small = run_sweep(spec(schemes=("A", "SC_noSC"), seeds=(0,)))
         large = run_sweep(spec(schemes=("S", "SC_noSC", "AS", "A"), seeds=(3, 0)))
         assert small.errors == large.errors == ()
@@ -360,7 +353,7 @@ class TestRunSweep:
             for method, name in (("erm", "-"), ("gdro", "A"), ("gdro", "S"))
         ]
         # The plan lists the same cells and seeds, method-major; the sweep trains them seed-major.
-        _, planned = harness._plan_sweep(spec)
+        _, planned, _ = harness._plan_sweep(spec)
         run_order = sorted(planned, key=lambda c: (spec.seeds.index(c[2]), ("-", *spec.schemes).index(c[1])))
         assert cells == [(method, name, cell_seed) for method, name, _, cell_seed in run_order]
         assert [c[:3] for c in planned] == [
@@ -387,14 +380,6 @@ class TestRunSweep:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
-
-    def test_cell_seed_hashes_seed_value_not_position(self):
-        """Every method's row is the same wherever the plan puts its cell: each of the
-        first sweep's cells sits at another position, and beside other cells, in the second."""
-        first = run_sweep(tiny_spec(methods=mitigation.METHODS, schemes=("A", "SC_noSC"), seeds=(0,)))
-        second = run_sweep(tiny_spec(methods=mitigation.METHODS, schemes=("S", "SC_noSC", "AS", "A"), seeds=(3, 0)))
-        assert len(first.rows) == 12 and first.errors == ()
-        assert [row for row in first.rows if row not in second.rows] == []
 
     def test_doomed_seed_trains_nothing(self, monkeypatch):
         """At n_test=8 and master seed 0, seed 1's test split has no (a=0, s=0)
@@ -663,16 +648,14 @@ class TestCli:
 
     def test_analyze_kl_config_skips_only_the_method_scheme_pairing(self, tmp_path, capsys):
         """The table reads the schemes and the bias levels, never the methods."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"methods": ["cfair"], "schemes": ["A", "Y"]}))
-        assert main(["analyze-kl", "--config", str(cfg_path)]) == 0
+        assert main(config_argv(tmp_path, {"methods": ["cfair"], "schemes": ["A", "Y"]}, "analyze-kl", out=None)) == 0
         assert capsys.readouterr().out.splitlines() == [
             "scheme,kl_gdro,kl_resampling",
             "A,0.526755,0.526755",
             "Y,0.526755,0.526755",
         ]
-        cfg_path.write_text(json.dumps({"methods": ["cfair"]}))  # no model-based default either
-        assert main(["analyze-kl", "--config", str(cfg_path)]) == 0
+        # no model-based default either
+        assert main(config_argv(tmp_path, {"methods": ["cfair"]}, "analyze-kl", out=None)) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [line.split(",")[0] for line in rows] == list(DEFAULT_SCHEMES)
 
@@ -689,9 +672,7 @@ class TestCli:
         ids=["unknown_key", "wrong_type", "unknown_scheme", "repeated_scheme", "p_s0_1", "p_s1_0"],
     )
     def test_analyze_kl_config_keeps_its_other_checks(self, tmp_path, config, message):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        refuses(["analyze-kl", "--config", str(cfg_path)], tmp_path, message)
+        refuses(config_argv(tmp_path, config, "analyze-kl", out=None), tmp_path, message)
 
     def test_analyze_kl_rejects_repeated_scheme(self, tmp_path):
         """--scheme fills the spec's scheme list, so it is checked as --schemes is."""
@@ -799,10 +780,8 @@ class TestCli:
             "feature": {"d_y": 2, "d_a": 2, "d_s": 2},
             "train": {"epochs": 2},
         }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert main(config_argv(tmp_path, config)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec"]["n_train"] == 400
         assert manifest["spec"]["train"]["epochs"] == 2
@@ -830,11 +809,9 @@ class TestCli:
             return model
 
         monkeypatch.setattr(mitigation, "train", diverging_train)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="risks empty groups for AY"):
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert main(config_argv(tmp_path, config)) == 1
         errors = json.loads((out / "manifest.json").read_text())["errors"]
         assert [(e["method"], e["grouping"]) for e in errors] == [("gdro", "A"), ("gdro", "AY"), ("gdro", "S")]
         assert all(e["error"] == "DegenerateInput: AUC needs finite scores" for e in errors)
@@ -843,20 +820,24 @@ class TestCli:
         assert [line.split(",")[0] for line in results.splitlines()[1:]] == ["erm"] * 3
 
     @pytest.mark.parametrize(
-        "overrides",
+        "overrides,found",
         [
-            {"train": {"epochs": 2, "lr": 1e300}},
-            {"methods": ["cfair"], "train": {"epochs": 2, "cfair_mu": 1e308}},
-            {"schemes": ["A", "AS"], "n_train": 100, "train": {"epochs": 1, "lr": 1e300}},
+            ({"train": {"epochs": 2, "lr": 1e300}}, "parameters' squared norm, Adam moments, train_loss"),
+            ({"methods": ["cfair"], "train": {"epochs": 2, "cfair_mu": 1e308}}, "Adam moments not finite"),
+            (
+                {"schemes": ["A", "AS"], "n_train": 100, "train": {"epochs": 1, "lr": 1e300}},
+                "parameters' squared norm not finite",
+            ),
         ],
         ids=("lr", "cfair_mu", "lr_one_step"),
     )
-    def test_diverging_training_is_one_warning_free_error_row_per_cell(self, tmp_path, capsys, overrides):
+    def test_diverging_training_is_one_warning_free_error_row_per_cell(self, tmp_path, capsys, overrides, found):
         """An accepted config whose training overflows ends each cell in the
-        epoch where it diverged; numpy warns of nothing. At cfair_mu 1e308
-        only Adam's second moment overflows, which would freeze the model.
-        At n_train 100 an epoch is one batch, whose single step leaves the
-        weights finite but near 1e300."""
+        epoch where it diverged, naming what the check found; numpy warns of
+        nothing. At cfair_mu 1e308 only Adam's second moment overflows, which
+        would freeze the model. At n_train 100 an epoch is one batch, whose
+        single step leaves the weights finite but near 1e300: only their
+        squared norm overflows."""
         config = {
             "methods": ["erm", "gdro", "resampling", "domain_ind", "cfair", "jtt"],
             "schemes": ["A", "AS", "SC_noSC"],
@@ -867,17 +848,16 @@ class TestCli:
             **overrides,
         }
         methods = config["methods"]
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert main(config_argv(tmp_path, config)) == 1
         errors = json.loads((out / "manifest.json").read_text())["errors"]
         cells = [("erm", "-")] * ("erm" in methods) + [(m, s) for m in methods if m != "erm" for s in config["schemes"]]
         assert [(e["method"], e["grouping"]) for e in errors] == cells
         # JTT's first run is its one-epoch stage one, and its rows say so
-        assert all(re.match(r"DegenerateInput: training diverged in epoch 1 of [12]: ", e["error"]) for e in errors)
+        prefix = r"DegenerateInput: training diverged in epoch 1 of [12]: " + re.escape(found)
+        assert all(re.match(prefix, e["error"]) for e in errors), errors
         assert [e["error"].endswith(" (jtt stage 1, 1 epoch)") for e in errors] == [m == "jtt" for m, _ in cells]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == len(errors)
@@ -895,13 +875,8 @@ class TestCli:
             "feature": {"d_y": 2, "d_a": 2, "d_s": 2},
             "train": {"epochs": 2},
         }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        code = main(
-            ["run", "--config", str(cfg_path), "--out", str(out), "--seeds", "0", "--n-train", "300"]
-        )
-        assert code == 0
+        assert main(config_argv(tmp_path, config, "run", "--seeds", "0", "--n-train", "300")) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["spec"]["seeds"] == [0]
         assert manifest["spec"]["n_train"] == 300
@@ -937,12 +912,9 @@ class TestCli:
     def test_flags_repair_a_config_refused_on_its_own(self, tmp_path, capsys, config, message, flag, value):
         """Flags are laid over --config before the spec is built and checked, once."""
         small = {"seeds": [0], "n_train": 64, "n_val": 32, "n_test": 64, "train": {"epochs": 1}}
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**small, **config}))
-        refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "alone")], tmp_path, message)
+        refuses(config_argv(tmp_path, {**small, **config}, out="alone"), tmp_path, message)
         out = tmp_path / "out"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out), f"--{flag}", ",".join(map(str, value))]
-        assert main(argv) == 0
+        assert main(config_argv(tmp_path, {**small, **config}, "run", f"--{flag}", ",".join(map(str, value)))) == 0
         assert json.loads((out / "manifest.json").read_text())["spec"][flag] == value
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
@@ -957,12 +929,10 @@ class TestCli:
 
     def test_y_free_config_without_schemes_runs_on_the_model_based_list(self, tmp_path, capsys):
         config = {"methods": ["cfair", "domain_ind"], "seeds": [0], "n_train": 64, "n_val": 32, "n_test": 64}
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**config, "train": {"epochs": 1}}))
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            assert main(config_argv(tmp_path, {**config, "train": {"epochs": 1}})) == 0
         names = [s.name for s in model_based_schemes()]
         assert json.loads((out / "manifest.json").read_text())["spec"]["schemes"] == names
         rows = read_results_csv(out / "results.csv")
@@ -985,9 +955,7 @@ class TestCli:
         ],
     )
     def test_unknown_config_key_exits_2(self, tmp_path, config, message):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-        refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path, message)
+        refuses(config_argv(tmp_path, config), tmp_path, message)
 
     @pytest.mark.parametrize(
         "text,message",
@@ -1003,28 +971,14 @@ class TestCli:
         ids=["missing_file", "invalid_json", "seeds_not_a_list", "n_train_not_an_int", "epochs_float", "methods_empty", "schemes_str"],
     )
     def test_malformed_config_exits_2(self, tmp_path, text, message):
-        cfg_path = tmp_path / "config.json"
-        if text is not None:
-            cfg_path.write_text(text)
-        refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path, message)
+        refuses(config_argv(tmp_path, text), tmp_path, message)
 
-    def test_ablate_writes_every_variant(self, tmp_path, capsys, monkeypatch):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**ABLATE_CONFIG, "methods": ["erm", "gdro", "resampling"]}))
-        tables = []
-        real_table = harness.min_kl_table
-
-        def counted_table(*args):
-            tables.append(args)
-            return real_table(*args)
-
-        monkeypatch.setattr(harness, "min_kl_table", counted_table)
+    def test_ablate_writes_every_variant(self, tmp_path, capsys):
+        config = {**ABLATE_CONFIG, "methods": ["erm", "gdro", "resampling"]}
         csvs = {}
         for run in ("first", "second"):
             out = tmp_path / run
-            tables.clear()
-            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 0
-            assert len(tables) == 2  # one per distinct bias, shared by its variants' checks and sweeps
+            assert main(config_argv(tmp_path, config, "ablate", out=run)) == 0
             csvs[run] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
         names = ("results", "relative_auc", "disparity", "correlation", "scatter_gdro", "scatter_resampling")
         for variant in ABLATE_VARIANTS:
@@ -1041,32 +995,7 @@ class TestCli:
         assert [line.split(",")[:2] for line in summary[1:]] == rows
         assert summary[1].split(",")[5] == "1"
 
-    def test_ablate_builds_one_table_per_distinct_bias(self, tmp_path, monkeypatch):
-        """small_n keeps the baseline's (schemes, p_s0, p_s1), so its check and its sweep reuse that table."""
-        tables, runs = [], []
-        real_table = harness.min_kl_table
-
-        def counted_table(*args):
-            tables.append(real_table(*args))
-            return tables[-1]
-
-        def no_cells(spec, kl_rows, seeds):
-            runs.append(kl_rows)
-            return harness.RunRecord(rows=(), kl_rows=tuple(kl_rows), errors=(), started="", finished="")
-
-        monkeypatch.setattr(harness, "min_kl_table", counted_table)
-        monkeypatch.setattr(harness, "_run_plan", no_cells)
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(ABLATE_CONFIG))
-        assert main(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-        assert len(tables) == 2
-        baseline, weak_shift, small_n = runs
-        assert baseline is tables[0] and weak_shift is tables[1] and small_n is tables[0]
-
     def test_ablate_reports_failed_cells_and_exits_1(self, tmp_path, capsys, monkeypatch):
-        config = dict(ABLATE_CONFIG, schemes=["A", "Y", "AY", "S"])
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
         failing = _derive_seed(0, "gdro", "A", 0)  # the same cell seed in every variant
         real_train = mitigation.train
 
@@ -1077,7 +1006,7 @@ class TestCli:
 
         monkeypatch.setattr(mitigation, "train", flaky_train)
         out = tmp_path / "out"
-        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main(config_argv(tmp_path, dict(ABLATE_CONFIG, schemes=["A", "Y", "AY", "S"]), "ablate")) == 1
         failures = [l for l in capsys.readouterr().err.splitlines() if l.startswith("cell failed: ")]
         assert len(failures) == len(ABLATE_VARIANTS)
         assert all("'gdro'" in l and "'A'" in l and "EmptyGroup: injected" in l for l in failures)
@@ -1102,9 +1031,7 @@ class TestCli:
         ids=["two_schemes", "equal_min_kl", "equal_at_six_decimals"],
     )
     def test_ablate_undefined_correlation_fails_before_any_data(self, tmp_path, overrides, message):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**ABLATE_CONFIG, **overrides}))
-        assert refuses(["ablate", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path).startswith(message)
+        assert refuses(config_argv(tmp_path, {**ABLATE_CONFIG, **overrides}, "ablate"), tmp_path).startswith(message)
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize(
@@ -1117,9 +1044,7 @@ class TestCli:
     )
     def test_unscorable_splits_exit_2_before_training(self, tmp_path, command, size, message):
         """A split too small to score fails every cell of every seed, so the sweep trains nothing."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**ABLATE_CONFIG, "seeds": [0, 1], **size}))
-        line = refuses([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path)
+        line = refuses(config_argv(tmp_path, {**ABLATE_CONFIG, "seeds": [0, 1], **size}, command), tmp_path)
         assert f"{line}\n".startswith(f"error: {message}")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux only")
@@ -1142,8 +1067,7 @@ class TestCli:
     def test_split_too_large_to_allocate_exits_2_before_any_draw(self, tmp_path, overrides, message):
         """run and ablate exit 2 and run_sweep raises InvalidConfig, in a child whose address space is capped,
         so that an array the plan let through fails instead of taking memory."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**TOO_LARGE_BASE, **overrides}))
+        _, _, config, _, out = config_argv(tmp_path, {**TOO_LARGE_BASE, **overrides})
         code = MEMORY_CAP + (
             "from subshift import harness\n"
             "from subshift.errors import InvalidConfig\n"
@@ -1159,17 +1083,14 @@ class TestCli:
             "except InvalidConfig:\n"
             "    print('InvalidConfig')\n"
         )
-        out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(out)], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code, config, out], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["2", "2", "InvalidConfig"]
         err = proc.stderr.splitlines()
         assert len(err) == 2 and all(line.startswith(message) for line in err), proc.stderr
-        assert not out.exists()
+        assert not Path(out).exists()
 
     def test_ablate_without_a_baseline_correlation_reports_nan(self, tmp_path, capsys, monkeypatch):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(ABLATE_CONFIG))
         real_train = mitigation.train
         gdro_calls = []
 
@@ -1182,7 +1103,7 @@ class TestCli:
 
         monkeypatch.setattr(mitigation, "train", failing_baseline)
         out = tmp_path / "out"
-        assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert main(config_argv(tmp_path, ABLATE_CONFIG, "ablate")) == 1
         summary = [l.split(",") for l in (out / "ablation_summary.csv").read_text().splitlines()[1:]]
         assert [row[:2] for row in summary] == [["weak_shift", "gdro"], ["small_n", "gdro"]]
         assert all(row[4] == "nan" and row[5] == "0" for row in summary)
@@ -1199,11 +1120,9 @@ class TestCli:
             "n_test": 400,
             "train": {"epochs": 1},
         }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
         out = tmp_path / "out"
         with pytest.warns(UserWarning, match="risks empty groups"):
-            assert main(["ablate", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert main(config_argv(tmp_path, config, "ablate")) == 1
         err = capsys.readouterr().err.splitlines()
         assert "small_n: correlation failed: gdro: need at least 3 schemes, have 2" in err
         summary = [l.split(",") for l in (out / "ablation_summary.csv").read_text().splitlines()[1:]]
@@ -1310,16 +1229,12 @@ class TestMalformedSpecs:
     @settings(max_examples=150, deadline=None)
     def test_rejected_before_data_is_drawn(self, malformed):
         with tempfile.TemporaryDirectory() as tmp:
-            cfg_path = Path(tmp) / "config.json"
-            cfg_path.write_text(json.dumps({**VALID_CONFIG, **malformed}))
-            refuses(["run", "--config", str(cfg_path), "--out", str(Path(tmp) / "out")], tmp)
+            refuses(config_argv(tmp, {**VALID_CONFIG, **malformed}), tmp)
 
     def test_valid_config_reaches_make_splits(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(VALID_CONFIG))
         reached = AssertionError("make_splits reached")
         with mock.patch.object(harness, "make_splits", side_effect=reached), pytest.raises(AssertionError, match="reached"):
-            main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            main(config_argv(tmp_path, VALID_CONFIG))
 
 
 class TestConfigBounds:
@@ -1331,9 +1246,7 @@ class TestConfigBounds:
     def test_refused_by_the_constructor_and_by_run_config(self, tmp_path, cls, name, value, message):
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             cls(**{name: value})
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**VALID_CONFIG, **_with_field(cls, name, value)}))
-        assert refuses(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")], tmp_path) == f"error: {message}"
+        assert refuses(config_argv(tmp_path, {**VALID_CONFIG, **_with_field(cls, name, value)}), tmp_path) == f"error: {message}"
 
     def test_every_min_bound_itself_is_accepted(self):
         for cls, bounds in CONFIG_BOUNDS.items():
@@ -1382,11 +1295,33 @@ def _edge_values(cls):
             yield name, -1e308
 
 
-EDGE_CASES = [
-    pytest.param(section, name, value, id=f"{section}.{name}={value!r}")
-    for section, cls in (("feature", FeatureConfig), ("train", TrainConfig))
+EDGES = [
+    (section, name, value) for section, cls in (("feature", FeatureConfig), ("train", TrainConfig))
     for name, value in _edge_values(cls)
 ]
+EDGE_CASES = [pytest.param(*edge, id=f"{edge[0]}.{edge[1]}={edge[2]!r}") for edge in EDGES]
+# every two edge values of distinct fields
+EDGE_PAIRS = [(one, two) for i, one in enumerate(EDGES) for two in EDGES[i + 1 :] if one[:2] != two[:2]]
+
+
+def _meets_the_contract(root, edges):
+    """Run CONTRACT_BASE with each (section, key, value) of edges laid over it, check the
+    CLI contract, and return the exit code and the warnings raised."""
+    config = dict(CONTRACT_BASE)
+    for section, key, value in edges:
+        config[section] = {**config.get(section, {}), key: value}
+    out = Path(root) / "out"
+    code, stdout, err, seen = run_main(config_argv(root, config))
+    if code == 0:
+        assert err == []
+    elif code == 1:
+        assert err and all(line.startswith("cell failed: ") for line in err), err
+    else:  # a refusal met while the data is drawn, as at noise_sd 1e308
+        check_refusal(code, stdout, err)
+        assert not out.exists()
+    for w in seen:
+        assert w.category is UserWarning and any(d in str(w.message) for d in DOCUMENTED_WARNINGS), w
+    return code, seen
 
 
 class TestAcceptedSpecs:
@@ -1394,42 +1329,25 @@ class TestAcceptedSpecs:
 
     @pytest.mark.parametrize("section,key,value", EDGE_CASES)
     def test_edge_value_meets_the_contract(self, tmp_path, section, key, value):
-        cfg_path, out = tmp_path / "config.json", tmp_path / "out"
-        cfg_path.write_text(json.dumps({**CONTRACT_BASE, section: {**CONTRACT_BASE.get(section, {}), key: value}}))
-        code, stdout, err, seen = run_main(["run", "--config", str(cfg_path), "--out", str(out)])
-        if code == 0:
-            assert err == []
-        elif code == 1:
-            assert err and all(line.startswith("cell failed: ") for line in err), err
-        else:  # a refusal met while the data is drawn, as at noise_sd 1e308
-            check_refusal(code, stdout, err)
-            assert not out.exists()
-        for w in seen:
-            assert w.category is UserWarning and any(d in str(w.message) for d in DOCUMENTED_WARNINGS), w
+        code, seen = _meets_the_contract(tmp_path, [(section, key, value)])
         if (section, key, value) in PINNED_EDGES:
-            rows = None if code == 2 else (out / "results.csv").read_text().count("\n") - 1
+            rows = None if code == 2 else (tmp_path / "out" / "results.csv").read_text().count("\n") - 1
             assert (code, rows, seen) == (*PINNED_EDGES[section, key, value], [])
 
+    @given(pair=st.sampled_from(EDGE_PAIRS))
+    @settings(max_examples=40, deadline=None)
+    def test_two_edge_values_meet_the_contract(self, pair):
+        with tempfile.TemporaryDirectory() as tmp:
+            _meets_the_contract(tmp, pair)
+
     def test_every_pinned_edge_is_drawn(self):
-        assert set(PINNED_EDGES) <= {tuple(case.values) for case in EDGE_CASES}
+        assert set(PINNED_EDGES) <= set(EDGES)
 
     def test_jtt_warns_once_per_cell_naming_its_scheme(self, tmp_path):
         """At mu_y -1e308 no stage-one model errs on train: each JTT cell warns once, for both lengths."""
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({**CONTRACT_BASE, "feature": {"mu_y": -1e308}}))
-        code, _, _, seen = run_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        code, _, _, seen = run_main(config_argv(tmp_path, {**CONTRACT_BASE, "feature": {"mu_y": -1e308}}))
         assert code == 0 and [str(w.message) for w in seen] == [
             f"stage-1 model makes no training errors (jtt on {name}, stage-1 epochs 1, 2); upweighting is a no-op"
             for name in CONTRACT_BASE["schemes"]
         ]
 
-
-class TestDefaults:
-    def test_default_scheme_list(self):
-        assert len(DEFAULT_SCHEMES) == 15
-        assert DEFAULT_SCHEMES[0] == "A"
-        assert "Noisy_AY_0.25" in DEFAULT_SCHEMES
-
-    def test_reference_table_shape(self):
-        assert len(REFERENCE_TABLE) == 15
-        assert CHECK_TOLERANCE == 5e-3

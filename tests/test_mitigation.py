@@ -81,6 +81,15 @@ def pin_jtt_grid(monkeypatch):
     return pin
 
 
+def fit_one(method, small_train, val_a, train_a, train_ay, epochs):
+    """Train one method on its usual split; JTT's grid must be pinned to one cell first."""
+    cfg = TrainConfig(epochs=epochs)
+    ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
+        method, small_train
+    )
+    return train(method, ds, cfg, 0, val=val_a if method == "jtt" else None)
+
+
 class TestDeterminism:
     """Same config and seed must reproduce final parameters bitwise."""
 
@@ -89,25 +98,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("method", CASES)
     def test_bitwise_repeatable(self, method, small_train, val_a, train_a, train_ay, pin_jtt_grid):
         pin_jtt_grid(1, 5.0)
-        cfg = TrainConfig(epochs=3)
-        ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
-            method, small_train
-        )
-        val = val_a if method == "jtt" else None
-        one = train(method, ds, cfg, 0, val=val)
-        two = train(method, ds, cfg, 0, val=val)
+        one, two = (fit_one(method, small_train, val_a, train_a, train_ay, epochs=3) for _ in range(2))
         fields = [f for f in ("w1", "b1", "w_heads", "b_heads", "w_adv", "b_adv")
                   if getattr(one.params, f) is not None]
         assert params_equal(one.params, two.params, fields)
-
-
-def fit_one(method, small_train, val_a, train_a, train_ay, epochs):
-    """Train one method on its usual split; JTT's grid must be pinned to one cell first."""
-    cfg = TrainConfig(epochs=epochs)
-    ds = {"gdro": train_ay, "resampling": train_ay, "domain_ind": train_a, "cfair": train_a}.get(
-        method, small_train
-    )
-    return train(method, ds, cfg, 0, val=val_a if method == "jtt" else None)
 
 
 class TestHistory:
@@ -214,13 +208,6 @@ class TestErm:
             model.predict_scores(te.features), te.y
         )
         assert gap < 0.02
-
-
-@pytest.mark.parametrize("method", ("gdro", "resampling", "domain_ind", "cfair"))
-def test_rejects_empty_group(method, small_train):
-    bad = hand_grouped(small_train, np.zeros(len(small_train.y), dtype=np.int64), 2)
-    with pytest.raises(EmptyGroup, match="group 1 has no training samples"):
-        train(method, bad, TrainConfig(epochs=1), 0)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -347,16 +347,6 @@ class TestMinKlTable:
         rows = min_kl_table(reweighting_schemes(), p_train, p_uniform)
         assert [r.scheme for r in rows] == [s.name for s in reweighting_schemes()]
 
-    def test_sc_nosc_cell(self, p_train, p_uniform):
-        rows = min_kl_table([GroupingScheme("SC_noSC")], p_train, p_uniform)
-        assert rows[0].kl_gdro == pytest.approx(0.113, abs=5e-3)
-        assert rows[0].kl_resampling == pytest.approx(0.113, abs=5e-3)
-
-    def test_noisy_quarter_cell(self, p_train, p_uniform):
-        rows = min_kl_table([GroupingScheme("Noisy_AY_0.25")], p_train, p_uniform)
-        assert rows[0].kl_gdro == pytest.approx(0.114, abs=5e-3)
-        assert rows[0].kl_resampling == pytest.approx(0.131, abs=5e-3)
-
     def test_empty_list_gives_empty_table(self, p_train, p_uniform):
         """ExperimentSpec refuses an empty scheme list; the table itself has nothing to refuse."""
         assert min_kl_table([], p_train, p_uniform) == []
