@@ -86,6 +86,12 @@ class TestSpecHash:
             tiny_spec(seeds=())
 
 
+# The REFUSED_INPUTS a --config can write: JSON has no numpy integer, and a JSON list is how it writes a tuple.
+JSON_REFUSED_INPUTS = {
+    key: value for key, value in REFUSED_INPUTS.items() if key not in ("methods_list", "epochs_numpy_int")
+}
+
+
 class TestSpecValidation:
     def test_rejects_unknown_method(self):
         with pytest.raises(InvalidConfig, match="unknown method 'nope'"):
@@ -135,6 +141,13 @@ class TestSpecValidation:
     def test_library_input_refused_at_construction(self, cls, kwargs):
         with pytest.raises(SubshiftError, match=f"{cls.__name__} field '{next(iter(kwargs))}' has the wrong type"):
             cls(**kwargs)
+
+    @pytest.mark.parametrize("cls,kwargs", JSON_REFUSED_INPUTS.values(), ids=JSON_REFUSED_INPUTS.keys())
+    def test_refused_input_never_reaches_make_splits(self, tmp_path, cls, kwargs):
+        """Each refused input a --config can hold is refused by the command line, with the constructor's message."""
+        ((name, value),) = kwargs.items()
+        config = config_argv(tmp_path, {**VALID_CONFIG, **_with_field(cls, name, value)})
+        assert refuses(config, tmp_path) == f"error: {cls.__name__} field {name!r} has the wrong type: {value!r}"
 
 
 class TestDeriveSeed:
@@ -966,9 +979,16 @@ class TestCli:
             ('{"n_train": "abc"}', "ExperimentSpec field 'n_train' has the wrong type: 'abc'"),
             ('{"train": {"epochs": 1.5}}', "TrainConfig field 'epochs' has the wrong type: 1.5"),
             ('{"methods": []}', "at least one method is required"),
-            ('{"schemes": "AY"}', "ExperimentSpec field 'schemes' has the wrong type: 'AY'"),
+            ("[1, 2]", "must hold a JSON object"),
+            ("null", "must hold a JSON object"),
+            ('{"train": [1]}', "train section of --config must be a JSON object"),
+            ('{"train": null}', "train section of --config must be a JSON object"),
+            ('{"feature": 5}', "feature section of --config must be a JSON object"),
         ],
-        ids=["missing_file", "invalid_json", "seeds_not_a_list", "n_train_not_an_int", "epochs_float", "methods_empty", "schemes_str"],
+        ids=[
+            "missing_file", "invalid_json", "seeds_not_a_list", "n_train_not_an_int", "epochs_float", "methods_empty",
+            "top_level_array", "top_level_null", "train_array", "train_null", "feature_number",
+        ],
     )
     def test_malformed_config_exits_2(self, tmp_path, text, message):
         refuses(config_argv(tmp_path, text), tmp_path, message)

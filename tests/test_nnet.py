@@ -8,12 +8,14 @@ from subshift.dist_core import biased_distribution
 from subshift.errors import DimensionMismatch
 from subshift.mitigation import TrainConfig, train
 from subshift.nnet import (
+    BLOCK_ROWS,
     ModelParams,
     bce_loss_and_grad,
     cfair_loss_and_grad,
     expit,
     forward,
     init_params,
+    row_blocks,
     sgd_adam_step,
 )
 from subshift.synth_data import FeatureConfig, sample_dataset
@@ -127,6 +129,23 @@ class TestForward:
         forward(params, x)
         assert np.array_equal(x, x_before)
         assert np.array_equal(params.flat, flat_before)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize(
+        "n,blocks",
+        [
+            (0, []),
+            (1, [(0, 1)]),
+            (BLOCK_ROWS, [(0, BLOCK_ROWS)]),
+            (BLOCK_ROWS + 1, [(0, BLOCK_ROWS + 1)]),
+            (BLOCK_ROWS + 2, [(0, BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS + 2)]),
+            (2 * BLOCK_ROWS + 1, [(0, BLOCK_ROWS), (BLOCK_ROWS, 2 * BLOCK_ROWS + 1)]),
+        ],
+        ids=["empty", "one_row", "one_block", "lone_last_row", "two_last_rows", "lone_row_after_two_blocks"],
+    )
+    def test_blocks_start_on_multiples_and_a_lone_last_row_joins_the_block_before(self, n, blocks):
+        assert list(row_blocks(n)) == blocks
 
 
 class TestExpit:

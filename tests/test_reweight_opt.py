@@ -18,6 +18,7 @@ from subshift.dist_core import (
 from subshift.errors import (
     InvalidScheme,
     NonNormalizable,
+    OutOfRange,
     SupportMismatch,
     TooManyGroups,
 )
@@ -181,6 +182,14 @@ class TestBruteForce:
         g = atom_grouping(GroupingScheme("YSA"))
         with pytest.raises(TooManyGroups):
             brute_force_min_kl(p_train, g, p_uniform)
+
+    @pytest.mark.parametrize(
+        "grid_step", [0.0, -0.25, 0.75, float("nan")], ids=["zero", "negative", "above_half", "nan"]
+    )
+    def test_rejects_grid_step_outside_zero_to_half(self, p_train, p_uniform, grid_step):
+        g = atom_grouping(GroupingScheme("AY"))
+        with pytest.raises(OutOfRange, match=rf"^grid_step must be in \(0, 0\.5\], got {grid_step}$"):
+            brute_force_min_kl(p_train, g, p_uniform, grid_step=grid_step)
 
     @pytest.mark.parametrize("grid_step", [0.01, 0.02])
     @pytest.mark.parametrize(
